@@ -134,9 +134,7 @@ def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> flo
     cfg = cfg or GlobalSolveConfig()
     x = as_point(x, prob.f.dim)
     fn = lambda Y: np.asarray(prob.f.fn(x, Y), dtype=float)
-    grad = None
-    if prob.f.partial_grad_y is not None:
-        grad = lambda Y: np.apply_along_axis(lambda y: prob.f.partial_grad_y(x, y), -1, np.atleast_2d(Y))
+    _, grad = prob.f.y_objective(x)  # y_objective's value differs by a constant only
     res = _global_min_impl(fn, grad, prob.K, cfg)
     return float(res.value)
 

@@ -78,7 +78,8 @@ class Objective:
 class Bifunction:
     """Equilibrium bifunction f(x, y), strongly quasiconvex in y on the domain.
 
-    ``fn`` broadcasts elementwise over paired batches of x and y.  ``gamma``
+    ``fn`` broadcasts elementwise over paired batches of x and y, and
+    ``partial_grad_y(x, Y)`` over a batch of y for one x.  ``gamma``
     is the declared per-x modulus of ``f(x, .)`` and ``eta`` the declared
     Lipschitz-type constant of the three-point condition.  ``y_parts(x)``
     returns ``(fy, gy)`` with ``fy`` equal to ``f(x, .)`` up to an additive
@@ -106,11 +107,7 @@ class Bifunction:
         fy = lambda Y: self.fn(xa, Y)
         gy = None
         if self.partial_grad_y is not None:
-            # the pointwise oracle gets a batching wrapper here
-            def gy(Y):
-                Y = np.atleast_2d(np.asarray(Y, dtype=float))
-                return np.stack([self.partial_grad_y(xa, y) for y in Y])
-
+            gy = lambda Y: self.partial_grad_y(xa, Y)
         return fy, gy
 
 
@@ -510,15 +507,11 @@ def _glt_g(U: np.ndarray, q: float) -> np.ndarray:
     return np.maximum(np.sqrt(nrm), np.einsum("...i,...i->...", shifted, shifted) - q)
 
 
-def _glt_g_grad(u: np.ndarray, q: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(u))
-    branch_sqrt = np.sqrt(nrm)
-    branch_quad = float(np.sum((u - q) ** 2) - q)
-    if branch_sqrt >= branch_quad:
-        if nrm == 0.0:
-            return np.zeros_like(u)  # subgradient choice at the kink
-        return u / (2.0 * nrm**1.5)
-    return 2.0 * (u - q)
+def _glt_g_grad(U: np.ndarray, q: float) -> np.ndarray:
+    """Row-wise gradient of ``_glt_g``; the zero subgradient at the kink u = 0."""
+    nrm = np.linalg.norm(U, axis=-1, keepdims=True)
+    on_sqrt = np.sqrt(nrm) >= np.sum((U - q) ** 2, axis=-1, keepdims=True) - q
+    return np.where(on_sqrt, U / (2.0 * np.where(nrm == 0.0, 1.0, nrm) ** 1.5), 2.0 * (U - q))
 
 
 @functools.lru_cache(maxsize=32)

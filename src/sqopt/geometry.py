@@ -278,35 +278,39 @@ class HalfspaceIntersection(FeasibleSet):
     def dim(self):
         return self.normals.shape[1]
 
-    def _project_one(self, x):
+    def _project_many(self, X):
         A, b = self.normals, self.bounds
+        rows = np.nonzero(np.any(X @ A.T - b > 0, axis=1))[0]
+        out = X.copy()
+        if rows.size == 0:
+            return out
         if A.shape[0] == 1:
             a = A[0]
-            excess = max(0.0, (a @ x - b[0]) / (a @ a))
-            return x - excess * a
+            excess = np.maximum(0.0, (np.einsum("ij,j->i", X[rows], a) - b[0]) / (a @ a))
+            out[rows] = X[rows] - excess[:, None] * a
+            return out
         # Dykstra's algorithm: converges to the Euclidean projection onto the
-        # intersection, unlike plain alternating projection.
-        y = x.copy()
-        increments = np.zeros((A.shape[0], x.shape[0]))
+        # intersection, unlike plain alternating projection.  All violating
+        # rows sweep in lockstep, each with its own increments and its own
+        # stop, and leave the batch once their sweep shift is below tolerance.
+        Y = X[rows]
+        increments = np.zeros((rows.size, A.shape[0], X.shape[1]))
         sq = np.einsum("ij,ij->i", A, A)
         for _ in range(DYKSTRA_MAX_SWEEPS):
-            shift = 0.0
+            shift = np.zeros(rows.size)
             for i in range(A.shape[0]):
-                w = y + increments[i]
-                excess = max(0.0, (A[i] @ w - b[i]) / sq[i])
-                y_new = w - excess * A[i]
-                increments[i] = w - y_new
-                shift += float(np.linalg.norm(y_new - y))
-                y = y_new
-            if shift <= DYKSTRA_TOL:
+                W = Y + increments[:, i]
+                excess = np.maximum(0.0, (np.einsum("ij,j->i", W, A[i]) - b[i]) / sq[i])
+                Y_new = W - excess[:, None] * A[i]
+                increments[:, i] = W - Y_new
+                shift += np.linalg.norm(Y_new - Y, axis=-1)
+                Y = Y_new
+            done = shift <= DYKSTRA_TOL
+            out[rows[done]] = Y[done]
+            rows, Y, increments = rows[~done], Y[~done], increments[~done]
+            if rows.size == 0:
                 break
-        return y
-
-    def _project_many(self, X):
-        viol = X @ self.normals.T - self.bounds
-        out = X.copy()
-        for i in np.nonzero(np.any(viol > 0, axis=1))[0]:
-            out[i] = self._project_one(X[i])
+        out[rows] = Y  # rows still moving at the sweep cap
         return out
 
     @property

@@ -22,7 +22,7 @@ from . import minimize as mz
 from . import verify
 from .dynamics import integrate_ds1, integrate_ds2, loglinear_rate
 from .functions import Objective, bifunction_catalog, bregman_catalog, catalog
-from .geometry import FeasibleSet, feasible_set_from_spec
+from .geometry import FeasibleSet, as_point, feasible_set_from_spec
 from .prox import GlobalSolveConfig
 
 SCHEMA_VERSION = 1
@@ -54,6 +54,16 @@ def _require(d: dict, key: str, path: str):
     if key not in d:
         raise SchemaError(path, f"missing required key {key!r}")
     return d[key]
+
+
+def _point(d: dict, key: str, dim: int, path: str):
+    """Optional point field, checked for finiteness and dimension (None if absent)."""
+    if key not in d:
+        return None
+    try:
+        return as_point(d[key], dim)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{path}.{key}", str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +266,17 @@ def write_trace_csv(path, trace: mz.IterationTrace, is_ep: bool = False, residua
             w.writerow(row)
 
 
+def _finite_or_null(obj):
+    """Non-finite floats become None, so the emitted JSON stays strict."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 @dataclass
 class RunSummary:
     problem: str
@@ -271,7 +292,7 @@ class RunSummary:
     wall_ms: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=True)
+        return json.dumps(_finite_or_null(asdict(self)), sort_keys=True, indent=2, allow_nan=False)
 
 
 @dataclass
@@ -321,7 +342,8 @@ def _summarize(problem_label, algo_label, trace, known=None, rate=None) -> RunSu
 
 def run_minimize(h: Objective, K, spec: dict, path: str = "algorithm") -> mz.IterationTrace:
     params = _min_params(spec, path)
-    x0 = _require(spec, "x0", path)
+    _require(spec, "x0", path)
+    x0, x1 = _point(spec, "x0", h.dim, path), _point(spec, "x1", h.dim, path)
     variant = params.variant
     if variant == "PPA":
         return mz.run_ppa(h, K, params, x0)
@@ -336,15 +358,16 @@ def run_minimize(h: Objective, K, spec: dict, path: str = "algorithm") -> mz.Ite
     if variant == "GRAD":
         return mz.run_gradient(h, params, x0)
     if variant == "HEAVY_BALL":
-        return mz.run_heavy_ball(h, params, x0, spec.get("x1"))
+        return mz.run_heavy_ball(h, params, x0, x1)
     if variant == "INERTIAL_GM":
-        return mz.run_inertial_gm(h, params, x0, spec.get("x1"))
+        return mz.run_inertial_gm(h, params, x0, x1)
     raise SchemaError(path + ".variant", f"unhandled variant {variant!r}")
 
 
 def run_ep(problem: ep.EpProblem, spec: dict, path: str = "algorithm") -> mz.IterationTrace:
     params = _ep_params(spec, path)
-    x0 = _require(spec, "x0", path)
+    _require(spec, "x0", path)
+    x0 = _point(spec, "x0", problem.f.dim, path)
     runner = ep.EP_RUNNERS[params.variant]
     return runner(problem, params, x0)
 

@@ -57,7 +57,10 @@ class Schedule:
 
     @staticmethod
     def explicit(vals) -> "Schedule":
-        return Schedule("list", 0.0, tuple(float(v) for v in vals))
+        values = tuple(float(v) for v in vals)
+        if not values:
+            raise ValueError("a list schedule needs at least one value")
+        return Schedule("list", 0.0, values)
 
     @staticmethod
     def from_spec(spec) -> "Schedule":

@@ -7,10 +7,14 @@ multistart: a dense grid for one dimension, a square grid for two, a Halton
 set above that, every start refined in lockstep by projected gradient with
 backtracking (when a gradient exists) or compass search (when not).
 
-Near-optimal candidates (within 1e-8 of the best value) are all retained,
-since the proximity operator of a nonconvex function is set-valued, and the
-returned point is the lexicographically smallest of them, which keeps traces
-deterministic.
+After refinement the near-ties (within 1e-8 of the best value) are grouped
+into clusters of points within 1e-7 of each other; each cluster is one
+minimizer, represented by its best-valued member.  Only the representatives
+are polished (Newton on the gradient, or parabolic steps without one), all in
+one batch, and the other members are dropped.  The representatives that are
+still near-ties are all retained, since the proximity operator of a nonconvex
+function is set-valued, and the returned point is the lexicographically
+smallest of them, which keeps traces deterministic.
 """
 
 from __future__ import annotations
@@ -162,82 +166,121 @@ def _refine_compass(fn, K, X, F, cfg):
     return X, F
 
 
-def _polish_newton(fn, grad, K, x, cfg):
+def _no_worse(F_new, F):
+    """True where ``F_new`` exceeds ``F`` by at most one ulp.
+
+    Values one ulp apart are ties at the floating-point floor, and a
+    best-valued representative often sits on a favourably rounded one; a
+    strict comparison would reject polish steps that move it closer to the
+    minimizer.
+    """
+    return F_new <= F + np.spacing(np.abs(F))
+
+
+def _polish_newton(fn, grad, K, X, F):
     """Gradient-root polish along the steepest direction for smooth subproblems.
 
     Value comparisons bottom out at sqrt(machine eps); driving the gradient
-    to zero instead reaches machine precision at interior minima.  Stops as
-    soon as a step is clipped by the constraint or the gradient norm grows.
+    to zero instead reaches machine precision at interior minima.  Rows step
+    in lockstep; a row stops as soon as its step is clipped by the constraint
+    or its gradient norm grows.  A polished row replaces its start only if
+    its value does not increase (see ``_no_worse``).
     """
-    x = x.copy()
-    g = grad(x[None, :])[0]
-    gn = float(np.linalg.norm(g))
+    P = X.copy()
+    G = grad(P)
+    gn = np.linalg.norm(G, axis=-1)
+    idx = np.arange(P.shape[0])  # rows still stepping
     for _ in range(30):
-        if gn <= 1e-15 * (1.0 + float(np.linalg.norm(x))):
+        idx = idx[gn[idx] > 1e-15 * (1.0 + np.linalg.norm(P[idx], axis=-1))]
+        if idx.size == 0:
             break
-        d = -g / gn
-        eps = 1e-7 * (1.0 + float(np.linalg.norm(x)))
-        curv = float((grad((x + eps * d)[None, :])[0] - g) @ d) / eps
-        if not np.isfinite(curv) or curv <= 0:
+        D = -G[idx] / gn[idx, None]
+        eps = 1e-7 * (1.0 + np.linalg.norm(P[idx], axis=-1))
+        curv = np.einsum("ij,ij->i", grad(P[idx] + eps[:, None] * D) - G[idx], D) / eps
+        ok = np.isfinite(curv) & (curv > 0)
+        idx, D, curv = idx[ok], D[ok], curv[ok]
+        target = P[idx] + (gn[idx] / curv)[:, None] * D
+        cand = K.project_many(target)
+        # a clipped step means the constraint became active: keep the
+        # comparison-phase point
+        ok = np.all(cand == target, axis=-1)
+        idx, cand = idx[ok], cand[ok]
+        if idx.size == 0:
             break
-        cand = K.project_many((x + (gn / curv) * d)[None, :])[0]
-        if float(np.linalg.norm(cand - (x + (gn / curv) * d))) > 0.0:
-            break  # constraint became active: keep the comparison-phase point
-        g_new = grad(cand[None, :])[0]
-        gn_new = float(np.linalg.norm(g_new))
-        if not np.isfinite(gn_new) or gn_new >= gn:
-            break
-        x, g, gn = cand, g_new, gn_new
-    return x
+        G_new = grad(cand)
+        gn_new = np.linalg.norm(G_new, axis=-1)
+        ok = np.isfinite(gn_new) & (gn_new < gn[idx])
+        idx = idx[ok]
+        P[idx], G[idx], gn[idx] = cand[ok], G_new[ok], gn_new[ok]
+    FP = fn(P)
+    keep = _no_worse(FP, F)
+    return np.where(keep[:, None], P, X), np.where(keep, FP, F)
 
 
-def _polish_parabolic(fn, K, x, f0, rounds: int = 2, delta: float = 1e-5):
+def _polish_parabolic(fn, K, X, F, rounds: int = 2, delta: float = 1e-5):
     """Coordinate-wise parabolic vertex steps for derivative-free smooth minima.
 
     Improves the sqrt(eps) comparison floor to ~1e-11 at smooth interior
-    minima; moves are only accepted when they do not increase the value, so
-    kink and boundary minima (already sharp for compass search) are kept.
+    minima; moves are only accepted when they do not increase the value (see
+    ``_no_worse``), so kink and boundary minima (already sharp for compass
+    search) are kept.  All rows are probed together, one coordinate at a time.
     """
-    x = x.copy()
-    n = x.shape[0]
+    X, F = X.copy(), F.copy()
+    r, n = X.shape
     for _ in range(rounds):
         for j in range(n):
-            d = delta * (1.0 + abs(x[j]))
-            probes = np.tile(x, (2, 1))
-            probes[0, j] += d
-            probes[1, j] -= d
-            if np.linalg.norm(K.project_many(probes) - probes) > 0.0:
-                continue  # axis touches the boundary: leave it to compass
-            fp, fm = fn(probes)
-            denom = fp - 2.0 * f0 + fm
-            if not np.isfinite(denom) or denom <= 0:
+            d = delta * (1.0 + np.abs(X[:, j]))
+            probes = np.concatenate([X, X])
+            probes[:r, j] += d
+            probes[r:, j] -= d
+            # an axis that touches the boundary is left to compass search
+            clipped = np.any(K.project_many(probes) != probes, axis=-1).reshape(2, r)
+            idx = np.nonzero(~np.any(clipped, axis=0))[0]
+            if idx.size == 0:
                 continue
-            cand = x.copy()
-            cand[j] -= d * (fp - fm) / (2.0 * denom)
-            cand = K.project_many(cand[None, :])[0]
-            fc = float(fn(cand[None, :])[0])
-            if fc <= f0:
-                x, f0 = cand, fc
-    return x, f0
+            fpm = fn(np.concatenate([probes[idx], probes[r + idx]]))
+            fp, fm = fpm[: idx.size], fpm[idx.size :]
+            denom = fp - 2.0 * F[idx] + fm
+            ok = np.isfinite(denom) & (denom > 0)
+            idx, fp, fm, denom = idx[ok], fp[ok], fm[ok], denom[ok]
+            if idx.size == 0:
+                continue
+            cand = X[idx].copy()
+            cand[:, j] -= d[idx] * (fp - fm) / (2.0 * denom)
+            cand = K.project_many(cand)
+            fc = fn(cand)
+            acc = _no_worse(fc, F[idx])
+            X[idx[acc]], F[idx[acc]] = cand[acc], fc[acc]
+    return X, F
+
+
+def _tie_representatives(X, F) -> np.ndarray:
+    """One index per cluster of near-ties: the cluster's best-valued member.
+
+    Near-ties are the points within ``VALUE_TIE_TOL`` of the best value.
+    Taken in order of value (ties by index), each near-tie not yet claimed
+    represents a new cluster and claims every near-tie within ``DEDUPE_TOL``.
+    """
+    near = np.nonzero(F <= float(np.min(F)) + VALUE_TIE_TOL)[0]
+    order = near[np.argsort(F[near], kind="stable")]
+    P = X[order]
+    free = np.ones(order.shape[0], dtype=bool)
+    reps = []
+    while np.any(free):
+        i = int(np.argmax(free))
+        reps.append(order[i])
+        free &= np.linalg.norm(P - P[i], axis=-1) > DEDUPE_TOL
+    return np.asarray(reps, dtype=int)
 
 
 def _collect(X, F, n_evals) -> ProxResult:
-    v_best = float(np.min(F))
-    near = np.nonzero(F <= v_best + VALUE_TIE_TOL)[0]
-    pts = X[near]
-    vals = F[near]
-    order = np.lexsort(pts.T[::-1])  # lexicographic by coordinates
-    uniq_pts, uniq_vals = [], []
-    for i in order:
-        p = pts[i]
-        if all(np.linalg.norm(p - u) > DEDUPE_TOL for u in uniq_pts):
-            uniq_pts.append(p.copy())
-            uniq_vals.append(float(vals[i]))
+    reps = _tie_representatives(X, F)
+    reps = reps[np.lexsort(X[reps].T[::-1])]  # lexicographic by coordinates
     return ProxResult(
-        point=uniq_pts[0],
-        value=uniq_vals[0],
+        point=X[reps[0]].copy(),
+        value=float(F[reps[0]]),
         residual=0.0,
-        candidates=uniq_pts,
+        candidates=[X[i].copy() for i in reps],
         n_evals=n_evals,
     )
 
@@ -263,22 +306,19 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, e
         X, F = seeds[keep].copy(), F[keep].copy()
     else:
         X, F = seeds.copy(), F.copy()
+    # near-ties within DEDUPE_TOL are one minimizer: polish only each
+    # cluster's representative and drop the rest, so no unpolished point
+    # can be returned
     if raw_grad is not None:
         grad = lambda Z: np.asarray(raw_grad(Z), dtype=float)
         X, F = _refine_pg(fn, grad, K, X, F, cfg)
-        near = np.nonzero(F <= float(np.min(F)) + VALUE_TIE_TOL)[0]
-        for i in near:
-            xp = _polish_newton(fn, grad, K, X[i], cfg)
-            vp = float(fn(xp[None, :])[0])
-            if vp <= F[i]:
-                X[i], F[i] = xp, vp
+        reps = _tie_representatives(X, F)
+        X, F = _polish_newton(fn, grad, K, X[reps], F[reps])
     else:
         X, F = _refine_compass(fn, K, X, F, cfg)
-        near = np.nonzero(F <= float(np.min(F)) + VALUE_TIE_TOL)[0]
-        for i in near:
-            X[i], F[i] = _polish_parabolic(fn, K, X[i], float(F[i]))
-    res = _collect(X, F, counter.n)
-    return res
+        reps = _tie_representatives(X, F)
+        X, F = _polish_parabolic(fn, K, X[reps], F[reps])
+    return _collect(X, F, counter.n)
 
 
 def global_min(h: Objective, K: FeasibleSet | None = None, cfg: GlobalSolveConfig | None = None) -> ProxResult:

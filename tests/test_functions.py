@@ -244,3 +244,44 @@ def test_bregman_divergence_nonneg_zero_iff_equal():
         assert np.all(D >= -1e-12)
         far = np.linalg.norm(X - y, axis=-1) > 1e-6
         assert np.all(D[far] > 0.0)
+
+
+# --- batch contract: a batch evaluates exactly like its rows one by one --------
+
+
+def _seeded_batch(K, m, seed):
+    return K.sample(seed=seed, m=m, radius=None if K.is_bounded else 3.0)
+
+
+def bifunction_entries():
+    gaps = [value_gap(h) for h in all_catalog_entries() if h.grad is not None]
+    return gaps + [glt_example(2, 2), glt_example(2, 2, n=2), glt_example(3, 1.5, n=3)]
+
+
+@pytest.mark.parametrize("h", [h for h in all_catalog_entries() if h.grad is not None],
+                         ids=lambda h: h.name.split("(")[0])
+def test_catalog_grad_batch_equals_row_by_row(h):
+    X = _seeded_batch(h.domain, 300, seed=61)
+    rows = np.stack([h.grad_at(x) for x in X])
+    np.testing.assert_allclose(h.grad_many(X), rows, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("f", bifunction_entries(), ids=lambda f: f.name)
+def test_bifunction_y_gradients_batch_equal_row_by_row(f):
+    Xs = _seeded_batch(f.domain, 4, seed=62)
+    Y = _seeded_batch(f.domain, 300, seed=63)
+    for x in Xs:
+        G = f.partial_grad_y(x, Y)
+        np.testing.assert_allclose(G, np.stack([f.partial_grad_y(x, y) for y in Y]),
+                                   rtol=1e-12, atol=1e-15)
+        _, gy = f.y_objective(x)
+        Gy = gy(Y)
+        np.testing.assert_allclose(Gy, np.stack([gy(y) for y in Y]), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(Gy, G, rtol=1e-12, atol=1e-15)
+
+
+def test_glt_y_gradient_takes_each_rows_branch():
+    # rows 0 and 2 sit on different branches of max(sqrt|u|, (u - q)^2 - q)
+    _, gy = glt_example(2, 2).y_objective(np.array([1.0]))
+    G = gy(np.array([[0.1], [3.5], [1.0]]))[:, 0]
+    assert G == pytest.approx([-6.6, 1.0 + 1.0 / np.sqrt(3.5), 2.0], abs=1e-12)

@@ -133,3 +133,46 @@ def test_spec_round_trip(K):
     K2 = feasible_set_from_spec(set_to_spec(K))
     X = 2.0 * (2.0 * np.random.Generator(np.random.Philox(key=9)).random((50, K.dim)) - 1.0)
     assert np.allclose(K.project_many(X), K2.project_many(X), atol=1e-12)
+
+
+def _reference_dykstra(A, b, x):
+    """Plain one-point Dykstra, written out independently of the package."""
+    y = x.copy()
+    inc = np.zeros_like(A)
+    for _ in range(10_000):
+        shift = 0.0
+        for i in range(A.shape[0]):
+            w = y + inc[i]
+            y_new = w - max(0.0, (A[i] @ w - b[i]) / (A[i] @ A[i])) * A[i]
+            inc[i] = w - y_new
+            shift += float(np.linalg.norm(y_new - y))
+            y = y_new
+        if shift <= 1e-13:
+            break
+    return y
+
+
+def test_lockstep_dykstra_equals_row_by_row():
+    # x1 >= 0.5, x2 >= 0.2, x1 + x2 >= 1, x1 + 2 x2 <= 4
+    A = np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 2.0]])
+    b = np.array([-0.5, -0.2, -1.0, 4.0])
+    K = HalfspaceIntersection(A, b)
+    inside = K.sample(seed=71, m=1000, radius=6.0)
+    outside = 6.0 * (2.0 * np.random.Generator(np.random.Philox(key=72)).random((4000, 2)) - 1.0)
+    outside = outside[np.any(outside @ A.T > b, axis=1)][:1000]
+    X = np.concatenate([inside, outside])
+    assert outside.shape[0] == 1000
+    P = K.project_many(X)
+    assert np.array_equal(P, np.stack([K.project(x) for x in X]))
+    assert np.array_equal(P[:1000], inside)
+    ref = np.stack([_reference_dykstra(A, b, x) for x in outside[:200]])
+    assert np.max(np.abs(P[1000:1200] - ref)) <= 1e-12
+
+
+def test_single_halfspace_batch_equals_row_by_row():
+    K = HalfspaceIntersection(np.array([[3.0, 4.0]]), np.array([1.0]))
+    X = 3.0 * (2.0 * np.random.Generator(np.random.Philox(key=73)).random((500, 2)) - 1.0)
+    P = K.project_many(X)
+    assert np.array_equal(P, np.stack([K.project(x) for x in X]))
+    assert np.allclose(P @ np.array([3.0, 4.0]), np.minimum(X @ np.array([3.0, 4.0]), 1.0),
+                       atol=1e-12)

@@ -337,3 +337,35 @@ def test_cli_sweep(tmp_path, capsys):
     assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / "sw")]) == EXIT_OK
     table = json.loads(capsys.readouterr().out)
     assert len(table["rows"]) == 3
+
+
+# --- emitted files and exit codes ----------------------------------------------
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_json_is_strict_with_zero_iterations(tmp_path):
+    summary, _, paths = run_from_config(minimal_ppa_config(max_iters=0), tmp_path)
+    assert not np.isfinite(summary.final_residual)
+    loaded = json.loads(paths["summary"].read_text(), parse_constant=_reject_constant)
+    assert loaded["final_residual"] is None
+
+
+def test_cli_empty_list_schedule_is_schema_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, minimal_ppa_config(c={"kind": "list", "values": []}))
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: algorithm.c") and "\n" not in err
+
+
+def test_cli_wrong_length_x0_is_schema_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, minimal_ppa_config(x0=[1.0, 1.0, 1.0]))
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: algorithm.x0") and "dimension" in err
+    cfg = ep_config()
+    cfg["algorithm"]["x0"] = [0.9, 0.1]
+    path = write_cfg(tmp_path, cfg, "ep.json")
+    assert cli_main(["solve-ep", "--config", path, "--out", str(tmp_path / "e")]) == EXIT_SCHEMA

@@ -201,3 +201,31 @@ def test_global_min_unbounded_needs_radius():
         global_min(h)
     res = global_min(h, cfg=GlobalSolveConfig(search_radius=5.0))
     assert abs(res.point[0]) <= 1e-6
+
+
+def test_power_norm_2d_prox_single_polished_candidate():
+    # ||y||^(1/2): the prox lies on the ray to x at the root r of
+    # 1/(2 sqrt r) + (r - |x|)/beta = 0 (the larger one, past the kink at 0)
+    h = catalog("power_norm", n=2, halfwidth=10.0)
+    beta = 0.5
+    rng = np.random.Generator(np.random.Philox(key=81))
+    for _ in range(6):
+        ang, s = 2.0 * np.pi * rng.random(), 1.0 + 5.0 * rng.random()
+        x = s * np.array([np.cos(ang), np.sin(ang)])
+        lo, hi = (beta / 4.0) ** (2.0 / 3.0), s  # derivative increasing on [lo, hi]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if 0.5 / np.sqrt(mid) + (mid - s) / beta > 0 else (mid, hi)
+        res = prox(h, beta=beta, x=x)
+        assert len(res.candidates) == 1
+        assert np.linalg.norm(res.point - 0.5 * (lo + hi) * x / s) <= 1e-8
+
+
+def test_tie_representative_is_best_valued_member():
+    from sqopt.prox import _tie_representatives
+
+    # two clusters within DEDUPE_TOL = 1e-7, one point outside VALUE_TIE_TOL;
+    # value ties break by index
+    X = np.array([[0.0], [0.3e-7], [5.0], [5.0 + 0.5e-7], [0.6e-7], [2.0]])
+    F = np.array([2e-9, 1e-9, 3e-9, 3e-9, 1e-9, 1.0])
+    assert _tie_representatives(X, F).tolist() == [1, 2]
