@@ -24,6 +24,7 @@ from .harness import (
     run_dynamics,
     run_from_config,
     run_verify,
+    strict_json,
     sweep_compare,
 )
 
@@ -60,20 +61,20 @@ def main(argv=None) -> int:
             return code
         if args.command == "verify":
             reports = run_verify(cfg, args.out)
-            print(json.dumps(reports, sort_keys=True, indent=2))
+            print(strict_json(reports))
             return EXIT_OK
         if args.command == "dynamics":
             info = run_dynamics(cfg, args.out)
-            print(json.dumps(info, sort_keys=True, indent=2))
+            print(strict_json(info))
             return EXIT_OK
         if args.command == "sweep":
             table = sweep_compare(cfg, args.out, workers=args.workers)
-            print(json.dumps(table, sort_keys=True, indent=2))
+            print(strict_json(table))
             return EXIT_OK
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, FloatingPointError) as e:
         print(f"aborted: {e}", file=sys.stderr)
         return EXIT_GUARD
     raise AssertionError("unreachable")

@@ -4,7 +4,9 @@ A classical 4-stage Runge-Kutta step on a uniform grid: reproducible runs and
 clean step-halving refinement studies matter more than adaptive efficiency at
 desk scale.  The first-order flow is ``du/dt = -grad h(u) + psi(t)`` and the
 second-order flows are ``u'' + a u' + grad h(u) = 0`` (viscous damping
-``a >= 0``); descent signs throughout.
+``a >= 0``); descent signs throughout.  A state that turns non-finite or
+whose norm passes the discrete methods' ``DIVERGENCE_GUARD`` aborts the
+integration with ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .functions import Objective
 from .geometry import as_point
+from .minimize import DIVERGENCE_GUARD
 
 DISTANCE_FLOOR = 1e-14
 
@@ -48,6 +51,10 @@ def _rk4(field, z0: np.ndarray, T: float, dt: float):
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"non-finite state at t={t + dt:.6g}")
+        if np.linalg.norm(z) > DIVERGENCE_GUARD:
+            raise FloatingPointError(
+                f"diverged: state norm exceeds {DIVERGENCE_GUARD:.0e} at t={t + dt:.6g}"
+            )
         out[i + 1] = z
     return times, out
 

@@ -596,7 +596,10 @@ def glt_example(p: float = 2.0, q: float = 2.0, n: int = 1, K: FeasibleSet | Non
 
     def y_parts(x):
         xa = np.asarray(x, dtype=float)
-        fy = lambda Y: p * _glt_g(np.asarray(Y, dtype=float), q) + np.asarray(Y, dtype=float) @ xa
+        # einsum, not ``Y @ xa``: a matrix-vector product may round a row
+        # differently from the same row alone, breaking the batch contract
+        fy = lambda Y: p * _glt_g(np.asarray(Y, dtype=float), q) + np.einsum(
+            "...i,i->...", np.asarray(Y, dtype=float), xa)
         gy = lambda Y: p * _glt_g_grad(np.asarray(Y, dtype=float), q) + xa
         return fy, gy
 

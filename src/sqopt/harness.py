@@ -277,6 +277,11 @@ def _finite_or_null(obj):
     return obj
 
 
+def strict_json(obj) -> str:
+    """Sorted, indented JSON; non-finite floats are written as null."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
 @dataclass
 class RunSummary:
     problem: str
@@ -292,7 +297,7 @@ class RunSummary:
     wall_ms: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(_finite_or_null(asdict(self)), sort_keys=True, indent=2, allow_nan=False)
+        return strict_json(asdict(self))
 
 
 @dataclass
@@ -340,8 +345,25 @@ def _summarize(problem_label, algo_label, trace, known=None, rate=None) -> RunSu
     )
 
 
+# variants that never bound the feasible set, and those that bound it only
+# for their global solves (which also read ``prox.search_radius``); every other
+# variant samples the set or certifies its result with ``search_radius``
+_UNBOUNDED_OK = {"GRAD", "HEAVY_BALL", "INERTIAL_GM"}
+_SOLVE_ONLY = {"PPA", "RIPPA", "BPPA"}
+
+
+def _check_search_radius(K: FeasibleSet, params, path: str):
+    """An unbounded set needs a search radius wherever a run bounds it."""
+    if K.is_bounded or params.variant in _UNBOUNDED_OK or params.search_radius is not None:
+        return
+    if params.variant in _SOLVE_ONLY and params.prox_cfg.search_radius is not None:
+        return
+    raise SchemaError(path, f"missing required key 'search_radius' (needed to bound the {K.kind} set)")
+
+
 def run_minimize(h: Objective, K, spec: dict, path: str = "algorithm") -> mz.IterationTrace:
     params = _min_params(spec, path)
+    _check_search_radius(h.domain if K is None else K, params, path)
     _require(spec, "x0", path)
     x0, x1 = _point(spec, "x0", h.dim, path), _point(spec, "x1", h.dim, path)
     variant = params.variant
@@ -366,6 +388,7 @@ def run_minimize(h: Objective, K, spec: dict, path: str = "algorithm") -> mz.Ite
 
 def run_ep(problem: ep.EpProblem, spec: dict, path: str = "algorithm") -> mz.IterationTrace:
     params = _ep_params(spec, path)
+    _check_search_radius(problem.K, params, path)
     _require(spec, "x0", path)
     x0 = _point(spec, "x0", problem.f.dim, path)
     runner = ep.EP_RUNNERS[params.variant]
@@ -448,6 +471,8 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
         row = {"cell": tag, "alpha": alpha, "rho": rho}
         try:
             trace = run_minimize(obj, K, spec) if kind == "minimize" else run_ep(obj, spec)
+        except SchemaError:
+            raise
         except (ValueError, RuntimeError) as e:
             row.update(error=str(e), converged=False, guarded=False,
                        iterations=None, subproblem_evals=None)
@@ -492,7 +517,7 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
         for r in rows:
             w.writerow([r["cell"], r["alpha"], r["rho"], r.get("guarded"),
                         r.get("converged"), r.get("iterations"), r.get("subproblem_evals")])
-    (out / "sweep.json").write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
+    (out / "sweep.json").write_text(strict_json(table) + "\n")
     return table
 
 
@@ -557,7 +582,7 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
             else:
                 raise SchemaError(path, f"unknown bifunction check {name!r}")
         reports.append(asdict(rep))
-    (out / "checks.json").write_text(json.dumps(reports, sort_keys=True, indent=2) + "\n")
+    (out / "checks.json").write_text(strict_json(reports) + "\n")
     return reports
 
 

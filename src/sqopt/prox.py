@@ -4,8 +4,10 @@ Proximal subproblems of strongly quasiconvex objectives need a global search:
 the regularized objective is only guaranteed quasiconvex for all parameters
 when the underlying function is convex.  The solver is a deterministic
 multistart: a dense grid for one dimension, a square grid for two, a Halton
-set above that, every start refined in lockstep by projected gradient with
-backtracking (when a gradient exists) or compass search (when not).
+set above that, every start refined in lockstep by projected gradient (when a
+gradient exists) or compass search (when not).  Projected-gradient rows take
+Barzilai-Borwein step lengths, capped at twice the last accepted step, under
+an Armijo test; a rejected step is halved.
 
 After refinement the near-ties (within 1e-8 of the best value) are grouped
 into clusters of points within 1e-7 of each other; each cluster is one
@@ -108,31 +110,46 @@ class _Counter:
 
 
 def _refine_pg(fn, grad, K, X, F, cfg):
-    """Lockstep projected gradient with Armijo backtracking over all starts."""
+    """Lockstep projected gradient with Armijo backtracking over all starts.
+
+    Each row keeps the gradient at its current point, evaluated once on entry
+    and then only at accepted trial points.  After an accepted move ``s`` with
+    gradient change ``y`` the row's next trial step is the Barzilai-Borwein
+    length ``s.s / s.y``, capped at twice the accepted step (and at
+    ``step_cap``); where ``s.y <= 0`` it is twice the accepted step.  The
+    doubling cap matters across kinks, where the gradient jumps and the BB
+    length means nothing.  A rejected trial halves the step.
+    """
     lo, hi = K.bounding_box(cfg.search_radius)
     step = np.full(X.shape[0], 0.25 * float(np.max(hi - lo)) + 1e-12)
     step_cap = 1e3 * (float(np.max(hi - lo)) + 1.0)
+    G = grad(X)
     active = np.ones(X.shape[0], dtype=bool)
     for _ in range(cfg.max_local_iters):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]
-        G = grad(X[idx])
-        C = K.project_many(X[idx] - step[idx, None] * G)
+        Gi = G[idx]
+        C = K.project_many(X[idx] - step[idx, None] * Gi)
         FC = fn(C)
         move = C - X[idx]
-        decrease = np.einsum("ij,ij->i", G, move)
+        decrease = np.einsum("ij,ij->i", Gi, move)
         accept = FC <= F[idx] + ARMIJO_C * decrease
         moved = np.linalg.norm(move, axis=-1)
         acc = idx[accept]
-        X[acc] = C[accept]
-        F[acc] = FC[accept]
-        step[acc] = np.minimum(step[acc] * 2.0, step_cap)
+        if acc.size:
+            GC = grad(C[accept])
+            s, y = move[accept], GC - Gi[accept]
+            sy = np.einsum("ij,ij->i", s, y)
+            bb = np.divide(np.einsum("ij,ij->i", s, s), sy,
+                           out=np.full(acc.size, np.inf), where=sy > 0)
+            step[acc] = np.minimum(np.minimum(bb, step[acc] * 2.0), step_cap)
+            X[acc], F[acc], G[acc] = C[accept], FC[accept], GC
         rej = idx[~accept]
         step[rej] *= 0.5
         # converged: a tiny accepted move with a near-stationary gradient
         # (the gradient guard keeps small-step rows far from optimality alive)
-        gsmall = np.linalg.norm(G, axis=-1)[accept] <= np.sqrt(cfg.local_tol)
+        gsmall = np.linalg.norm(Gi, axis=-1)[accept] <= np.sqrt(cfg.local_tol)
         active[acc[(moved[accept] <= cfg.local_tol) & gsmall]] = False
         active[rej[step[rej] < cfg.local_tol]] = False
     return X, F

@@ -369,3 +369,63 @@ def test_cli_wrong_length_x0_is_schema_error(tmp_path, capsys):
     cfg["algorithm"]["x0"] = [0.9, 0.1]
     path = write_cfg(tmp_path, cfg, "ep.json")
     assert cli_main(["solve-ep", "--config", path, "--out", str(tmp_path / "e")]) == EXIT_SCHEMA
+
+
+def test_cli_emitted_json_is_strict(tmp_path, capsys):
+    # max_iters=0 leaves every sweep cell's final residual non-finite, and a
+    # zero-sample check reports an infinite worst margin: both become null
+    sweep = sweep_config([0.0, 0.1], [1.0])
+    sweep["algorithm"]["max_iters"] = 0
+    checks = {
+        "schema_version": 1,
+        "problem": {"kind": "minimize",
+                    "objective": {"catalog": "gauss_well",
+                                  "params": {"c": 1.0, "d": 1.0, "delta": 1.0}}},
+        "verify": {"checks": [{"check": "sqc", "n": 0}, {"check": "growth", "n": 0}]},
+    }
+    dyn = {
+        "schema_version": 1,
+        "problem": {"kind": "minimize", "objective": {"catalog": "sin_quad", "params": {}}},
+        "dynamics": {"system": "ds1", "x0": [2.0], "T": 1.0, "dt": 0.01},
+    }
+    for command, cfg, emitted in (("sweep", sweep, "sweep.json"),
+                                  ("verify", checks, "checks.json"),
+                                  ("dynamics", dyn, None)):
+        out = tmp_path / command
+        path = write_cfg(tmp_path, cfg, f"{command}.json")
+        assert cli_main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+        json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        if emitted:
+            json.loads((out / emitted).read_text(), parse_constant=_reject_constant)
+    rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"]
+    assert all(r["final_residual"] is None for r in rows)
+    reports = json.loads((tmp_path / "verify" / "checks.json").read_text())
+    assert all(r["worst_margin"] is None for r in reports)
+
+
+def test_cli_unbounded_set_without_search_radius_is_schema_error(tmp_path, capsys):
+    cfg = minimal_ppa_config(x0=[2.0])
+    cfg["problem"] = {"kind": "minimize", "objective": {"catalog": "sin_quad", "params": {}},
+                      "set": {"kind": "full_space", "dim": 1}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: algorithm") and "'search_radius'" in err
+    assert "\n" not in err
+    cfg["algorithm"]["search_radius"] = 6.0
+    path = write_cfg(tmp_path, cfg, "radius.json")
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "r")]) == EXIT_OK
+
+
+def test_cli_dynamics_divergence_is_guard_abort(tmp_path, capsys):
+    # dt = 5 is far past RK4's stability limit on sin_quad: the state used to
+    # reach 5e48 (value 2.5e97) and the run exited 0
+    cfg = {
+        "schema_version": 1,
+        "problem": {"kind": "minimize", "objective": {"catalog": "sin_quad", "params": {}}},
+        "dynamics": {"system": "ds1", "x0": [2.0], "T": 100.0, "dt": 5.0},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["dynamics", "--config", path, "--out", str(tmp_path / "d")]) == EXIT_GUARD
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("aborted: diverged") and "\n" not in err

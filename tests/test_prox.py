@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import abs_on_box, grid_min_1d, half_quad
-from sqopt.functions import bregman_catalog, catalog
+from sqopt.functions import bifunction_catalog, bregman_catalog, catalog
 from sqopt.geometry import Box, box1d
 from sqopt.prox import (
     GlobalSolveConfig,
@@ -229,3 +229,72 @@ def test_tie_representative_is_best_valued_member():
     X = np.array([[0.0], [0.3e-7], [5.0], [5.0 + 0.5e-7], [0.6e-7], [2.0]])
     F = np.array([2e-9, 1e-9, 3e-9, 3e-9, 1e-9, 1.0])
     assert _tie_representatives(X, F).tolist() == [1, 2]
+
+
+# --- lockstep refiners ----------------------------------------------------------
+
+
+def _prox_mod():
+    import importlib
+
+    return importlib.import_module("sqopt.prox")  # the package re-exports a function `prox`
+
+
+def test_refine_pg_root_quartic_prox_converges_fast():
+    # curvature ~1.985 here: doubling after every accept and halving after
+    # every reject cycled between an overshooting step 1 and a rejected step 2,
+    # so all 17 rows ran to max_local_iters with |grad| up to 1.6e-2
+    P = _prox_mod()
+    h = catalog("root_quartic", k=1.0, c=2.0)
+    x = np.array([1.748224804581618])
+    cfg = GlobalSolveConfig()
+    fn, grad = P._prox_objective(h.value_many, h.grad_many, 0.5, x)
+    seeds = np.concatenate([x[None, :], P._seed_points(h.domain, cfg)])
+    F = fn(seeds)
+    keep = np.concatenate([[0], np.argsort(F[1:], kind="stable")[:16] + 1])
+    iters = 0
+
+    def counted_fn(Y):  # one batched call per lockstep iteration
+        nonlocal iters
+        iters += 1
+        return fn(Y)
+
+    X, _ = P._refine_pg(counted_fn, grad, h.domain, seeds[keep].copy(), F[keep].copy(), cfg)
+    assert X.shape[0] == 17
+    assert iters < 50
+    assert np.all(np.linalg.norm(grad(X), axis=-1) <= np.sqrt(cfg.local_tol))
+
+
+def _refine_subproblems():
+    P = _prox_mod()
+    sq = catalog("sin_quad")
+    sq_fn, sq_grad = P._prox_objective(sq.value_many, sq.grad_many, 0.8, np.array([2.4]))
+    glt = bifunction_catalog("glt_example", p=2.0, q=2.0, n=2)
+    glt_fn, glt_grad = glt.y_objective(np.array([0.7, 1.9]))
+    pn = catalog("power_norm", n=2, halfwidth=10.0)
+    pn_fn, _ = P._prox_objective(pn.value_many, None, 0.5, np.array([3.5, -4.2]))
+    return [
+        ("sin_quad_prox", sq_fn, sq_grad, sq.domain, GlobalSolveConfig(search_radius=6.0)),
+        ("glt2d_y_objective", glt_fn, glt_grad, glt.domain, GlobalSolveConfig()),
+        ("power_norm2_prox", pn_fn, None, pn.domain, GlobalSolveConfig()),
+    ]
+
+
+@pytest.mark.parametrize("case", _refine_subproblems(), ids=lambda c: c[0])
+def test_lockstep_refiners_rows_are_independent(case):
+    # per-row state (step, gradient, BB lengths, stop flags) never mixes rows:
+    # a batch refines bit for bit as one call per row
+    P = _prox_mod()
+    _, fn, grad, K, cfg = case
+    lo, hi = K.bounding_box(cfg.search_radius)
+    rng = np.random.Generator(np.random.Philox(key=97))
+    X = K.project_many(lo + rng.random((12, K.dim)) * (hi - lo))
+    F = fn(X)
+    refiners = [lambda X, F: P._refine_compass(fn, K, X, F, cfg)]
+    if grad is not None:
+        refiners.append(lambda X, F: P._refine_pg(fn, grad, K, X, F, cfg))
+    for refine in refiners:
+        XB, FB = refine(X.copy(), F.copy())
+        for i in range(X.shape[0]):
+            xi, fi = refine(X[i : i + 1].copy(), F[i : i + 1].copy())
+            assert np.array_equal(xi[0], XB[i]) and fi[0] == FB[i], i
