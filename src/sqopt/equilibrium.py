@@ -32,7 +32,6 @@ from .verify import (
     estimate_eta,
 )
 
-EP_VARIANTS = ("RIPPA_EP", "REG_EP", "IEPPA_EP", "TWO_PPA_EP", "EG_EP", "PEG_EP")
 LINE_SEARCH_CAP = 60  # 2^-60 underflow guard
 
 
@@ -129,14 +128,23 @@ def _ep_prox(f: Bifunction, K: FeasibleSet, beta: float, center: np.ndarray, cfg
     return prox_point(fy, gy, K, beta, center, cfg)
 
 
-def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> float:
-    """Certificate residual ``min_y f(x, y)``; near zero iff x solves the problem."""
+def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> float | np.ndarray:
+    """Certificate residual ``min_y f(x, y)`` over K; near zero iff x solves the problem.
+
+    ``x`` is one point, giving a float, or a batch of rows, giving an array.
+    A batch is one global solve of a stack of problems, one per row, refined
+    in lockstep; each entry equals the one-point call's value bit for bit.
+    The gradient path needs ``partial_grad_y``; without it compass search
+    runs.
+    """
     cfg = cfg or GlobalSolveConfig()
-    x = as_point(x, prob.f.dim)
-    fn = lambda Y: np.asarray(prob.f.fn(x, Y), dtype=float)
-    _, grad = prob.f.y_objective(x)  # y_objective's value differs by a constant only
-    res = _global_min_impl(fn, grad, prob.K, cfg)
-    return float(res.value)
+    X = np.asarray(x, dtype=float)
+    one = X.ndim < 2
+    C = as_point(X, prob.f.dim)[None, :] if one else np.stack([as_point(r, prob.f.dim) for r in X])
+    fn = lambda Xc, Y: np.asarray(prob.f.fn(Xc, Y), dtype=float)
+    res = _global_min_impl(fn, prob.f.partial_grad_y, prob.K, cfg, C)
+    values = np.array([r.value for r in res])
+    return float(values[0]) if one else values
 
 
 def check_minty(prob: EpProblem, xbar, n_samples: int = 1000, seed: int = 0, tol: float = 1e-8,
@@ -306,6 +314,34 @@ def run_ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     return run_rippa_ep(prob, q, x0)
 
 
+def _regularized(f: Bifunction, xk: np.ndarray, beta_k: float, k: int) -> Bifunction:
+    """``f_k(x, y) = f(x, y) + (x - x_k).(y - x)/beta_k``, the REG_EP outer-step bifunction."""
+
+    def fn_k(X, Y):
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        return f.fn(X, Y) + np.einsum("...i,...i->...", X - xk, Y - X) / beta_k
+
+    def y_parts_k(xc):
+        fy, gy = f.y_objective(xc)
+        shift = (np.asarray(xc, dtype=float) - xk) / beta_k
+        # einsum, not ``Y @ shift``: a matrix-vector product may round a row
+        # differently inside a batch than alone
+        fy_k = lambda Y: fy(Y) + np.einsum("...i,i->...", np.asarray(Y, dtype=float), shift)
+        gy_k = None if gy is None else (lambda Y: gy(Y) + shift)
+        return fy_k, gy_k
+
+    return Bifunction(
+        name=f"{f.name}+reg{k}",
+        dim=f.dim,
+        domain=f.domain,
+        fn=fn_k,
+        gamma=f.gamma,
+        eta=f.eta + 0.5 / beta_k,
+        y_parts=y_parts_k,
+    )
+
+
 def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     """Regularized-bifunction method with nested proximal inner solves.
 
@@ -327,28 +363,7 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     for k in range(p.max_iters):
         beta_k = p.beta.at(k)
         xk = x.copy()
-
-        def fn_k(X, Y, xk=xk, beta_k=beta_k):
-            X = np.asarray(X, dtype=float)
-            Y = np.asarray(Y, dtype=float)
-            return f.fn(X, Y) + np.einsum("...i,...i->...", X - xk, Y - X) / beta_k
-
-        def y_parts_k(xc, xk=xk, beta_k=beta_k):
-            fy, gy = f.y_objective(xc)
-            shift = (np.asarray(xc, dtype=float) - xk) / beta_k
-            fy_k = lambda Y: fy(Y) + np.asarray(Y, dtype=float) @ shift
-            gy_k = None if gy is None else (lambda Y: gy(Y) + shift)
-            return fy_k, gy_k
-
-        f_k = Bifunction(
-            name=f"{f.name}+reg{k}",
-            dim=f.dim,
-            domain=f.domain,
-            fn=fn_k,
-            gamma=f.gamma,
-            eta=f.eta + 0.5 / beta_k,
-            y_parts=y_parts_k,
-        )
+        f_k = _regularized(f, xk, beta_k, k)
         inner_tol = max(p.stop_tol, 0.1 * prev_res)
         z = xk
         solved = False

@@ -78,8 +78,9 @@ class Objective:
 class Bifunction:
     """Equilibrium bifunction f(x, y), strongly quasiconvex in y on the domain.
 
-    ``fn`` broadcasts elementwise over paired batches of x and y, and
-    ``partial_grad_y(x, Y)`` over a batch of y for one x.  ``gamma``
+    ``fn(X, Y)`` and ``partial_grad_y(X, Y)`` take one x for a batch of y,
+    or paired rows (row ``i`` of ``X`` with row ``i`` of ``Y``); a paired row
+    gets exactly the bits of the one-x call.  ``gamma``
     is the declared per-x modulus of ``f(x, .)`` and ``eta`` the declared
     Lipschitz-type constant of the three-point condition.  ``y_parts(x)``
     returns ``(fy, gy)`` with ``fy`` equal to ``f(x, .)`` up to an additive
@@ -123,11 +124,13 @@ class BregmanFunction:
     closure_contains: Callable[[np.ndarray], np.ndarray]
 
     def divergence_many(self, Y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """D(y, x) = phi(y) - phi(x) - grad_phi(x) . (y - x), batched over y."""
+        """D(y, x) = phi(y) - phi(x) - grad_phi(x) . (y - x), batched over y.
+
+        ``x`` is one point or one row per row of ``Y``.
+        """
         Y = np.asarray(Y, dtype=float)
         x = np.asarray(x, dtype=float)
-        g = self.grad_phi(x)
-        return self.phi(Y) - self.phi(x) - (Y - x) @ g
+        return self.phi(Y) - self.phi(x) - np.einsum("...i,...i->...", Y - x, self.grad_phi(x))
 
     def divergence(self, x, y) -> float:
         return float(self.divergence_many(np.asarray(x, dtype=float)[None, :], y)[0])
@@ -321,11 +324,13 @@ def _quad_fractional(
     if eigA[0] <= 0:
         raise ValueError("A must be positive definite")
 
+    # einsum, not ``X @ a``: a matrix product may round a row differently
+    # inside a batch than alone, breaking the batch contract
     def num(X):
-        return 0.5 * np.einsum("...i,ij,...j->...", X, A, X) + X @ a + alpha
+        return 0.5 * np.einsum("...i,ij,...j->...", X, A, X) + np.einsum("...i,i->...", X, a) + alpha
 
     def den(X):
-        return 0.5 * np.einsum("...i,ij,...j->...", X, B, X) + X @ b + beta
+        return 0.5 * np.einsum("...i,ij,...j->...", X, B, X) + np.einsum("...i,i->...", X, b) + beta
 
     S = K.sample(seed=2024, m=n_check)
     dv = den(S)
@@ -348,9 +353,11 @@ def _quad_fractional(
 
     def grad(X):
         nv, dv = num(X), den(X)
-        gn = X @ A + a
-        gd = X @ B + b
-        return (gn * dv[..., None] - nv[..., None] * gd) / (dv**2)[..., None]
+        gn = np.einsum("...i,ij->...j", X, A) + a
+        gd = np.einsum("...i,ij->...j", X, B) + b
+        # dv * dv, not dv**2: on a lone point dv is a NumPy scalar, whose power
+        # may round differently from the array square
+        return (gn * dv[..., None] - nv[..., None] * gd) / (dv * dv)[..., None]
 
     return Objective(
         name="quad_fractional",
@@ -422,7 +429,9 @@ def combine_linear(h: Objective, A, domain: FeasibleSet, n_check: int = 1000) ->
     S = domain.sample(seed=2024, m=n_check) if domain.is_bounded else None
     if S is not None and not np.all(h.domain.contains_many(S @ A.T, tol=1e-8)):
         raise ValueError("A does not map the new domain into the domain of h")
-    grad = None if h.grad is None else (lambda X, g=h.grad: g(X @ A.T) @ A)
+    # einsum keeps each row's bits independent of the batch (see quad_fractional)
+    AX = lambda X: np.einsum("...j,ij->...i", X, A)
+    grad = None if h.grad is None else (lambda X, g=h.grad: np.einsum("...i,ij->...j", g(AX(X)), A))
     known = None
     if h.known_min is not None and A.shape[0] == A.shape[1]:
         try:
@@ -436,7 +445,7 @@ def combine_linear(h: Objective, A, domain: FeasibleSet, n_check: int = 1000) ->
         dim=domain.dim,
         domain=domain,
         modulus=h.modulus * smin**2,
-        fn=lambda X, f=h.fn: f(X @ A.T),
+        fn=lambda X, f=h.fn: f(AX(X)),
         grad=grad,
         known_min=known,
         lower_semicontinuous=h.lower_semicontinuous,
@@ -477,18 +486,29 @@ def combine_max(hs: list[Objective]) -> Objective:
 # ---------------------------------------------------------------------------
 
 
+def _as_rows(fn, X):
+    """``fn`` on ``X`` evaluated as a batch of rows, also for a lone point.
+
+    A lone point then gets the bits its row gets in a batch: NumPy scalar
+    arithmetic (``np.float64 ** 0.25``) may round differently from the array
+    loops.
+    """
+    X = np.asarray(X, dtype=float)
+    return fn(X[None])[0] if X.ndim == 1 else fn(X)
+
+
 def value_gap(h: Objective) -> Bifunction:
     """f(x, y) = h(y) - h(x); the equilibrium problem collapses to minimizing h."""
 
     def fn(X, Y):
-        return h.fn(np.asarray(Y, dtype=float)) - h.fn(np.asarray(X, dtype=float))
+        return _as_rows(h.fn, Y) - _as_rows(h.fn, X)
 
     def y_parts(x):
         return h.fn, h.grad
 
     pg = None
     if h.grad is not None:
-        pg = lambda x, Y: h.grad(np.asarray(Y, dtype=float))
+        pg = lambda x, Y: _as_rows(h.grad, Y)
     return Bifunction(
         name=f"value_gap({h.name})",
         dim=h.dim,

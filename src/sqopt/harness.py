@@ -415,7 +415,8 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
         n = trace.iterates.shape[0]
         marks = sorted(set(np.linspace(0, n - 1, min(5, n)).astype(int)) | {n - 1})
         res_cfg = GlobalSolveConfig(grid_density=2001, search_radius=algo.get("search_radius"))
-        residual_ep = {int(i): ep.ep_residual(obj, trace.iterates[i], res_cfg) for i in marks}
+        values = ep.ep_residual(obj, trace.iterates[marks], res_cfg)  # one solve for all marks
+        residual_ep = {int(i): v for i, v in zip(marks, values)}
         write_trace_csv(paths["trace"], trace, is_ep=True, residual_ep=residual_ep)
         label = obj.f.name
     rate = None
@@ -526,6 +527,7 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 _CHECK_KEYS = {"check", "gamma", "n", "seed", "radius", "radii", "xbar", "z", "beta", "lip"}
+_UNSAMPLED_CHECKS = {"supercoercive"}  # every other check samples the set
 
 
 def run_verify(cfg: dict, out_dir) -> list[dict]:
@@ -544,6 +546,8 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
         seed = int(c.get("seed", cfg.get("seed", 0)))
         radius = c.get("radius")
         n = int(c.get("n", 2000))
+        if name not in _UNSAMPLED_CHECKS and radius is None and not K.is_bounded:
+            raise SchemaError(path, f"missing required key 'radius' (needed to sample the {K.kind} set)")
         if kind == "minimize":
             h = obj
             if name == "sqc":

@@ -27,8 +27,6 @@ from .prox import GlobalSolveConfig, bregman_prox, prox
 
 DIVERGENCE_GUARD = 1e6
 
-VARIANTS = ("PPA", "RIPPA", "BPPA", "SUBGRAD", "GRAD", "HEAVY_BALL", "INERTIAL_GM")
-
 
 @dataclass(frozen=True)
 class Schedule:

@@ -279,3 +279,30 @@ def test_glt_all_proximal_solvers_agree():
     assert runs["rippa"].guarded  # corrected-split window covers beta = 0.18
     assert not runs["ieppa"].guarded  # theorem window empty: gamma < 12 eta
     assert not runs["2ppa"].guarded
+
+
+@pytest.mark.parametrize("prob, X, cfg", [
+    (glt_problem(), np.array([[0.2], [0.381966], [1.7], [3.9], [0.381966]]), GLT_FAST),
+    (EpProblem(glt_example(2, 2, n=2)), np.array([[0.5, 3.1], [2.2, 0.9], [1.0, 1.0]]), None),
+    (vg_problem(), np.array([[0.0, 0.0], [0.5, 0.5], [-0.8, 0.3]]), None),  # compass path
+], ids=["glt1d", "glt2d", "value_gap"])
+def test_ep_residual_batch_equals_one_at_a_time(prob, X, cfg):
+    # a batch is one lockstep solve over a stack of centers; each entry is
+    # exactly the one-point certificate
+    batch = ep_residual(prob, X, cfg)
+    assert isinstance(batch, np.ndarray) and batch.shape == (X.shape[0],)
+    single = [ep_residual(prob, x, cfg) for x in X]
+    assert all(isinstance(r, float) for r in single)
+    assert np.array_equal(batch, single)
+
+
+def test_reg_ep_regularized_objective_batch_equals_row_by_row():
+    # the shift term used ``Y @ shift``, which rounds a row differently inside
+    # a batch than alone
+    from sqopt.equilibrium import _regularized
+
+    f_k = _regularized(glt_example(2, 2, n=2), np.array([1.3, 0.6]), 0.18, 0)
+    fy, _ = f_k.y_objective(np.array([2.1, 0.35]))
+    Y = f_k.domain.sample(seed=71, m=64)
+    V = fy(Y)
+    assert all(fy(Y[i]) == V[i] for i in range(Y.shape[0]))

@@ -285,3 +285,58 @@ def test_glt_y_gradient_takes_each_rows_branch():
     _, gy = glt_example(2, 2).y_objective(np.array([1.0]))
     G = gy(np.array([[0.1], [3.5], [1.0]]))[:, 0]
     assert G == pytest.approx([-6.6, 1.0 + 1.0 / np.sqrt(3.5), 2.0], abs=1e-12)
+
+
+def _paired_bifunction_entries():
+    gaps = [value_gap(h) for h in all_catalog_entries() if h.name != "inv_gap"]
+    return gaps + [glt_example(2, 2), glt_example(2, 2, n=2), glt_example(3, 1.5, n=3)]
+
+
+@pytest.mark.parametrize("f", _paired_bifunction_entries(), ids=lambda f: f.name)
+def test_bifunction_paired_rows_equal_one_x_calls(f):
+    # fn(X, Y) and partial_grad_y(X, Y) pair row i of X with row i of Y; each
+    # row gets exactly the bits of the call with x = X[i] alone
+    X = _seeded_batch(f.domain, 40, seed=64)
+    Y = _seeded_batch(f.domain, 40, seed=65)
+    V = f.fn(X, Y)
+    assert all(f.fn(X[i], Y)[i] == V[i] for i in range(X.shape[0]))
+    if f.partial_grad_y is not None:
+        G = f.partial_grad_y(X, Y)
+        assert all(np.array_equal(f.partial_grad_y(X[i], Y)[i], G[i]) for i in range(X.shape[0]))
+
+
+def _quad_fractional_4d():
+    # convex denominator (B positive semidefinite) over a nonpositive numerator;
+    # four coordinates, since a 3-column matrix product happens to round rows alike
+    rng = np.random.Generator(np.random.Philox(key=66))
+    Q = rng.standard_normal((4, 4))
+    A = np.eye(4) + 0.1 * (Q + Q.T)
+    return catalog("quad_fractional", A=A, a=0.3 * rng.standard_normal(4), alpha=-10.0,
+                   B=0.1 * (Q @ Q.T), b=0.2 * rng.standard_normal(4), beta=3.0,
+                   K=Box(-np.ones(4), np.ones(4)), m=1.0, M=8.0)
+
+
+def _batch_equals_rows(fn, X):
+    B = fn(X)
+    return all(np.array_equal(fn(X[i]), B[i]) for i in range(X.shape[0]))
+
+
+def test_einsum_sites_batch_equal_row_by_row():
+    # matrix products rounded a row differently inside a batch than alone
+    h = _quad_fractional_4d()
+    X = _seeded_batch(h.domain, 64, seed=67)
+    assert _batch_equals_rows(h.fn, X) and _batch_equals_rows(h.grad, X)
+    A = 0.2 * np.random.Generator(np.random.Philox(key=68)).uniform(-1.0, 1.0, (4, 5))
+    hl = combine_linear(h, A, Box(-np.ones(5), np.ones(5)))
+    X = _seeded_batch(hl.domain, 64, seed=68)
+    assert _batch_equals_rows(hl.fn, X) and _batch_equals_rows(hl.grad, X)
+    cube = Box(-np.ones(4), np.ones(4))
+    for name, shift in (("neg_entropy", 1.5), ("half_sq_norm", 0.0)):
+        phi = bregman_catalog(name, dim=4, shift=shift)
+        Y = _seeded_batch(cube, 64, seed=69)
+        x = np.array([0.3, -0.7, 0.45, 0.1])
+        assert _batch_equals_rows(lambda Z: phi.divergence_many(Z, x), Y)
+        # paired centers, as the stacked global solve passes them
+        Xc = _seeded_batch(cube, 64, seed=70)
+        D = phi.divergence_many(Y, Xc)
+        assert all(phi.divergence_many(Y[i], Xc[i]) == D[i] for i in range(Y.shape[0]))

@@ -417,6 +417,28 @@ def test_cli_unbounded_set_without_search_radius_is_schema_error(tmp_path, capsy
     assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "r")]) == EXIT_OK
 
 
+def test_cli_verify_unbounded_set_without_radius_is_schema_error(tmp_path, capsys):
+    # a sampling check on full_space used to exit 3 with "aborted: FullSpace is
+    # unbounded: a radius is required"
+    cfg = {
+        "schema_version": 1,
+        "problem": {"kind": "minimize", "objective": {"catalog": "sin_quad", "params": {}}},
+        "verify": {"checks": [{"check": "sqc"}]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: config.verify.checks[0]") and "'radius'" in err
+    assert "\n" not in err
+    # with a radius it samples; supercoercivity takes its own radii and needs none
+    cfg["verify"]["checks"] = [{"check": "sqc", "n": 200, "radius": 4.0},
+                               {"check": "supercoercive"}]
+    path = write_cfg(tmp_path, cfg, "radius.json")
+    assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "r")]) == EXIT_OK
+    reports = json.loads((tmp_path / "r" / "checks.json").read_text())
+    assert len(reports) == 2 and all(r["passed"] for r in reports)
+
+
 def test_cli_dynamics_divergence_is_guard_abort(tmp_path, capsys):
     # dt = 5 is far past RK4's stability limit on sin_quad: the state used to
     # reach 5e48 (value 2.5e97) and the run exited 0

@@ -248,36 +248,65 @@ def test_refine_pg_root_quartic_prox_converges_fast():
     h = catalog("root_quartic", k=1.0, c=2.0)
     x = np.array([1.748224804581618])
     cfg = GlobalSolveConfig()
-    fn, grad = P._prox_objective(h.value_many, h.grad_many, 0.5, x)
+    fn, grad = P._prox_objective(h.value_many, h.grad_many, 0.5)
+    stack = P._Stack(fn, grad, x[None, :])
     seeds = np.concatenate([x[None, :], P._seed_points(h.domain, cfg)])
-    F = fn(seeds)
+    F = fn(x, seeds)
     keep = np.concatenate([[0], np.argsort(F[1:], kind="stable")[:16] + 1])
     iters = 0
 
-    def counted_fn(Y):  # one batched call per lockstep iteration
+    def counted_fn(own, Y):  # one batched call per lockstep iteration
         nonlocal iters
         iters += 1
-        return fn(Y)
+        return stack.fn(own, Y)
 
-    X, _ = P._refine_pg(counted_fn, grad, h.domain, seeds[keep].copy(), F[keep].copy(), cfg)
+    X, _ = P._refine_pg(counted_fn, stack.grad, h.domain, seeds[keep].copy(), F[keep].copy(),
+                        np.zeros(17, dtype=int), cfg)
     assert X.shape[0] == 17
     assert iters < 50
-    assert np.all(np.linalg.norm(grad(X), axis=-1) <= np.sqrt(cfg.local_tol))
+    assert np.all(np.linalg.norm(grad(x, X), axis=-1) <= np.sqrt(cfg.local_tol))
 
 
 def _refine_subproblems():
+    """(id, paired fn, paired grad, centers, K, cfg) of the refined subproblem kinds."""
     P = _prox_mod()
     sq = catalog("sin_quad")
-    sq_fn, sq_grad = P._prox_objective(sq.value_many, sq.grad_many, 0.8, np.array([2.4]))
+    sq_fn, sq_grad = P._prox_objective(sq.value_many, sq.grad_many, 0.8)
     glt = bifunction_catalog("glt_example", p=2.0, q=2.0, n=2)
-    glt_fn, glt_grad = glt.y_objective(np.array([0.7, 1.9]))
+    glt_fy, glt_gy = glt.y_objective(np.array([0.7, 1.9]))
     pn = catalog("power_norm", n=2, halfwidth=10.0)
-    pn_fn, _ = P._prox_objective(pn.value_many, None, 0.5, np.array([3.5, -4.2]))
+    pn_fn, _ = P._prox_objective(pn.value_many, None, 0.5)
     return [
-        ("sin_quad_prox", sq_fn, sq_grad, sq.domain, GlobalSolveConfig(search_radius=6.0)),
-        ("glt2d_y_objective", glt_fn, glt_grad, glt.domain, GlobalSolveConfig()),
-        ("power_norm2_prox", pn_fn, None, pn.domain, GlobalSolveConfig()),
+        ("sin_quad_prox", sq_fn, sq_grad, np.array([[2.4], [-1.3]]), sq.domain,
+         GlobalSolveConfig(search_radius=6.0)),
+        ("glt2d_y_objective", lambda Xc, Y: glt_fy(Y), lambda Xc, Y: glt_gy(Y),
+         np.array([[0.7, 1.9]]), glt.domain, GlobalSolveConfig()),
+        ("glt2d_certificate", glt.fn, glt.partial_grad_y, np.array([[0.7, 1.9], [2.6, 0.4]]),
+         glt.domain, GlobalSolveConfig()),
+        ("power_norm2_prox", pn_fn, None, np.array([[3.5, -4.2], [-0.3, 1.1]]), pn.domain,
+         GlobalSolveConfig()),
     ]
+
+
+def _refiners(P, case, C):
+    """Each applicable refiner as ``refine(X, own)`` on the stack with centers ``C``."""
+    _, fn, grad, _, K, cfg = case
+
+    def compass(X, own):
+        stack = P._Stack(fn, grad, C)
+        return P._refine_compass(stack.fn, K, X, stack.fn(own, X), own, cfg)
+
+    def pg(X, own):
+        stack = P._Stack(fn, grad, C)
+        return P._refine_pg(stack.fn, stack.grad, K, X, stack.fn(own, X), own, cfg)
+
+    return [compass] if grad is None else [compass, pg]
+
+
+def _starts(K, cfg, m, key):
+    lo, hi = K.bounding_box(cfg.search_radius)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return K.project_many(lo + rng.random((m, K.dim)) * (hi - lo))
 
 
 @pytest.mark.parametrize("case", _refine_subproblems(), ids=lambda c: c[0])
@@ -285,16 +314,47 @@ def test_lockstep_refiners_rows_are_independent(case):
     # per-row state (step, gradient, BB lengths, stop flags) never mixes rows:
     # a batch refines bit for bit as one call per row
     P = _prox_mod()
-    _, fn, grad, K, cfg = case
-    lo, hi = K.bounding_box(cfg.search_radius)
-    rng = np.random.Generator(np.random.Philox(key=97))
-    X = K.project_many(lo + rng.random((12, K.dim)) * (hi - lo))
-    F = fn(X)
-    refiners = [lambda X, F: P._refine_compass(fn, K, X, F, cfg)]
-    if grad is not None:
-        refiners.append(lambda X, F: P._refine_pg(fn, grad, K, X, F, cfg))
-    for refine in refiners:
-        XB, FB = refine(X.copy(), F.copy())
+    C, K, cfg = case[3][:1], case[4], case[5]
+    X = _starts(K, cfg, 12, key=97)
+    own = np.zeros(X.shape[0], dtype=int)
+    for refine in _refiners(P, case, C):
+        XB, FB = refine(X.copy(), own)
         for i in range(X.shape[0]):
-            xi, fi = refine(X[i : i + 1].copy(), F[i : i + 1].copy())
+            xi, fi = refine(X[i : i + 1].copy(), own[i : i + 1])
             assert np.array_equal(xi[0], XB[i]) and fi[0] == FB[i], i
+
+
+@pytest.mark.parametrize("case", [c for c in _refine_subproblems() if len(c[3]) == 2],
+                         ids=lambda c: c[0])
+def test_lockstep_refiners_stack_equals_each_problem_solo(case):
+    # two problems (two centers) refined in one working set: each problem's
+    # rows end bit for bit where that problem alone takes them, although the
+    # two retire at different iterations
+    P = _prox_mod()
+    C, K, cfg = case[3], case[4], case[5]
+    X = np.concatenate([_starts(K, cfg, 9, key=98), _starts(K, cfg, 7, key=99)])
+    own = np.repeat([0, 1], [9, 7])
+    for stacked, solo0, solo1 in zip(_refiners(P, case, C), _refiners(P, case, C[:1]),
+                                     _refiners(P, case, C[1:])):
+        XS, FS = stacked(X.copy(), own)
+        for p, solo in ((0, solo0), (1, solo1)):
+            mine = own == p
+            xp, fp = solo(X[mine].copy(), np.zeros(int(mine.sum()), dtype=int))
+            assert np.array_equal(xp, XS[mine]) and np.array_equal(fp, FS[mine]), p
+
+
+def test_global_solve_stack_equals_each_problem_solo():
+    # per-problem seeding (each center is an extra start), 1-D keep-16
+    # selection, tie representatives, polish and evaluation counts
+    P = _prox_mod()
+    for h, cfg in ((catalog("sin_quad"), GlobalSolveConfig(search_radius=6.0)),
+                   (catalog("power_norm", n=2, halfwidth=10.0), GlobalSolveConfig())):
+        fn, grad = P._prox_objective(h.value_many, h.grad_many if h.grad else None, 0.7)
+        C = _starts(h.domain, cfg, 3, key=100)
+        stacked = P._global_min_impl(fn, grad, h.domain, cfg, C, seed_centers=True)
+        for p, res in enumerate(stacked):
+            solo = P._global_min_impl(fn, grad, h.domain, cfg, C[p : p + 1], seed_centers=True)[0]
+            assert np.array_equal(res.point, solo.point) and res.value == solo.value
+            assert res.n_evals == solo.n_evals
+            assert len(res.candidates) == len(solo.candidates)
+            assert all(np.array_equal(a, b) for a, b in zip(res.candidates, solo.candidates))
