@@ -5,9 +5,11 @@ by a JSON config (see harness module for the schema).
 
 Exit codes:
   0  run converged / checks executed
-  1  config schema violation (diagnostic on stderr)
+  1  usage error, or config schema violation (including a hard parameter
+     range a variant's validator rejects before the first iteration)
   2  iteration cap reached without convergence
-  3  guard or validator abort
+  3  guard abort during a run
+Every nonzero exit writes one diagnostic line to stderr.
 """
 
 from __future__ import annotations
@@ -34,24 +36,41 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="sqopt", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="sqopt", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "minimize", "solve-ep", "dynamics", "sweep"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--workers", type=int, default=1, help="sweep worker limit")
-    args = parser.parse_args(argv)
+        if name == "verify":
+            sp.add_argument("--seed", type=int, default=None, help="override config seed")
+        if name == "sweep":
+            sp.add_argument("--workers", type=int, default=1, help="sweep worker limit")
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_SCHEMA
 
     try:
         cfg = _load(args.config)
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
 
     try:

@@ -15,14 +15,13 @@ flag runs outside the windows instead of blocking them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .functions import Bifunction
 from .geometry import FeasibleSet, as_point
-from .minimize import IterationTrace, Schedule, _is_affine, _Recorder
+from .minimize import IterationTrace, Schedule, _drive, _is_affine, _Recorder
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
 from .verify import (
     CheckReport,
@@ -168,7 +167,7 @@ def check_minty(prob: EpProblem, xbar, n_samples: int = 1000, seed: int = 0, tol
 # ---------------------------------------------------------------------------
 
 
-def _validate_rippa_ep(prob: EpProblem, p: EpParams) -> list[str]:
+def validate_rippa_ep(prob: EpProblem, p: EpParams) -> list[str]:
     if not 0.0 <= p.alpha < 1.0:
         raise ValueError("RIPPA_EP requires 0 <= alpha < 1")
     if not 0.0 < p.rho_lo <= p.rho_hi < 2.0:
@@ -192,7 +191,7 @@ def _validate_rippa_ep(prob: EpProblem, p: EpParams) -> list[str]:
     return notes
 
 
-def _validate_ieppa(prob: EpProblem, p: EpParams) -> list[str]:
+def validate_ieppa(prob: EpProblem, p: EpParams) -> list[str]:
     if not -1.0 < p.alpha < 1.0:
         raise ValueError("IEPPA_EP requires alpha in (-1, 1)")
     f = prob.f
@@ -215,7 +214,7 @@ def _validate_ieppa(prob: EpProblem, p: EpParams) -> list[str]:
     return notes
 
 
-def _validate_2ppa(prob: EpProblem, p: EpParams) -> list[str]:
+def validate_2ppa(prob: EpProblem, p: EpParams) -> list[str]:
     f = prob.f
     if p.epsilon <= 0:
         raise ValueError("TWO_PPA_EP requires epsilon > 0")
@@ -236,7 +235,7 @@ def _validate_2ppa(prob: EpProblem, p: EpParams) -> list[str]:
     return notes
 
 
-def _validate_eg(prob: EpProblem, p: EpParams, peg: bool) -> list[str]:
+def validate_eg(prob: EpProblem, p: EpParams, peg: bool = False, oracle=None) -> list[str]:
     if not 0.0 < p.ls_alpha < 1.0 or not 0.0 < p.ls_rho < 1.0:
         raise ValueError("line-search parameters must lie in (0, 1)")
     notes = []
@@ -245,6 +244,8 @@ def _validate_eg(prob: EpProblem, p: EpParams, peg: bool) -> list[str]:
         notes.append("beta schedule is not nonincreasing")
     if min(betas) <= 0:
         raise ValueError("beta must stay positive")
+    if oracle is None and prob.f.partial_grad_y is None:
+        raise ValueError("extragradient methods need a subgradient oracle")
     if p.steps.kind == "constant":
         notes.append("constant projection steps violate the square-summability condition")
     if peg:
@@ -254,56 +255,44 @@ def _validate_eg(prob: EpProblem, p: EpParams, peg: bool) -> list[str]:
     return notes
 
 
+def validate_peg(prob: EpProblem, p: EpParams) -> list[str]:
+    return validate_eg(prob, p, peg=True)
+
+
+def validate_reg_ep(prob: EpProblem, p: EpParams) -> list[str]:
+    if p.beta.at(0) <= 0:
+        raise ValueError("REG_EP requires positive beta")
+    return []
+
+
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
 
-class _EpRecorder(_Recorder):
-    """Trace recorder against the bifunction value at a reference point."""
-
-    def __init__(self, prob: EpProblem, x0: np.ndarray):
-        class _ValueShim:
-            def __init__(self, f, ref):
-                self.f, self.ref = f, ref
-
-            def value(self, x):
-                return float(self.f.fn(self.ref, np.asarray(x, dtype=float)))
-
-        # values along the trace are f(x0, x^k): zero at x0, negative past it
-        super().__init__(_ValueShim(prob.f, x0.copy()), x0)
+def _ep_recorder(prob: EpProblem, x0: np.ndarray) -> _Recorder:
+    """Trace recorder against f(x0, x^k): zero at x0, negative past it."""
+    ref = x0.copy()
+    return _Recorder(lambda x: float(prob.f.fn(ref, np.asarray(x, dtype=float))), x0)
 
 
 def run_rippa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     """Relaxed-inertial proximal point method for the equilibrium problem."""
-    notes = _validate_rippa_ep(prob, p)
+    notes = validate_rippa_ep(prob, p)
     cfg = p.solve_cfg()
-    x0 = as_point(x0, prob.f.dim)
-    rec = _EpRecorder(prob, x0)
-    x_prev = x0
-    x = x0
-    terminated = "max_iters"
-    for k in range(p.max_iters):
-        a_k = p.alpha_at(k)
-        y = x + a_k * (x - x_prev)
-        pr = _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
-        rec.prox_evals += 1
-        rec.fn_evals += pr.n_evals
-        z = pr.point
-        r = float(np.linalg.norm(z - y))
-        if r == 0.0:
-            rec.push(z, 0.0)
-            terminated = "exact_fixed_point"
-            break
-        if r <= p.stop_tol:
-            rec.push(z, r)
-            terminated = "residual"
-            break
+    x = x_prev = as_point(x0, prob.f.dim)
+    rec = _ep_recorder(prob, x)
+
+    def step(k):
+        nonlocal x, x_prev
+        y = x + p.alpha_at(k) * (x - x_prev)
+        z = rec.took(_ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg))
+        yield float(np.linalg.norm(z - y)), z
         rho_k = p.rho_at(k)
-        x_prev = x
-        x = (1.0 - rho_k) * y + rho_k * z
-        rec.push(x, r)
-    return rec.done(terminated, not notes, notes)
+        x_prev, x = x, (1.0 - rho_k) * y + rho_k * z
+        yield x, None
+
+    return rec.done(_drive(rec, p, step), not notes, notes)
 
 
 def run_ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
@@ -350,119 +339,74 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     iteration warm-started at ``x_k``, to tolerance
     ``max(stop_tol, 0.1 * previous outer residual)``.
     """
-    if p.beta.at(0) <= 0:
-        raise ValueError("REG_EP requires positive beta")
-    notes: list[str] = []
+    notes = validate_reg_ep(prob, p)
     cfg = p.solve_cfg()
-    f = prob.f
-    x0 = as_point(x0, f.dim)
-    rec = _EpRecorder(prob, x0)
-    x = x0
+    x = as_point(x0, prob.f.dim)
+    rec = _ep_recorder(prob, x)
     prev_res = 1.0
-    terminated = "max_iters"
-    for k in range(p.max_iters):
+
+    def step(k):
+        nonlocal x, prev_res
         beta_k = p.beta.at(k)
-        xk = x.copy()
-        f_k = _regularized(f, xk, beta_k, k)
+        z = xk = x.copy()
+        f_k = _regularized(prob.f, xk, beta_k, k)
         inner_tol = max(p.stop_tol, 0.1 * prev_res)
-        z = xk
-        solved = False
         for _ in range(p.inner_max):
-            pr = prox_point(*f_k.y_objective(z), prob.K, beta_k, z, cfg)
-            rec.prox_evals += 1
-            rec.fn_evals += pr.n_evals
-            r_in = float(np.linalg.norm(pr.point - z))
-            z = pr.point
+            z_next = rec.took(prox_point(*f_k.y_objective(z), prob.K, beta_k, z, cfg))
+            r_in = float(np.linalg.norm(z_next - z))
+            z = z_next
             if r_in <= inner_tol:
-                solved = True
                 break
-        if not solved:
+        else:
             raise RuntimeError(
                 f"inner equilibrium solve stagnated at outer iteration {k} "
                 f"(tolerance {inner_tol:.3g})"
             )
         r = float(np.linalg.norm(z - x))
         prev_res = max(r, p.stop_tol)
-        if r == 0.0:
-            rec.push(z, 0.0)
-            terminated = "exact_fixed_point"
-            break
-        rec.push(z, r)
+        yield r, z
         x = z
-        if r <= p.stop_tol:
-            terminated = "residual"
-            break
-    return rec.done(terminated, not notes, notes)
+        yield x, None
+
+    return rec.done(_drive(rec, p, step), not notes, notes)
 
 
 def run_ieppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     """Constant-inertia extrapolated proximal method (alpha may be negative)."""
-    notes = _validate_ieppa(prob, p)
+    notes = validate_ieppa(prob, p)
     cfg = p.solve_cfg()
-    x0 = as_point(x0, prob.f.dim)
-    rec = _EpRecorder(prob, x0)
-    x = x0
-    y = x0
-    terminated = "max_iters"
-    for k in range(p.max_iters):
-        pr = _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
-        rec.prox_evals += 1
-        rec.fn_evals += pr.n_evals
-        x1 = pr.point
-        r = float(np.linalg.norm(x1 - y))
-        if r == 0.0:
-            rec.push(x1, 0.0)
-            terminated = "exact_fixed_point"
-            break
-        if r <= p.stop_tol:
-            rec.push(x1, r)
-            terminated = "residual"
-            break
-        y = x1 + p.alpha * (x1 - x)
-        rec.push(x1, r)
-        x = x1
-    return rec.done(terminated, not notes, notes)
+    x = y = as_point(x0, prob.f.dim)
+    rec = _ep_recorder(prob, x)
+
+    def step(k):
+        nonlocal x, y
+        x1 = rec.took(_ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg))
+        yield float(np.linalg.norm(x1 - y)), x1
+        x, y = x1, x1 + p.alpha * (x1 - x)
+        yield x, None
+
+    return rec.done(_drive(rec, p, step), not notes, notes)
 
 
 def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     """Two-step predictor-corrector proximal method (both steps centered at x)."""
-    notes = _validate_2ppa(prob, p)
+    notes = validate_2ppa(prob, p)
     cfg = p.solve_cfg()
-    x0 = as_point(x0, prob.f.dim)
-    rec = _EpRecorder(prob, x0)
-    x = x0
-    ys = []
+    x = as_point(x0, prob.f.dim)
+    rec = _ep_recorder(prob, x)
     corr_gaps = []
-    terminated = "max_iters"
-    for k in range(p.max_iters):
+
+    def step(k):
+        nonlocal x
         beta_k = p.beta.at(k)
-        pr_y = _ep_prox(prob.f, prob.K, beta_k, x, cfg)
-        rec.prox_evals += 1
-        rec.fn_evals += pr_y.n_evals
-        y = pr_y.point
-        ys.append(y.copy())
-        r = float(np.linalg.norm(y - x))
-        if r == 0.0:
-            rec.push(y, 0.0)
-            terminated = "exact_fixed_point"
-            break
-        if r <= p.stop_tol:
-            rec.push(y, r)
-            terminated = "residual"
-            break
+        y = rec.took(_ep_prox(prob.f, prob.K, beta_k, x, cfg))
+        yield float(np.linalg.norm(y - x)), y
         fy, gy = prob.f.y_objective(y)
-        pr_x = prox_point(fy, gy, prob.K, beta_k, x, cfg)
-        rec.prox_evals += 1
-        rec.fn_evals += pr_x.n_evals
-        x = pr_x.point
+        x = rec.took(prox_point(fy, gy, prob.K, beta_k, x, cfg))
         corr_gaps.append(float(np.linalg.norm(x - y)))
-        rec.push(x, r)
-    return rec.done(
-        terminated,
-        not notes,
-        notes,
-        extra={"predictors": np.asarray(ys), "corrector_gaps": corr_gaps},
-    )
+        yield x, None
+
+    return rec.done(_drive(rec, p, step), not notes, notes, extra={"corrector_gaps": corr_gaps})
 
 
 def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> bool:
@@ -480,41 +424,26 @@ def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> b
 
 def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: bool) -> IterationTrace:
     f = prob.f
-    notes = _validate_eg(prob, p, peg=not normalized)
-    if oracle is None:
-        if f.partial_grad_y is None:
-            raise ValueError("extragradient methods need a subgradient oracle")
-        oracle = f.partial_grad_y
+    notes = validate_eg(prob, p, peg=not normalized, oracle=oracle)
+    oracle = f.partial_grad_y if oracle is None else oracle
     cfg = p.solve_cfg()
-    x0 = as_point(x0, f.dim)
-    rec = _EpRecorder(prob, x0)
-    x = x0
+    x = as_point(x0, f.dim)
+    rec = _ep_recorder(prob, x)
     ls_counts = []
-    terminated = "max_iters"
-    for k in range(p.max_iters):
+
+    def step(k):
+        nonlocal x
         beta_k = p.beta.at(k)
-        pr = _ep_prox(f, prob.K, beta_k, x, cfg)
-        rec.prox_evals += 1
-        rec.fn_evals += pr.n_evals
-        y = pr.point
+        y = rec.took(_ep_prox(f, prob.K, beta_k, x, cfg))
         r = float(np.linalg.norm(y - x))
-        if r == 0.0:
-            rec.push(y, 0.0)
-            terminated = "exact_fixed_point"
-            break
-        if r <= p.stop_tol:
-            rec.push(y, r)
-            terminated = "residual"
-            break
+        yield r, y
         target = (p.ls_alpha / (2.0 * beta_k)) * r * r
-        z = None
         for m in range(LINE_SEARCH_CAP + 1):
-            zc = (1.0 - p.ls_rho**m) * x + p.ls_rho**m * y
-            if float(f.fn(zc, x)) - float(f.fn(zc, y)) >= target:
-                z = zc
+            z = (1.0 - p.ls_rho**m) * x + p.ls_rho**m * y
+            if float(f.fn(z, x)) - float(f.fn(z, y)) >= target:
                 ls_counts.append(m)
                 break
-        if z is None:
+        else:
             raise RuntimeError(
                 f"line search exceeded {LINE_SEARCH_CAP} halvings at k={k}: "
                 "the decrease condition looks unattainable"
@@ -526,23 +455,18 @@ def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: boo
             notes.append(f"subgradient oracle failed the level-set spot check at k={k}")
         wn = float(np.linalg.norm(w))
         if wn == 0.0:
-            rec.push(z, r)
-            terminated = "exact_fixed_point"  # stationary oracle output
-            break
-        step = p.steps.at(k)
-        x1 = prob.K.project(x - (step / wn) * w if normalized else x - step * w)
+            yield z, "exact_fixed_point"  # stationary oracle output
+            return
+        t = p.steps.at(k)
+        x1 = prob.K.project(x - (t / wn) * w if normalized else x - t * w)
         if float(np.linalg.norm(x1 - x)) == 0.0:
-            rec.push(z, r)
-            terminated = "exact_fixed_point"
-            break
-        rec.push(x1, r)
+            yield z, "exact_fixed_point"  # the projected step stands still
+            return
         x = x1
-    return rec.done(
-        terminated,
-        not notes,
-        notes,
-        extra={"line_search_m": ls_counts},
-    )
+        yield x, None
+
+    end = _drive(rec, p, step)
+    return rec.done(end, not notes, notes, extra={"line_search_m": ls_counts})
 
 
 def run_eg_ep(prob: EpProblem, p: EpParams, x0, oracle=None) -> IterationTrace:

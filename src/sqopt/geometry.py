@@ -220,7 +220,10 @@ class AffineSubspace(FeasibleSet):
         return self.basis.shape[1]
 
     def _project_many(self, X):
-        return self.offset + (X - self.offset) @ self.basis @ self.basis.T
+        # einsum, not matrix products: BLAS may round a row differently
+        # inside a batch than alone
+        coef = np.einsum("mi,ij->mj", X - self.offset, self.basis)
+        return self.offset + np.einsum("mj,ij->mi", coef, self.basis)
 
     @property
     def is_bounded(self):

@@ -1,11 +1,14 @@
 """Run orchestration: config schema, dispatch, trace/summary emission, sweeps.
 
 Configs are JSON with a ``schema_version`` field; unknown keys are rejected
-with a field-path diagnostic.  Exit-code contract (used by the CLI): 0 when a
-run converged, 1 on a schema violation, 2 on hitting the iteration cap, 3 on
-a guard or validator abort.  Trace CSVs are byte-reproducible: the ``wall_ms``
-column is left empty on purpose (wall time lives in the summary JSON, which
-is the only nondeterministic output).
+with a field-path diagnostic.  ``VARIANTS`` is the one table of algorithms:
+each entry gives its problem kind, accepted keys, search-radius need,
+validator and runner.  Exit-code contract (used by the CLI): 0 when a run
+converged, 1 on a schema violation (a hard range that the variant's
+validator rejects before the first iteration included), 2 on hitting the
+iteration cap, 3 on a guard that fires during a run.  Trace CSVs are
+byte-reproducible: the ``wall_ms`` column is left empty on purpose (wall
+time lives in the summary JSON, which is the only nondeterministic output).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -126,24 +130,68 @@ def build_problem(spec: dict, path: str = "problem"):
 # ---------------------------------------------------------------------------
 
 _COMMON_KEYS = {"variant", "x0", "x1", "stop_tol", "max_iters", "search_radius", "prox"}
-_MIN_KEYS = {
-    "PPA": {"c"},
-    "RIPPA": {"c", "alpha", "rho_lo", "rho_hi"},
-    "BPPA": {"c", "bregman"},
-    "SUBGRAD": {"steps", "beta"},
-    "GRAD": {"steps"},
-    "HEAVY_BALL": {"theta", "hb_eta"},
-    "INERTIAL_GM": {"steps", "eta_min"},
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One entry of the variant registry.
+
+    ``keys``: the config keys the variant accepts beyond ``_COMMON_KEYS``.
+    ``radius``: where a run bounds an unbounded set, and so needs a search
+    radius: ``none`` never, ``solve`` only in its global solves (which also
+    read ``prox.search_radius``), ``sampled`` also to sample or certify.
+    ``validate(problem, K, params)`` returns guard notes and raises
+    ValueError on a hard invariant.  ``run(problem, K, params, x0, x1, spec)``
+    looks its runner up when called, never at import, so a runner replaced
+    on its module (or in ``EP_RUNNERS``) is the one that runs.
+    """
+
+    kind: str
+    keys: set
+    radius: str
+    validate: Callable
+    run: Callable
+
+
+def _run_bppa(h, K, p, x0, x1, spec):
+    br = spec.get("bregman", {"name": "half_sq_norm"})
+    phi = bregman_catalog(br["name"], dim=h.dim, shift=br.get("shift", 0.0))
+    return mz.run_bppa(h, K, phi, p, x0)
+
+
+def _ep(keys, validate) -> Variant:
+    return Variant("ep", keys, "sampled", lambda prob, K, p: validate(prob, p),
+                   lambda prob, K, p, x0, x1, spec: ep.EP_RUNNERS[p.variant](prob, p, x0))
+
+
+VARIANTS = {
+    "PPA": Variant("minimize", {"c"}, "solve", mz.validate_rippa,
+                   lambda h, K, p, x0, x1, spec: mz.run_ppa(h, K, p, x0)),
+    "RIPPA": Variant("minimize", {"c", "alpha", "rho_lo", "rho_hi"}, "solve", mz.validate_rippa,
+                     lambda h, K, p, x0, x1, spec: mz.run_rippa(h, K, p, x0)),
+    "BPPA": Variant("minimize", {"c", "bregman"}, "solve", mz.validate_bppa, _run_bppa),
+    "SUBGRAD": Variant("minimize", {"steps", "beta"}, "sampled", mz.validate_subgradient,
+                       lambda h, K, p, x0, x1, spec: mz.run_subgradient(h, K, p, x0)),
+    "GRAD": Variant("minimize", {"steps"}, "none", mz.validate_gradient,
+                    lambda h, K, p, x0, x1, spec: mz.run_gradient(h, p, x0)),
+    "HEAVY_BALL": Variant("minimize", {"theta", "hb_eta"}, "none", mz.validate_heavy_ball,
+                          lambda h, K, p, x0, x1, spec: mz.run_heavy_ball(h, p, x0, x1)),
+    "INERTIAL_GM": Variant("minimize", {"steps", "eta_min"}, "none", mz.validate_inertial_gm,
+                           lambda h, K, p, x0, x1, spec: mz.run_inertial_gm(h, p, x0, x1)),
+    "RIPPA_EP": _ep({"beta", "alpha", "rho_lo", "rho_hi", "policy"}, ep.validate_rippa_ep),
+    "PPA_EP": _ep({"beta", "policy"}, ep.validate_rippa_ep),
+    "REG_EP": _ep({"beta", "inner_max"}, ep.validate_reg_ep),
+    "IEPPA_EP": _ep({"beta", "alpha"}, ep.validate_ieppa),
+    "TWO_PPA_EP": _ep({"beta", "epsilon"}, ep.validate_2ppa),
+    "EG_EP": _ep({"beta", "ls_alpha", "ls_rho", "steps"}, ep.validate_eg),
+    "PEG_EP": _ep({"beta", "ls_alpha", "ls_rho", "steps"}, ep.validate_peg),
 }
-_EP_KEYS = {
-    "RIPPA_EP": {"beta", "alpha", "rho_lo", "rho_hi", "policy"},
-    "PPA_EP": {"beta", "policy"},
-    "REG_EP": {"beta", "inner_max"},
-    "IEPPA_EP": {"beta", "alpha"},
-    "TWO_PPA_EP": {"beta", "epsilon"},
-    "EG_EP": {"beta", "ls_alpha", "ls_rho", "steps"},
-    "PEG_EP": {"beta", "ls_alpha", "ls_rho", "steps"},
-}
+
+# the relaxed-inertial variant a sweep of each problem kind runs, and its baseline
+_SWEPT = {"minimize": ("RIPPA", "PPA"), "ep": ("RIPPA_EP", "PPA_EP")}
+
+# parameters that are not floats; schedule-valued ones are found by their default
+_CONVERT = {"max_iters": int, "inner_max": int, "policy": str}
 
 
 def _solve_cfg_from(spec: dict, path: str) -> GlobalSolveConfig:
@@ -159,68 +207,23 @@ def _sched(spec, path: str) -> mz.Schedule:
         raise SchemaError(path, f"bad schedule: {e}") from e
 
 
-def _min_params(spec: dict, path: str) -> mz.MinParams:
-    variant = _require(spec, "variant", path)
-    if variant not in _MIN_KEYS:
-        raise SchemaError(path + ".variant", f"unknown variant {variant!r}")
-    _check_keys(spec, _COMMON_KEYS | _MIN_KEYS[variant], path)
-    kw: dict = {"variant": variant}
-    if "c" in spec:
-        kw["c"] = _sched(spec["c"], path + ".c")
-    for key in ("alpha", "rho_lo", "rho_hi", "beta", "theta", "hb_eta", "eta_min",
-                "stop_tol", "search_radius"):
-        if key in spec:
-            kw[key] = float(spec[key])
-    if "steps" in spec:
-        kw["steps"] = _sched(spec["steps"], path + ".steps")
-    if "max_iters" in spec:
-        kw["max_iters"] = int(spec["max_iters"])
-    if "prox" in spec:
-        kw["prox_cfg"] = _solve_cfg_from(spec["prox"], path + ".prox")
-    try:
-        params = mz.MinParams(**kw)
-    except ValueError as e:
-        raise SchemaError(path, str(e)) from e
-    # surface hard range violations at schema time (exit 1, not a guard abort)
-    if variant in ("PPA", "RIPPA"):
-        if not 0.0 <= params.alpha < 1.0:
-            raise SchemaError(path + ".alpha", "must lie in [0, 1)")
-        if not 0.0 < params.rho_lo <= params.rho_hi < 2.0:
-            raise SchemaError(path, "rho bounds must satisfy 0 < rho_lo <= rho_hi < 2")
-    if variant == "HEAVY_BALL" and not 0.0 < params.theta < 1.0:
-        raise SchemaError(path + ".theta", "must lie in (0, 1)")
-    return params
-
-
-def _ep_params(spec: dict, path: str) -> ep.EpParams:
-    variant = _require(spec, "variant", path)
-    if variant not in _EP_KEYS:
-        raise SchemaError(path + ".variant", f"unknown variant {variant!r}")
-    _check_keys(spec, _COMMON_KEYS | _EP_KEYS[variant], path)
-    kw: dict = {"variant": variant}
-    if "beta" in spec:
-        kw["beta"] = _sched(spec["beta"], path + ".beta")
-    if "steps" in spec:
-        kw["steps"] = _sched(spec["steps"], path + ".steps")
-    for key in ("alpha", "rho_lo", "rho_hi", "ls_alpha", "ls_rho", "epsilon",
-                "stop_tol", "search_radius"):
-        if key in spec:
-            kw[key] = float(spec[key])
-    for key in ("max_iters", "inner_max"):
-        if key in spec:
-            kw[key] = int(spec[key])
-    if "policy" in spec:
-        kw["policy"] = str(spec["policy"])
-    if "prox" in spec:
-        kw["prox_cfg"] = _solve_cfg_from(spec["prox"], path + ".prox")
-    try:
-        params = ep.EpParams(**kw)
-    except ValueError as e:
-        raise SchemaError(path, str(e)) from e
-    # surface hard range violations at schema time
-    if not 0.0 < params.rho_lo <= params.rho_hi < 2.0:
-        raise SchemaError(path, "rho bounds must satisfy 0 < rho_lo <= rho_hi < 2")
-    return params
+def _params(kind: str, spec: dict, path: str):
+    """The run's parameter bag, built from the keys of ``spec``."""
+    cls = mz.MinParams if kind == "minimize" else ep.EpParams
+    default = cls()
+    kw: dict = {"variant": spec["variant"]}
+    for key in sorted(set(spec) - {"variant", "x0", "x1", "bregman"}):
+        kpath = f"{path}.{key}"
+        if key == "prox":
+            kw["prox_cfg"] = _solve_cfg_from(spec[key], kpath)
+        elif isinstance(getattr(default, key), mz.Schedule):
+            kw[key] = _sched(spec[key], kpath)
+        else:
+            try:
+                kw[key] = _CONVERT.get(key, float)(spec[key])
+            except (TypeError, ValueError) as e:
+                raise SchemaError(kpath, str(e)) from e
+    return cls(**kw)
 
 
 def validate_config(cfg: dict) -> None:
@@ -345,54 +348,37 @@ def _summarize(problem_label, algo_label, trace, known=None, rate=None) -> RunSu
     )
 
 
-# variants that never bound the feasible set, and those that bound it only
-# for their global solves (which also read ``prox.search_radius``); every other
-# variant samples the set or certifies its result with ``search_radius``
-_UNBOUNDED_OK = {"GRAD", "HEAVY_BALL", "INERTIAL_GM"}
-_SOLVE_ONLY = {"PPA", "RIPPA", "BPPA"}
-
-
-def _check_search_radius(K: FeasibleSet, params, path: str):
+def _check_search_radius(K: FeasibleSet, params, need: str, path: str):
     """An unbounded set needs a search radius wherever a run bounds it."""
-    if K.is_bounded or params.variant in _UNBOUNDED_OK or params.search_radius is not None:
+    if K.is_bounded or need == "none" or params.search_radius is not None:
         return
-    if params.variant in _SOLVE_ONLY and params.prox_cfg.search_radius is not None:
+    if need == "solve" and params.prox_cfg.search_radius is not None:
         return
     raise SchemaError(path, f"missing required key 'search_radius' (needed to bound the {K.kind} set)")
 
 
-def run_minimize(h: Objective, K, spec: dict, path: str = "algorithm") -> mz.IterationTrace:
-    params = _min_params(spec, path)
-    _check_search_radius(h.domain if K is None else K, params, path)
-    _require(spec, "x0", path)
-    x0, x1 = _point(spec, "x0", h.dim, path), _point(spec, "x1", h.dim, path)
-    variant = params.variant
-    if variant == "PPA":
-        return mz.run_ppa(h, K, params, x0)
-    if variant == "RIPPA":
-        return mz.run_rippa(h, K, params, x0)
-    if variant == "BPPA":
-        br = spec.get("bregman", {"name": "half_sq_norm"})
-        phi = bregman_catalog(br["name"], dim=h.dim, shift=br.get("shift", 0.0))
-        return mz.run_bppa(h, K, phi, params, x0)
-    if variant == "SUBGRAD":
-        return mz.run_subgradient(h, K, params, x0)
-    if variant == "GRAD":
-        return mz.run_gradient(h, params, x0)
-    if variant == "HEAVY_BALL":
-        return mz.run_heavy_ball(h, params, x0, x1)
-    if variant == "INERTIAL_GM":
-        return mz.run_inertial_gm(h, params, x0, x1)
-    raise SchemaError(path + ".variant", f"unhandled variant {variant!r}")
+def run_algorithm(kind: str, problem, K: FeasibleSet, spec: dict,
+                  path: str = "algorithm") -> mz.IterationTrace:
+    """Check ``spec`` against its registry entry, then run the variant.
 
-
-def run_ep(problem: ep.EpProblem, spec: dict, path: str = "algorithm") -> mz.IterationTrace:
-    params = _ep_params(spec, path)
-    _check_search_radius(problem.K, params, path)
+    A hard invariant that the variant's validator rejects before the first
+    iteration is a SchemaError; guards that fire during the run propagate.
+    """
+    variant = _require(spec, "variant", path)
+    entry = VARIANTS.get(variant) if isinstance(variant, str) else None
+    if entry is None or entry.kind != kind:
+        raise SchemaError(path + ".variant", f"unknown variant {variant!r}")
+    _check_keys(spec, _COMMON_KEYS | entry.keys, path)
+    params = _params(kind, spec, path)
+    _check_search_radius(K, params, entry.radius, path)
     _require(spec, "x0", path)
-    x0 = _point(spec, "x0", problem.f.dim, path)
-    runner = ep.EP_RUNNERS[params.variant]
-    return runner(problem, params, x0)
+    dim = problem.dim if kind == "minimize" else problem.f.dim
+    x0, x1 = _point(spec, "x0", dim, path), _point(spec, "x1", dim, path)
+    try:
+        entry.validate(problem, K, params)
+    except ValueError as e:
+        raise SchemaError(path, str(e)) from e
+    return entry.run(problem, K, params, x0, x1, spec)
 
 
 def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
@@ -403,13 +389,12 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
     kind, obj, K = build_problem(_require(cfg, "problem", "config"))
     algo = _require(cfg, "algorithm", "config")
     paths = {"trace": out / "trace.csv", "summary": out / "summary.json"}
+    trace = run_algorithm(kind, obj, K, algo)
     if kind == "minimize":
-        trace = run_minimize(obj, K, algo)
         known = obj.known_min[0] if obj.known_min else None
         write_trace_csv(paths["trace"], trace)
         label = obj.name
     else:
-        trace = run_ep(obj, algo)
         known = obj.known_solution
         # periodic certificate column: five evenly spaced states plus the last
         n = trace.iterates.shape[0]
@@ -452,26 +437,22 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     kind, obj, K = build_problem(_require(cfg, "problem", "config"))
     base_algo = _require(cfg, "algorithm", "config")
+    if not isinstance(base_algo, dict):
+        raise SchemaError("config.algorithm", f"expected an object, got {type(base_algo).__name__}")
+    relaxed, plain = _SWEPT[kind]
+    kind_keys = set().union(*(v.keys for v in VARIANTS.values() if v.kind == kind))
 
     def one_cell(tag: str, alpha: float, rho: float) -> dict:
-        spec = dict(base_algo)
-        if kind == "minimize":
-            spec["variant"] = "RIPPA" if (alpha != 0.0 or rho != 1.0) else "PPA"
-            if spec["variant"] == "RIPPA":
-                spec["alpha"] = alpha
-                spec["rho_lo"] = spec["rho_hi"] = rho
-            else:
-                spec.pop("alpha", None)
-                spec.pop("rho_lo", None)
-                spec.pop("rho_hi", None)
-        else:
-            spec["variant"] = "RIPPA_EP" if (alpha != 0.0 or rho != 1.0) else "PPA_EP"
-            if spec["variant"] == "RIPPA_EP":
-                spec["alpha"] = alpha
-                spec["rho_lo"] = spec["rho_hi"] = rho
+        variant = relaxed if (alpha != 0.0 or rho != 1.0) else plain
+        # drop the base's keys that this cell's variant does not accept
+        dropped = kind_keys - VARIANTS[variant].keys
+        spec = {k: v for k, v in base_algo.items() if k not in dropped}
+        spec["variant"] = variant
+        if variant == relaxed:
+            spec.update(alpha=alpha, rho_lo=rho, rho_hi=rho)
         row = {"cell": tag, "alpha": alpha, "rho": rho}
         try:
-            trace = run_minimize(obj, K, spec) if kind == "minimize" else run_ep(obj, spec)
+            trace = run_algorithm(kind, obj, K, spec)
         except SchemaError:
             raise
         except (ValueError, RuntimeError) as e:

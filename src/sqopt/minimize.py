@@ -10,7 +10,9 @@ phenomena stay reproducible).
 
 Sign convention: descent steps use ``-grad h`` everywhere.  Stopping replaces
 the exact equality tests of the underlying schemes by ``residual <= stop_tol``;
-an exactly zero residual still terminates as ``exact_fixed_point``.
+an exactly zero residual still terminates as ``exact_fixed_point``.  Every
+runner here and in ``equilibrium`` supplies only its step: ``_drive`` owns the
+iteration loop, that stop test, the divergence guard and the termination label.
 """
 
 from __future__ import annotations
@@ -159,22 +161,30 @@ class IterationTrace:
 
 
 class _Recorder:
-    def __init__(self, h: Objective, x0: np.ndarray):
-        self.h = h
+    """States, values and residuals of one run; ``value`` maps a state to its value."""
+
+    def __init__(self, value: Callable[[np.ndarray], float], x0: np.ndarray):
+        self.value = value
         self.t0 = time.perf_counter()
         self.states = [np.asarray(x0, dtype=float).copy()]
-        self.values = [h.value(x0)]
+        self.values = [value(x0)]
         self.residuals = [np.inf]
         self.steps = [0.0]
         self.cum = [0]
         self.prox_evals = 0
         self.fn_evals = 0
 
+    def took(self, pr) -> np.ndarray:
+        """Count one proximal solve; returns its point."""
+        self.prox_evals += 1
+        self.fn_evals += pr.n_evals
+        return pr.point
+
     def push(self, x, residual: float):
         x = np.asarray(x, dtype=float)
         self.residuals[-1] = float(residual)
         self.states.append(x.copy())
-        self.values.append(self.h.value(x))
+        self.values.append(self.value(x))
         self.residuals.append(float(residual))
         self.steps.append(float(np.linalg.norm(x - self.states[-2])))
         self.cum.append(self.prox_evals)
@@ -199,6 +209,36 @@ class _Recorder:
             guard_notes=list(notes),
             extra=extra or {},
         )
+
+
+def _drive(rec: _Recorder, p, step, guard: bool = False) -> str:
+    """The iteration loop of every runner; returns how the run ended.
+
+    ``step(k)`` is a generator of two phases.  The first yields ``(r, at)``:
+    the step residual and the state to stop at (``None``: the current one).
+    The run stops there when ``r == 0`` (``exact_fixed_point``) or
+    ``r <= p.stop_tol`` (``residual``), and the second phase never runs.
+    Otherwise the second yields ``(x, end)``: the next state (``None``: stay)
+    and, when the step itself ends the run, its label.  With ``guard`` a next
+    state that is non-finite or has norm above DIVERGENCE_GUARD ends the run
+    as ``diverged`` and is recorded clipped to the guard.
+    """
+    for k in range(p.max_iters):
+        phases = step(k)
+        r, x = next(phases)
+        end = "exact_fixed_point" if r == 0.0 else "residual" if r <= p.stop_tol else None
+        if end is None:
+            x, end = next(phases)
+            if guard and (not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD):
+                x = np.nan_to_num(x, posinf=DIVERGENCE_GUARD, neginf=-DIVERGENCE_GUARD)
+                end = "diverged"
+        if x is None:
+            rec.mark(r)
+        else:
+            rec.push(x, r)
+        if end is not None:
+            return end
+    return "max_iters"
 
 
 def _is_affine(K: FeasibleSet) -> bool:
@@ -246,7 +286,7 @@ def default_rippa_params(gamma: float, alpha_target: float, rho_lo: float, **kw)
     )
 
 
-def _validate_rippa(h: Objective, K: FeasibleSet, p: MinParams):
+def validate_rippa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
     if not 0.0 <= p.alpha < 1.0:
         raise ValueError("RIPPA requires 0 <= alpha < 1")
     if not 0.0 < p.rho_lo <= p.rho_hi < 2.0:
@@ -276,45 +316,27 @@ def run_rippa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> Iteratio
     ``x_next = (1 - rho_k) y + rho_k z``.
     """
     K = h.domain if K is None else K
-    notes = _validate_rippa(h, K, p)
-    guarded = not notes
+    notes = validate_rippa(h, K, p)
     cfg = p.solve_cfg()
-    x0 = as_point(x0, h.dim)
-    rec = _Recorder(h, x0)
-    x_prev = x0
-    x = x0
-    inertia_sum = 0.0
+    x = x_prev = as_point(x0, h.dim)
+    rec = _Recorder(h.value, x)
     summands = []
-    terminated = "max_iters"
-    for k in range(p.max_iters):
+
+    def step(k):
+        nonlocal x, x_prev
         a_k = p.alpha_at(k)
         y = x + a_k * (x - x_prev)
-        pr = prox(h, K, p.c.at(k), y, cfg)
-        rec.prox_evals += 1
-        rec.fn_evals += pr.n_evals
-        z = pr.point
-        r = float(np.linalg.norm(z - y))
-        inertia_sum += a_k * float(np.sum((x - x_prev) ** 2))
+        z = rec.took(prox(h, K, p.c.at(k), y, cfg))
         summands.append(a_k * float(np.sum((x - x_prev) ** 2)))
-        if r == 0.0:
-            rec.push(z, 0.0)
-            terminated = "exact_fixed_point"
-            break
-        if r <= p.stop_tol:
-            rec.push(z, r)
-            terminated = "residual"
-            break
+        yield float(np.linalg.norm(z - y)), z
         rho_k = p.rho_at(k)
-        x_prev = x
-        x = (1.0 - rho_k) * y + rho_k * z
-        rec.push(x, r)
+        x_prev, x = x, (1.0 - rho_k) * y + rho_k * z
+        yield x, None
+
+    end = _drive(rec, p, step)
     tail = sum(summands[-max(1, len(summands) // 4) :])
-    return rec.done(
-        terminated,
-        guarded,
-        notes,
-        extra={"inertial_summand_total": inertia_sum, "inertial_summand_tail": tail},
-    )
+    extra = {"inertial_summand_total": sum(summands, 0.0), "inertial_summand_tail": tail}
+    return rec.done(end, not notes, notes, extra=extra)
 
 
 def ppa_params(c: float, **kw) -> MinParams:
@@ -326,6 +348,11 @@ def run_ppa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> IterationT
     """Proximal point method: the alpha = 0, rho = 1 degeneracy of run_rippa."""
     q = replace(p, variant="PPA", alpha=0.0, alpha_sched=None, rho_lo=1.0, rho_hi=1.0, rho_sched=None)
     return run_rippa(h, K, q, x0)
+
+
+def validate_bppa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
+    _schedule_positive(p.c, "c_k")
+    return ["objective declares no positive modulus"] if h.modulus <= 0 else []
 
 
 def run_bppa(
@@ -343,36 +370,43 @@ def run_bppa(
     K = h.domain if K is None else K
     if isinstance(phi, str):
         phi = bregman_catalog(phi, dim=h.dim)
-    _schedule_positive(p.c, "c_k")
-    notes = []
-    if h.modulus <= 0:
-        notes.append("objective declares no positive modulus")
+    notes = validate_bppa(h, K, p)
     cfg = p.solve_cfg()
-    x0 = as_point(x0, h.dim)
-    if not bool(np.all(phi.zone_contains(x0))):
+    x = as_point(x0, h.dim)
+    if not bool(np.all(phi.zone_contains(x))):
         raise ValueError("x0 must lie in the open zone of the Bregman kernel")
-    rec = _Recorder(h, x0)
-    x = x0
-    terminated = "max_iters"
-    for k in range(p.max_iters):
-        pr = bregman_prox(h, K, phi, p.c.at(k), x, cfg)
-        rec.prox_evals += 1
-        rec.fn_evals += pr.n_evals
-        x1 = pr.point
+    rec = _Recorder(h.value, x)
+
+    def step(k):
+        nonlocal x
+        x1 = rec.took(bregman_prox(h, K, phi, p.c.at(k), x, cfg))
         if not bool(np.all(phi.zone_contains(x1))):
             raise RuntimeError(
                 f"BPPA iterate left the kernel zone at iteration {k}: {x1.tolist()}"
             )
-        r = float(np.linalg.norm(x1 - x))
-        rec.push(x1, r)
+        yield float(np.linalg.norm(x1 - x)), x1
         x = x1
-        if r == 0.0:
-            terminated = "exact_fixed_point"
-            break
-        if r <= p.stop_tol:
-            terminated = "residual"
-            break
-    return rec.done(terminated, not notes, notes)
+        yield x, None
+
+    return rec.done(_drive(rec, p, step), not notes, notes)
+
+
+def _subgradient_bound(h: Objective, p: MinParams) -> float:
+    return np.inf if h.modulus <= 0 else 1.0 / (h.modulus * p.beta)
+
+
+def validate_subgradient(h: Objective, K: FeasibleSet, p: MinParams, oracle=None) -> list[str]:
+    if oracle is None and h.grad is None:
+        raise ValueError("SUBGRAD needs an oracle or a differentiable objective")
+    if p.beta <= 0:
+        raise ValueError("beta must be positive")
+    bound = _subgradient_bound(h, p)
+    _schedule_positive(p.steps, "step schedule")
+    if p.steps.at(0) >= bound:
+        raise ValueError(f"step schedule must stay below 1/(gamma beta) = {bound:.6g}")
+    if p.steps.kind == "constant":
+        return ["constant steps violate the square-summability condition"]
+    return []
 
 
 def run_subgradient(
@@ -392,25 +426,14 @@ def run_subgradient(
     from . import verify  # local import: verify depends on functions only
 
     K = h.domain if K is None else K
-    if oracle is None:
-        if h.grad is None:
-            raise ValueError("SUBGRAD needs an oracle or a differentiable objective")
-        oracle = h.grad_at
-    if p.beta <= 0:
-        raise ValueError("beta must be positive")
-    gamma = h.modulus
-    bound = np.inf if gamma <= 0 else 1.0 / (gamma * p.beta)
-    _schedule_positive(p.steps, "step schedule")
-    if p.steps.at(0) >= bound:
-        raise ValueError(f"step schedule must stay below 1/(gamma beta) = {bound:.6g}")
-    notes = []
-    if p.steps.kind == "constant":
-        notes.append("constant steps violate the square-summability condition")
-    x0 = as_point(x0, h.dim)
-    rec = _Recorder(h, x0)
-    x = x0
-    terminated = "max_iters"
-    for k in range(p.max_iters):
+    notes = validate_subgradient(h, K, p, oracle)
+    oracle = h.grad_at if oracle is None else oracle
+    bound = _subgradient_bound(h, p)
+    x = as_point(x0, h.dim)
+    rec = _Recorder(h.value, x)
+
+    def step(k):
+        nonlocal x
         xi = np.asarray(oracle(x), dtype=float)
         rec.prox_evals += 1
         nrm = float(np.linalg.norm(xi))
@@ -421,7 +444,7 @@ def run_subgradient(
                 xbar=x,
                 z=xi,
                 beta=p.beta,
-                gamma=gamma,
+                gamma=h.modulus,
                 n_samples=32,
                 seed=k,
                 radius=p.search_radius,
@@ -432,108 +455,95 @@ def run_subgradient(
                     f"subgradient oracle failed membership spot-check at k={k}: "
                     f"{rep.witnesses[0]}"
                 )
-        if nrm == 0.0:
-            rec.mark(0.0)
-            terminated = "exact_fixed_point"
-            break
-        if nrm <= p.stop_tol:
-            rec.mark(nrm)
-            terminated = "residual"
-            break
-        step = p.steps.at(k)
-        if step >= bound:
-            raise ValueError(f"step {step} at k={k} violates the 1/(gamma beta) bound")
-        x1 = K.project(x - step * xi)
+        yield nrm, None
+        t = p.steps.at(k)
+        if t >= bound:
+            raise ValueError(f"step {t} at k={k} violates the 1/(gamma beta) bound")
+        x1 = K.project(x - t * xi)
         if float(np.linalg.norm(x1 - x)) == 0.0:
-            rec.mark(nrm)
-            terminated = "exact_fixed_point"
-            break
-        rec.push(x1, nrm)
+            yield None, "exact_fixed_point"  # the projected step stands still
+            return
         x = x1
-    return rec.done(terminated, not notes, notes)
+        yield x, None
+
+    return rec.done(_drive(rec, p, step), not notes, notes)
+
+
+def _gradient_norm(rec: _Recorder, h: Objective, x) -> tuple[np.ndarray, float]:
+    """One counted gradient evaluation and its norm, the stopping residual."""
+    g = h.grad_at(x)
+    rec.prox_evals += 1
+    return g, float(np.linalg.norm(g))
+
+
+def validate_gradient(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
+    if h.grad is None:
+        raise ValueError("GRAD needs a differentiable objective")
+    _schedule_positive(p.steps, "step schedule")
+    if not (h.lip_grad and h.modulus > 0):
+        return ["missing modulus or Lipschitz constant: step bound unverified"]
+    cap = min(h.modulus / h.lip_grad**2, 2.0 / h.lip_grad)
+    probe = max(p.steps.at(k) for k in (0, 1, 10, 1000))
+    return [f"step bound {probe:.6g} >= min(gamma/L^2, 2/L) = {cap:.6g}"] if probe >= cap else []
 
 
 def run_gradient(h: Objective, p: MinParams, x0) -> IterationTrace:
     """Explicit gradient descent with optional summable perturbations."""
-    if h.grad is None:
-        raise ValueError("GRAD needs a differentiable objective")
-    _schedule_positive(p.steps, "step schedule")
-    notes = []
-    if h.lip_grad and h.modulus > 0:
-        cap = min(h.modulus / h.lip_grad**2, 2.0 / h.lip_grad)
-        probe = max(p.steps.at(k) for k in (0, 1, 10, 1000))
-        if probe >= cap:
-            notes.append(f"step bound {probe:.6g} >= min(gamma/L^2, 2/L) = {cap:.6g}")
-    else:
-        notes.append("missing modulus or Lipschitz constant: step bound unverified")
-    x0 = as_point(x0, h.dim)
-    rec = _Recorder(h, x0)
-    x = x0
-    terminated = "max_iters"
-    for k in range(p.max_iters):
-        g = h.grad_at(x)
-        rec.prox_evals += 1
-        nrm = float(np.linalg.norm(g))
-        if nrm == 0.0:
-            rec.mark(0.0)
-            terminated = "exact_fixed_point"
-            break
-        if nrm <= p.stop_tol:
-            rec.mark(nrm)
-            terminated = "residual"
-            break
+    notes = validate_gradient(h, h.domain, p)
+    x = as_point(x0, h.dim)
+    rec = _Recorder(h.value, x)
+
+    def step(k):
+        nonlocal x
+        g, nrm = _gradient_norm(rec, h, x)
+        yield nrm, None
         x = x - p.steps.at(k) * g
         if p.psi is not None:
             x = x + np.asarray(p.psi(k), dtype=float)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
-            rec.push(np.nan_to_num(x, posinf=DIVERGENCE_GUARD, neginf=-DIVERGENCE_GUARD), nrm)
-            terminated = "diverged"
-            break
-        rec.push(x, nrm)
-    return rec.done(terminated, not notes, notes)
+        yield x, None
+
+    return rec.done(_drive(rec, p, step, guard=True), not notes, notes)
 
 
-def run_heavy_ball(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
-    """Heavy-ball iteration ``x+ = x + theta (x - x_prev) - eta^2 grad h(x)``."""
+def validate_heavy_ball(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
     if h.grad is None:
         raise ValueError("HEAVY_BALL needs a differentiable objective")
     if not 0.0 < p.theta < 1.0:
         raise ValueError("HEAVY_BALL requires theta in (0, 1)")
     if p.hb_eta <= 0:
         raise ValueError("HEAVY_BALL requires eta > 0")
-    notes = []
-    if h.lip_grad:
-        cap = (1.0 - p.theta**2) / h.lip_grad
-        if p.hb_eta**2 >= cap:
-            raise ValueError(f"eta^2 must lie in (0, (1-theta^2)/L) = (0, {cap:.6g})")
-    else:
-        notes.append("missing Lipschitz constant: eta window unverified")
-    x0 = as_point(x0, h.dim)
-    x_prev = x0 if x1 is None else as_point(x1, h.dim)
-    rec = _Recorder(h, x0)
-    x = x0
-    terminated = "max_iters"
-    for k in range(p.max_iters):
-        g = h.grad_at(x)
-        rec.prox_evals += 1
-        nrm = float(np.linalg.norm(g))
-        if nrm == 0.0:
-            rec.mark(0.0)
-            terminated = "exact_fixed_point"
-            break
-        if nrm <= p.stop_tol:
-            rec.mark(nrm)
-            terminated = "residual"
-            break
-        x_next = x + p.theta * (x - x_prev) - p.hb_eta**2 * g
-        x_prev = x
-        x = x_next
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
-            rec.push(np.nan_to_num(x, posinf=DIVERGENCE_GUARD, neginf=-DIVERGENCE_GUARD), nrm)
-            terminated = "diverged"
-            break
-        rec.push(x, nrm)
-    return rec.done(terminated, not notes, notes)
+    if not h.lip_grad:
+        return ["missing Lipschitz constant: eta window unverified"]
+    cap = (1.0 - p.theta**2) / h.lip_grad
+    if p.hb_eta**2 >= cap:
+        raise ValueError(f"eta^2 must lie in (0, (1-theta^2)/L) = (0, {cap:.6g})")
+    return []
+
+
+def run_heavy_ball(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
+    """Heavy-ball iteration ``x+ = x + theta (x - x_prev) - eta^2 grad h(x)``."""
+    notes = validate_heavy_ball(h, h.domain, p)
+    x = as_point(x0, h.dim)
+    x_prev = x if x1 is None else as_point(x1, h.dim)
+    rec = _Recorder(h.value, x)
+
+    def step(k):
+        nonlocal x, x_prev
+        g, nrm = _gradient_norm(rec, h, x)
+        yield nrm, None
+        x_prev, x = x, x + p.theta * (x - x_prev) - p.hb_eta**2 * g
+        yield x, None
+
+    return rec.done(_drive(rec, p, step, guard=True), not notes, notes)
+
+
+def validate_inertial_gm(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
+    if h.grad is None:
+        raise ValueError("INERTIAL_GM needs a differentiable objective")
+    if p.eta_min <= 0:
+        raise ValueError("INERTIAL_GM requires a positive step lower bound eta_min")
+    _schedule_positive(p.steps, "step schedule")
+    return []
 
 
 def run_inertial_gm(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
@@ -542,43 +552,24 @@ def run_inertial_gm(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
     Boundedness is monitored, not assumed: exceeding the divergence guard
     terminates the run with ``terminated_by='diverged'``.
     """
-    if h.grad is None:
-        raise ValueError("INERTIAL_GM needs a differentiable objective")
-    if p.eta_min <= 0:
-        raise ValueError("INERTIAL_GM requires a positive step lower bound eta_min")
-    _schedule_positive(p.steps, "step schedule")
-    notes = []
-    x0 = as_point(x0, h.dim)
-    x_prev = x0 if x1 is None else as_point(x1, h.dim)
-    rec = _Recorder(h, x0)
-    x = x0
+    notes = validate_inertial_gm(h, h.domain, p)
+    x = as_point(x0, h.dim)
+    x_prev = x if x1 is None else as_point(x1, h.dim)
+    rec = _Recorder(h.value, x)
     max_norm = float(np.linalg.norm(x))
-    terminated = "max_iters"
-    for k in range(p.max_iters):
+
+    def step(k):
+        nonlocal x, x_prev, max_norm
         a_k = p.steps.at(k)
         if a_k < p.eta_min:
             raise ValueError(f"step {a_k} at k={k} fell below eta_min={p.eta_min}")
-        g = h.grad_at(x)
-        rec.prox_evals += 1
-        nrm = float(np.linalg.norm(g))
-        if nrm == 0.0:
-            rec.mark(0.0)
-            terminated = "exact_fixed_point"
-            break
-        if nrm <= p.stop_tol:
-            rec.mark(nrm)
-            terminated = "residual"
-            break
-        x_next = 2.0 * x - x_prev - a_k * g
-        x_prev = x
-        x = x_next
+        g, nrm = _gradient_norm(rec, h, x)
+        yield nrm, None
+        x_prev, x = x, 2.0 * x - x_prev - a_k * g
         max_norm = max(max_norm, float(np.linalg.norm(x)))
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD:
-            rec.push(np.nan_to_num(x, posinf=DIVERGENCE_GUARD, neginf=-DIVERGENCE_GUARD), nrm)
-            terminated = "diverged"
-            notes.append("divergence guard fired: boundedness hypothesis failed empirically")
-            break
-        rec.push(x, nrm)
-    return rec.done(
-        terminated, terminated != "diverged" and not notes, notes, extra={"max_norm": max_norm}
-    )
+        yield x, None
+
+    end = _drive(rec, p, step, guard=True)
+    if end == "diverged":
+        notes.append("divergence guard fired: boundedness hypothesis failed empirically")
+    return rec.done(end, not notes, notes, extra={"max_norm": max_norm})

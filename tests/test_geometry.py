@@ -176,3 +176,16 @@ def test_single_halfspace_batch_equals_row_by_row():
     assert np.array_equal(P, np.stack([K.project(x) for x in X]))
     assert np.allclose(P @ np.array([3.0, 4.0]), np.minimum(X @ np.array([3.0, 4.0]), 1.0),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_affine_batch_equals_row_by_row(n):
+    # (X - offset) @ basis @ basis.T rounded 43-63 of these 64 rows differently
+    # inside the batch than alone
+    rng = np.random.Generator(np.random.Philox(key=80 + n))
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n - 1)))
+    K = AffineSubspace(basis, rng.standard_normal(n))
+    X = 3.0 * rng.standard_normal((64, n))
+    P = K.project_many(X)
+    assert np.array_equal(P, np.stack([K.project(x) for x in X]))
+    assert np.allclose(K.project_many(P), P, atol=1e-12)

@@ -9,6 +9,7 @@ from sqopt.harness import (
     EXIT_MAX_ITERS,
     EXIT_OK,
     EXIT_SCHEMA,
+    VARIANTS,
     LinearRateFit,
     SchemaError,
     build_problem,
@@ -451,3 +452,95 @@ def test_cli_dynamics_divergence_is_guard_abort(tmp_path, capsys):
     assert cli_main(["dynamics", "--config", path, "--out", str(tmp_path / "d")]) == EXIT_GUARD
     err = capsys.readouterr().err.strip()
     assert err.startswith("aborted: diverged") and "\n" not in err
+
+
+# --- variant registry ----------------------------------------------------------------
+
+
+def variant_config(variant, **algo):
+    """A config running ``variant`` from 0.5 on gauss_well, or on its value gap."""
+    cfg = ep_config()
+    if VARIANTS[variant].kind == "minimize":
+        objective = cfg["problem"]["bifunction"]["params"]["objective"]
+        cfg["problem"] = {"kind": "minimize", "objective": objective}
+    cfg["algorithm"] = {"variant": variant, "x0": [0.5], "max_iters": 200, **algo}
+    return cfg
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_cli_every_variant_at_zero_iterations_hits_the_cap(tmp_path, variant):
+    algo = {"eta_min": 0.01} if variant == "INERTIAL_GM" else {}
+    path = write_cfg(tmp_path, variant_config(variant, max_iters=0, **algo))
+    command = "solve-ep" if VARIANTS[variant].kind == "ep" else "minimize"
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_MAX_ITERS
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["terminated_by"] == "max_iters" and summary["iterations"] == 0
+    assert len((tmp_path / "o" / "trace.csv").read_text().splitlines()) == 2  # header + x0
+
+
+# one hard-range violation per variant whose validator rejects some config;
+# each of these but RIPPA's exited 3 as a guard abort before
+HARD_RANGE_VIOLATIONS = {
+    "PPA": {"c": -0.5},
+    "RIPPA": {"alpha": 1.0},
+    "BPPA": {"c": 0.0},
+    "SUBGRAD": {"beta": 0.0},
+    "GRAD": {"steps": -0.1},
+    "HEAVY_BALL": {"hb_eta": 0.0},
+    "INERTIAL_GM": {"eta_min": 0.0},
+    "RIPPA_EP": {"alpha": 1.0},
+    "REG_EP": {"beta": -1.0},
+    "IEPPA_EP": {"alpha": 1.0},
+    "TWO_PPA_EP": {"epsilon": 0.0},
+    "EG_EP": {"ls_alpha": 1.0},
+    "PEG_EP": {"ls_rho": 0.0},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(HARD_RANGE_VIOLATIONS))
+def test_cli_validator_violation_is_schema_error(tmp_path, capsys, variant):
+    path = write_cfg(tmp_path, variant_config(variant, **HARD_RANGE_VIOLATIONS[variant]))
+    command = "solve-ep" if VARIANTS[variant].kind == "ep" else "minimize"
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: algorithm: ") and "\n" not in err
+
+
+def test_ep_sweep_from_rippa_ep_drops_its_keys_in_the_baseline(tmp_path, capsys):
+    # the PPA_EP baseline cell kept the base's alpha/rho keys and the sweep exited 1
+    cfg = ep_config()
+    cfg["algorithm"].update(variant="RIPPA_EP", alpha=0.1, rho_lo=0.9, rho_hi=0.9)
+    cfg["sweep"] = {"alphas": [0.1], "rhos": [0.9]}
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["sweep", "--config", path, "--out", str(tmp_path / "sw")]) == EXIT_OK
+    baseline = json.loads(capsys.readouterr().out)["rows"][-1]
+    assert baseline["cell"] == "baseline" and baseline["converged"]
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["bogus"],
+    ["minimize"],
+    ["minimize", "--config", "{cfg}", "--seed", "3"],
+    ["solve-ep", "--config", "{cfg}", "--workers", "2"],
+    ["sweep", "--config", "{cfg}", "--workers", "two"],
+    ["verify", "--config", "{cfg}", "--mystery"],
+])
+def test_cli_usage_error_exits_1_with_one_line(tmp_path, capsys, args):
+    path = write_cfg(tmp_path, minimal_ppa_config())
+    argv = [a.format(cfg=path) for a in args]
+    assert cli_main(argv) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("usage error: sqopt") and "\n" not in err
+
+
+def test_cli_seed_is_a_verify_flag(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "problem": {"kind": "minimize",
+                    "objective": {"catalog": "gauss_well",
+                                  "params": {"c": 1.0, "d": 1.0, "delta": 1.0}}},
+        "verify": {"checks": [{"check": "sqc", "n": 200}]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "v"), "--seed", "3"]) == EXIT_OK
