@@ -11,6 +11,9 @@ parameter: ``beta in (0, min(1/(8 eta - gamma), 1/(4 eta)))`` when
 ``0 < gamma < 8 eta`` and ``beta in (1/(gamma - 8 eta), 1/(4 eta))`` when
 ``gamma > 12 eta``; the strict policy exposes only the latter.  Validators
 flag runs outside the windows instead of blocking them.
+
+The relaxed-inertial, plain and constant-inertia schemes are one step,
+``minimize._run_proximal``, with the proximal step in the second argument.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from .functions import Bifunction
 from .geometry import FeasibleSet, as_point
-from .minimize import IterationTrace, Schedule, _drive, _is_affine, _Recorder
+from .minimize import (IterationTrace, Schedule, _drive, _Recorder, _relaxed_inertial_notes,
+                       _run_proximal, _SolveCfg)
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
 from .verify import (
     CheckReport,
@@ -35,7 +39,7 @@ LINE_SEARCH_CAP = 60  # 2^-60 underflow guard
 
 
 @dataclass
-class EpParams:
+class EpParams(_SolveCfg):
     variant: str = "RIPPA_EP"
     beta: Schedule = field(default_factory=lambda: Schedule.constant(1.0))
     alpha: float = 0.0  # inertial parameter / cap
@@ -62,11 +66,6 @@ class EpParams:
 
     def alpha_at(self, k: int) -> float:
         return self.alpha if self.alpha_sched is None else self.alpha_sched.at(k)
-
-    def solve_cfg(self) -> GlobalSolveConfig:
-        if self.search_radius is not None and self.prox_cfg.search_radius is None:
-            return replace(self.prox_cfg, search_radius=self.search_radius)
-        return self.prox_cfg
 
 
 @dataclass
@@ -168,10 +167,7 @@ def check_minty(prob: EpProblem, xbar, n_samples: int = 1000, seed: int = 0, tol
 
 
 def validate_rippa_ep(prob: EpProblem, p: EpParams) -> list[str]:
-    if not 0.0 <= p.alpha < 1.0:
-        raise ValueError("RIPPA_EP requires 0 <= alpha < 1")
-    if not 0.0 < p.rho_lo <= p.rho_hi < 2.0:
-        raise ValueError("RIPPA_EP requires 0 < rho_lo <= rho_hi < 2")
+    affine_notes = _relaxed_inertial_notes("RIPPA_EP", p, prob.K)
     notes = []
     f = prob.f
     win = beta_window(f.gamma, f.eta, p.policy)
@@ -184,11 +180,7 @@ def validate_rippa_ep(prob: EpProblem, p: EpParams) -> list[str]:
         rho_dev = max(1.0 - p.rho_lo, p.rho_hi - 1.0)
         if rho_dev > 1.0 - 4.0 * f.eta * max(betas) + 1e-12:
             notes.append("relaxation deviation exceeds 1 - 4 eta beta")
-    if p.alpha > 0.0 and not _is_affine(prob.K):
-        notes.append("inertial steps on a non-affine set are outside the guarded regime")
-    if p.alpha == 0.0 and p.rho_hi > 1.0 and not _is_affine(prob.K):
-        notes.append("relaxation above 1 on a non-affine set is outside the guarded regime")
-    return notes
+    return notes + affine_notes
 
 
 def validate_ieppa(prob: EpProblem, p: EpParams) -> list[str]:
@@ -280,19 +272,9 @@ def run_rippa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     """Relaxed-inertial proximal point method for the equilibrium problem."""
     notes = validate_rippa_ep(prob, p)
     cfg = p.solve_cfg()
-    x = x_prev = as_point(x0, prob.f.dim)
-    rec = _ep_recorder(prob, x)
-
-    def step(k):
-        nonlocal x, x_prev
-        y = x + p.alpha_at(k) * (x - x_prev)
-        z = rec.took(_ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg))
-        yield float(np.linalg.norm(z - y)), z
-        rho_k = p.rho_at(k)
-        x_prev, x = x, (1.0 - rho_k) * y + rho_k * z
-        yield x, None
-
-    return rec.done(_drive(rec, p, step), not notes, notes)
+    rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
+    prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
+    return _run_proximal(rec, p, prox_at, notes, p.alpha_at, p.rho_at)
 
 
 def run_ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
@@ -372,20 +354,12 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
 
 
 def run_ieppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
-    """Constant-inertia extrapolated proximal method (alpha may be negative)."""
+    """Constant-inertia extrapolated proximal method (constant alpha, maybe negative; rho = 1)."""
     notes = validate_ieppa(prob, p)
     cfg = p.solve_cfg()
-    x = y = as_point(x0, prob.f.dim)
-    rec = _ep_recorder(prob, x)
-
-    def step(k):
-        nonlocal x, y
-        x1 = rec.took(_ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg))
-        yield float(np.linalg.norm(x1 - y)), x1
-        x, y = x1, x1 + p.alpha * (x1 - x)
-        yield x, None
-
-    return rec.done(_drive(rec, p, step), not notes, notes)
+    rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
+    prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
+    return _run_proximal(rec, p, prox_at, notes, lambda k: p.alpha)
 
 
 def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:

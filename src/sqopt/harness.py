@@ -154,8 +154,14 @@ class Variant:
 
 
 def _run_bppa(h, K, p, x0, x1, spec):
+    path = "algorithm.bregman"
     br = spec.get("bregman", {"name": "half_sq_norm"})
-    phi = bregman_catalog(br["name"], dim=h.dim, shift=br.get("shift", 0.0))
+    _check_keys(br, {"name", "shift"}, path)
+    name = _require(br, "name", path)
+    try:
+        phi = bregman_catalog(name, dim=h.dim, shift=float(br.get("shift", 0.0)))
+    except (TypeError, ValueError) as e:
+        raise SchemaError(path, str(e)) from e
     return mz.run_bppa(h, K, phi, p, x0)
 
 
@@ -194,10 +200,23 @@ _SWEPT = {"minimize": ("RIPPA", "PPA"), "ep": ("RIPPA_EP", "PPA_EP")}
 _CONVERT = {"max_iters": int, "inner_max": int, "policy": str}
 
 
+# the keys of ``algorithm.prox`` and how each value converts
+_SOLVE_KEYS = {"n_starts": int, "grid_density": int, "local_tol": float,
+               "max_local_iters": int, "seed": int, "search_radius": float}
+
+
 def _solve_cfg_from(spec: dict, path: str) -> GlobalSolveConfig:
-    allowed = {"n_starts", "grid_density", "local_tol", "max_local_iters", "seed", "search_radius"}
-    _check_keys(spec, allowed, path)
-    return GlobalSolveConfig(**spec)
+    _check_keys(spec, set(_SOLVE_KEYS), path)
+    kw = {}
+    for key, value in spec.items():
+        try:
+            kw[key] = _SOLVE_KEYS[key](value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"{path}.{key}", str(e)) from e
+    try:
+        return GlobalSolveConfig(**kw)
+    except ValueError as e:
+        raise SchemaError(path, str(e)) from e
 
 
 def _sched(spec, path: str) -> mz.Schedule:
@@ -221,7 +240,7 @@ def _params(kind: str, spec: dict, path: str):
         else:
             try:
                 kw[key] = _CONVERT.get(key, float)(spec[key])
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise SchemaError(kpath, str(e)) from e
     return cls(**kw)
 

@@ -13,6 +13,8 @@ the exact equality tests of the underlying schemes by ``residual <= stop_tol``;
 an exactly zero residual still terminates as ``exact_fixed_point``.  Every
 runner here and in ``equilibrium`` supplies only its step: ``_drive`` owns the
 iteration loop, that stop test, the divergence guard and the termination label.
+The proximal point family (PPA, RIPPA, BPPA; PPA_EP, RIPPA_EP, IEPPA_EP) is one
+step, ``_run_proximal``, with its own proximal operator, inertia and relaxation.
 """
 
 from __future__ import annotations
@@ -78,8 +80,17 @@ class Schedule:
         raise ValueError(f"unknown schedule kind {kind!r}")
 
 
+class _SolveCfg:
+    """``solve_cfg()``: ``prox_cfg``, given ``search_radius`` when it has no radius."""
+
+    def solve_cfg(self) -> GlobalSolveConfig:
+        if self.search_radius is not None and self.prox_cfg.search_radius is None:
+            return replace(self.prox_cfg, search_radius=self.search_radius)
+        return self.prox_cfg
+
+
 @dataclass
-class MinParams:
+class MinParams(_SolveCfg):
     """Parameter bag shared by the minimization variants."""
 
     variant: str = "PPA"
@@ -115,11 +126,6 @@ class MinParams:
         if not self.rho_lo - 1e-15 <= r <= self.rho_hi + 1e-15:
             raise ValueError(f"rho_k={r} leaves [{self.rho_lo}, {self.rho_hi}]")
         return r
-
-    def solve_cfg(self) -> GlobalSolveConfig:
-        if self.search_radius is not None and self.prox_cfg.search_radius is None:
-            return replace(self.prox_cfg, search_radius=self.search_radius)
-        return self.prox_cfg
 
 
 @dataclass
@@ -241,6 +247,37 @@ def _drive(rec: _Recorder, p, step, guard: bool = False) -> str:
     return "max_iters"
 
 
+def _run_proximal(rec: _Recorder, p, prox_at, notes, alpha_at=None, rho_at=None) -> IterationTrace:
+    """The proximal point iteration, from the recorder's first state.
+
+    Extrapolate ``y = x + alpha_k (x - x_prev)``, take the proximal step
+    ``z = prox_at(k, y)`` (a ProxResult), stop when ``||z - y|| <= stop_tol``,
+    otherwise relax ``x_next = (1 - rho_k) y + rho_k z``.  Without
+    ``alpha_at``/``rho_at``, alpha_k = 0 and rho_k = 1.  The extras sum the
+    inertial summands ``alpha_k ||x - x_prev||^2``, all and the last quarter.
+    """
+    alpha_at = alpha_at or (lambda k: 0.0)
+    rho_at = rho_at or (lambda k: 1.0)
+    x = x_prev = rec.states[0]
+    summands = []
+
+    def step(k):
+        nonlocal x, x_prev
+        a_k = alpha_at(k)
+        y = x + a_k * (x - x_prev)
+        z = rec.took(prox_at(k, y))
+        summands.append(a_k * float(np.sum((x - x_prev) ** 2)))
+        yield float(np.linalg.norm(z - y)), z
+        rho_k = rho_at(k)
+        x_prev, x = x, (1.0 - rho_k) * y + rho_k * z
+        yield x, None
+
+    end = _drive(rec, p, step)
+    tail = sum(summands[-max(1, len(summands) // 4) :])
+    extra = {"inertial_summand_total": sum(summands, 0.0), "inertial_summand_tail": tail}
+    return rec.done(end, not notes, notes, extra=extra)
+
+
 def _is_affine(K: FeasibleSet) -> bool:
     return isinstance(K, (FullSpace, AffineSubspace))
 
@@ -286,17 +323,23 @@ def default_rippa_params(gamma: float, alpha_target: float, rho_lo: float, **kw)
     )
 
 
-def validate_rippa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
+def _relaxed_inertial_notes(name: str, p, K: FeasibleSet) -> list[str]:
+    """Hard alpha/rho ranges of RIPPA and RIPPA_EP; notes for a non-affine set."""
     if not 0.0 <= p.alpha < 1.0:
-        raise ValueError("RIPPA requires 0 <= alpha < 1")
+        raise ValueError(f"{name} requires 0 <= alpha < 1")
     if not 0.0 < p.rho_lo <= p.rho_hi < 2.0:
-        raise ValueError("RIPPA requires 0 < rho_lo <= rho_hi < 2")
-    _schedule_positive(p.c, "c_k")
+        raise ValueError(f"{name} requires 0 < rho_lo <= rho_hi < 2")
     notes = []
     if p.alpha > 0.0 and not _is_affine(K):
         notes.append("inertial steps on a non-affine set are outside the guarded regime")
     if p.alpha == 0.0 and p.rho_hi > 1.0 and not _is_affine(K):
         notes.append("relaxation above 1 on a non-affine set is outside the guarded regime")
+    return notes
+
+
+def validate_rippa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
+    notes = _relaxed_inertial_notes("RIPPA", p, K)
+    _schedule_positive(p.c, "c_k")
     if p.alpha > 0.0:
         ceiling = rippa_rho_upper(0.5 * (1.0 + p.alpha), p.rho_lo)
         if p.rho_hi > ceiling + 1e-12:
@@ -309,39 +352,13 @@ def validate_rippa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
 
 
 def run_rippa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> IterationTrace:
-    """Relaxed-inertial proximal point method (PPA when alpha=0, rho=1).
-
-    Extrapolate ``y = x + alpha_k (x - x_prev)``, take a global proximal step
-    ``z`` from ``y``, stop when ``||z - y|| <= stop_tol``, otherwise relax
-    ``x_next = (1 - rho_k) y + rho_k z``.
-    """
+    """Relaxed-inertial proximal point method (PPA when alpha=0, rho=1)."""
     K = h.domain if K is None else K
     notes = validate_rippa(h, K, p)
     cfg = p.solve_cfg()
-    x = x_prev = as_point(x0, h.dim)
-    rec = _Recorder(h.value, x)
-    summands = []
-
-    def step(k):
-        nonlocal x, x_prev
-        a_k = p.alpha_at(k)
-        y = x + a_k * (x - x_prev)
-        z = rec.took(prox(h, K, p.c.at(k), y, cfg))
-        summands.append(a_k * float(np.sum((x - x_prev) ** 2)))
-        yield float(np.linalg.norm(z - y)), z
-        rho_k = p.rho_at(k)
-        x_prev, x = x, (1.0 - rho_k) * y + rho_k * z
-        yield x, None
-
-    end = _drive(rec, p, step)
-    tail = sum(summands[-max(1, len(summands) // 4) :])
-    extra = {"inertial_summand_total": sum(summands, 0.0), "inertial_summand_tail": tail}
-    return rec.done(end, not notes, notes, extra=extra)
-
-
-def ppa_params(c: float, **kw) -> MinParams:
-    """Plain proximal point parameters (alpha = 0, rho = 1)."""
-    return MinParams(variant="PPA", c=Schedule.constant(c), alpha=0.0, rho_lo=1.0, rho_hi=1.0, **kw)
+    rec = _Recorder(h.value, as_point(x0, h.dim))
+    prox_at = lambda k, y: prox(h, K, p.c.at(k), y, cfg)
+    return _run_proximal(rec, p, prox_at, notes, p.alpha_at, p.rho_at)
 
 
 def run_ppa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> IterationTrace:
@@ -364,6 +381,7 @@ def run_bppa(
 ) -> IterationTrace:
     """Bregman proximal point method; strict descent while steps are nonzero.
 
+    ``_run_proximal`` with the Bregman prox and no inertia or relaxation.
     Iterates must stay in the kernel zone: leaving it aborts with a
     diagnostic.  With the half-squared-norm kernel this reproduces run_ppa.
     """
@@ -375,20 +393,16 @@ def run_bppa(
     x = as_point(x0, h.dim)
     if not bool(np.all(phi.zone_contains(x))):
         raise ValueError("x0 must lie in the open zone of the Bregman kernel")
-    rec = _Recorder(h.value, x)
 
-    def step(k):
-        nonlocal x
-        x1 = rec.took(bregman_prox(h, K, phi, p.c.at(k), x, cfg))
-        if not bool(np.all(phi.zone_contains(x1))):
+    def prox_at(k, y):
+        pr = bregman_prox(h, K, phi, p.c.at(k), y, cfg)
+        if not bool(np.all(phi.zone_contains(pr.point))):
             raise RuntimeError(
-                f"BPPA iterate left the kernel zone at iteration {k}: {x1.tolist()}"
+                f"BPPA iterate left the kernel zone at iteration {k}: {pr.point.tolist()}"
             )
-        yield float(np.linalg.norm(x1 - x)), x1
-        x = x1
-        yield x, None
+        return pr
 
-    return rec.done(_drive(rec, p, step), not notes, notes)
+    return _run_proximal(_Recorder(h.value, x), p, prox_at, notes)
 
 
 def _subgradient_bound(h: Objective, p: MinParams) -> float:

@@ -62,6 +62,10 @@ class GlobalSolveConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
+        if self.grid_density < 1:
+            raise ValueError("grid_density must be at least 1")
+        if self.max_local_iters < 0:
+            raise ValueError("max_local_iters must be nonnegative")
         if self.local_tol <= 0:
             raise ValueError("local_tol must be positive")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,17 @@ def test_degeneracy_identities_trace_for_trace():
     assert np.array_equal(a.iterates, b.iterates)
     assert np.array_equal(a.iterates, c.iterates)
     assert np.array_equal(a.residuals, c.residuals)
+    # IEPPA_EP(alpha) is RIPPA_EP(alpha, rho = 1) for alpha > 0 as well
+    cases = [(prob, x0, EpParams(beta=beta, stop_tol=1e-8, max_iters=60)),
+             (glt_problem(), np.array([3.1]),
+              EpParams(beta=Schedule.constant(0.18), stop_tol=1e-8, max_iters=60, prox_cfg=GLT_FAST))]
+    for problem, start, p in cases:
+        for alpha in (0.1, 0.25):
+            ie = run_ieppa_ep(problem, replace(p, alpha=alpha), start)
+            ri = run_rippa_ep(problem, replace(p, alpha=alpha, rho_lo=1.0, rho_hi=1.0), start)
+            assert ie.iterations > 1
+            for name in ("iterates", "values", "residuals", "cum_evals"):
+                assert np.array_equal(getattr(ie, name), getattr(ri, name)), (alpha, name)
 
 
 def test_ppa_ep_matches_min_ppa_bit_for_bit():

@@ -506,6 +506,33 @@ def test_cli_validator_violation_is_schema_error(tmp_path, capsys, variant):
     assert err.startswith("schema error: algorithm: ") and "\n" not in err
 
 
+# malformed values under one algorithm key; before, six of these ended in a
+# traceback, three aborted with exit 3 and three ran (the unknown bregman key,
+# max_local_iters -1, an infinite seed)
+MALFORMED_VALUES = [
+    ("BPPA", {"bregman": {}}),
+    ("BPPA", {"bregman": "neg_entropy"}),
+    ("BPPA", {"bregman": {"name": "nope"}}),
+    ("BPPA", {"bregman": {"name": "neg_entropy", "shift": 2, "zzz": 1}}),
+    ("BPPA", {"bregman": {"name": "neg_entropy", "shift": "x"}}),
+    ("PPA", {"prox": {"n_starts": "x"}}),
+    ("PPA", {"prox": {"local_tol": "a"}}),
+    ("PPA", {"prox": {"max_local_iters": "many"}}),
+    ("PPA", {"prox": {"max_local_iters": -1}}),
+    ("PPA", {"prox": {"grid_density": -3}}),
+    ("PPA", {"prox": {"seed": float("inf")}}),
+    ("PPA", {"max_iters": float("inf")}),
+]
+
+
+@pytest.mark.parametrize("variant, algo", MALFORMED_VALUES)
+def test_cli_malformed_algorithm_value_is_schema_error(tmp_path, capsys, variant, algo):
+    path = write_cfg(tmp_path, variant_config(variant, **algo))
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"schema error: algorithm.{next(iter(algo))}") and "\n" not in err
+
+
 def test_ep_sweep_from_rippa_ep_drops_its_keys_in_the_baseline(tmp_path, capsys):
     # the PPA_EP baseline cell kept the base's alpha/rho keys and the sweep exited 1
     cfg = ep_config()
