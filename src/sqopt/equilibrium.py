@@ -13,7 +13,9 @@ parameter: ``beta in (0, min(1/(8 eta - gamma), 1/(4 eta)))`` when
 flag runs outside the windows instead of blocking them.
 
 The relaxed-inertial, plain and constant-inertia schemes are one step,
-``minimize._run_proximal``, with the proximal step in the second argument.
+``minimize._run_proximal``, with the proximal step in the second argument
+and constant inertia and relaxation.  ``EpParams`` adds the equilibrium
+fields to ``minimize._RunParams``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .functions import Bifunction
 from .geometry import FeasibleSet, as_point
 from .minimize import (IterationTrace, Schedule, _drive, _Recorder, _relaxed_inertial_notes,
-                       _run_proximal, _SolveCfg)
+                       _run_proximal, _RunParams)
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
 from .verify import (
     CheckReport,
@@ -36,36 +38,21 @@ from .verify import (
 )
 
 LINE_SEARCH_CAP = 60  # 2^-60 underflow guard
+ORACLE_CHECK_SAMPLES = 32  # EG/PEG level-set spot check of each oracle output
 
 
 @dataclass
-class EpParams(_SolveCfg):
+class EpParams(_RunParams):
+    """Parameter bag of the equilibrium variants."""
+
     variant: str = "RIPPA_EP"
     beta: Schedule = field(default_factory=lambda: Schedule.constant(1.0))
-    alpha: float = 0.0  # inertial parameter / cap
-    alpha_sched: Schedule | None = None
-    rho_lo: float = 1.0
-    rho_hi: float = 1.0
-    rho_sched: Schedule | None = None
     ls_alpha: float = 0.5  # line-search sufficient-decrease factor
     ls_rho: float = 0.5  # line-search backtracking ratio
     steps: Schedule = field(default_factory=lambda: Schedule.inv_k(0.5))  # projection steps
     epsilon: float = 1e-3  # two-step interval margin
     inner_max: int = 1000  # nested solve iteration cap
-    stop_tol: float = 1e-8
-    max_iters: int = 100_000
-    prox_cfg: GlobalSolveConfig = field(default_factory=GlobalSolveConfig)
-    search_radius: float | None = None
     policy: str = "corrected"  # corrected | strict
-    oracle_check_samples: int = 32
-
-    def rho_at(self, k: int) -> float:
-        if self.rho_sched is not None:
-            return self.rho_sched.at(k)
-        return 0.5 * (self.rho_lo + self.rho_hi)
-
-    def alpha_at(self, k: int) -> float:
-        return self.alpha if self.alpha_sched is None else self.alpha_sched.at(k)
 
 
 @dataclass
@@ -208,7 +195,7 @@ def validate_ieppa(prob: EpProblem, p: EpParams) -> list[str]:
 
 def validate_2ppa(prob: EpProblem, p: EpParams) -> list[str]:
     f = prob.f
-    if p.epsilon <= 0:
+    if not p.epsilon > 0:
         raise ValueError("TWO_PPA_EP requires epsilon > 0")
     lo = (-np.inf if f.gamma <= 8.0 * f.eta else 1.0 / (f.gamma - 8.0 * f.eta)) if f.eta > 0 else (
         1.0 / f.gamma if f.gamma > 0 else np.inf
@@ -234,8 +221,6 @@ def validate_eg(prob: EpProblem, p: EpParams, peg: bool = False, oracle=None) ->
     betas = _beta_probe(p)
     if any(b2 > b1 + 1e-12 for b1, b2 in zip(betas, betas[1:])):
         notes.append("beta schedule is not nonincreasing")
-    if min(betas) <= 0:
-        raise ValueError("beta must stay positive")
     if oracle is None and prob.f.partial_grad_y is None:
         raise ValueError("extragradient methods need a subgradient oracle")
     if p.steps.kind == "constant":
@@ -252,9 +237,7 @@ def validate_peg(prob: EpProblem, p: EpParams) -> list[str]:
 
 
 def validate_reg_ep(prob: EpProblem, p: EpParams) -> list[str]:
-    if p.beta.at(0) <= 0:
-        raise ValueError("REG_EP requires positive beta")
-    return []
+    return []  # beta > 0 holds by construction of its Schedule
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +257,12 @@ def run_rippa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     cfg = p.solve_cfg()
     rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
     prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
-    return _run_proximal(rec, p, prox_at, notes, p.alpha_at, p.rho_at)
+    return _run_proximal(rec, p, prox_at, notes, p.alpha, p.rho)
 
 
 def run_ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     """Proximal point method: the alpha = 0, rho = 1 degeneracy of run_rippa_ep."""
-    q = replace(
-        p, variant="RIPPA_EP", alpha=0.0, alpha_sched=None, rho_lo=1.0, rho_hi=1.0, rho_sched=None
-    )
+    q = replace(p, variant="RIPPA_EP", alpha=0.0, rho_lo=1.0, rho_hi=1.0)
     return run_rippa_ep(prob, q, x0)
 
 
@@ -359,7 +340,7 @@ def run_ieppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     cfg = p.solve_cfg()
     rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
     prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
-    return _run_proximal(rec, p, prox_at, notes, lambda k: p.alpha)
+    return _run_proximal(rec, p, prox_at, notes, p.alpha)
 
 
 def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
@@ -423,8 +404,8 @@ def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: boo
                 "the decrease condition looks unattainable"
             )
         w = np.asarray(oracle(z, x), dtype=float)
-        if p.oracle_check_samples and not _star_subgrad_check(
-            f, prob.K, z, x, w, p.oracle_check_samples, seed=k, radius=p.search_radius
+        if not _star_subgrad_check(
+            f, prob.K, z, x, w, ORACLE_CHECK_SAMPLES, seed=k, radius=p.search_radius
         ):
             notes.append(f"subgradient oracle failed the level-set spot check at k={k}")
         wn = float(np.linalg.norm(w))

@@ -70,6 +70,26 @@ def _point(d: dict, key: str, dim: int, path: str):
         raise SchemaError(f"{path}.{key}", str(e)) from e
 
 
+def _convert(value, conv, path: str):
+    """``conv(value)``; a value it rejects is a SchemaError at ``path``."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SchemaError(path, str(e)) from e
+
+
+def _number(d: dict, key: str, path: str, conv=float, default=None):
+    """Optional field ``d[key]`` converted by ``conv``; ``default`` when absent or null."""
+    return default if d.get(key) is None else _convert(d[key], conv, f"{path}.{key}")
+
+
+def _numbers(value, path: str, at_least: int = 1) -> list[float]:
+    """A list of at least ``at_least`` numbers, as floats."""
+    if not isinstance(value, list) or len(value) < at_least:
+        raise SchemaError(path, f"expected a list of at least {at_least} numbers, got {value!r}")
+    return [_convert(v, float, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 # ---------------------------------------------------------------------------
 # problem construction
 # ---------------------------------------------------------------------------
@@ -199,20 +219,17 @@ _SWEPT = {"minimize": ("RIPPA", "PPA"), "ep": ("RIPPA_EP", "PPA_EP")}
 # parameters that are not floats; schedule-valued ones are found by their default
 _CONVERT = {"max_iters": int, "inner_max": int, "policy": str}
 
+# algorithm keys passed to the runner rather than kept in the parameter bag
+_RUN_ARGS = {"x0", "x1", "bregman"}
 
 # the keys of ``algorithm.prox`` and how each value converts
 _SOLVE_KEYS = {"n_starts": int, "grid_density": int, "local_tol": float,
-               "max_local_iters": int, "seed": int, "search_radius": float}
+               "max_local_iters": int, "search_radius": float}
 
 
 def _solve_cfg_from(spec: dict, path: str) -> GlobalSolveConfig:
     _check_keys(spec, set(_SOLVE_KEYS), path)
-    kw = {}
-    for key, value in spec.items():
-        try:
-            kw[key] = _SOLVE_KEYS[key](value)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"{path}.{key}", str(e)) from e
+    kw = {key: _convert(value, _SOLVE_KEYS[key], f"{path}.{key}") for key, value in spec.items()}
     try:
         return GlobalSolveConfig(**kw)
     except ValueError as e:
@@ -227,22 +244,22 @@ def _sched(spec, path: str) -> mz.Schedule:
 
 
 def _params(kind: str, spec: dict, path: str):
-    """The run's parameter bag, built from the keys of ``spec``."""
+    """The run's parameter bag from the keys of ``spec``; a rejected value is a SchemaError."""
     cls = mz.MinParams if kind == "minimize" else ep.EpParams
     default = cls()
     kw: dict = {"variant": spec["variant"]}
-    for key in sorted(set(spec) - {"variant", "x0", "x1", "bregman"}):
+    for key in sorted(set(spec) - _RUN_ARGS - {"variant"}):
         kpath = f"{path}.{key}"
         if key == "prox":
             kw["prox_cfg"] = _solve_cfg_from(spec[key], kpath)
         elif isinstance(getattr(default, key), mz.Schedule):
             kw[key] = _sched(spec[key], kpath)
         else:
-            try:
-                kw[key] = _CONVERT.get(key, float)(spec[key])
-            except (TypeError, ValueError, OverflowError) as e:
-                raise SchemaError(kpath, str(e)) from e
-    return cls(**kw)
+            kw[key] = _convert(spec[key], _CONVERT.get(key, float), kpath)
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise SchemaError(path, str(e)) from e
 
 
 def validate_config(cfg: dict) -> None:
@@ -448,10 +465,8 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
     validate_config(cfg)
     sweep = _require(cfg, "sweep", "config")
     _check_keys(sweep, {"alphas", "rhos"}, "config.sweep")
-    alphas = [float(a) for a in _require(sweep, "alphas", "config.sweep")]
-    rhos = [float(r) for r in _require(sweep, "rhos", "config.sweep")]
-    if not alphas or not rhos:
-        raise SchemaError("config.sweep", "grid must be nonempty")
+    alphas = _numbers(_require(sweep, "alphas", "config.sweep"), "config.sweep.alphas")
+    rhos = _numbers(_require(sweep, "rhos", "config.sweep"), "config.sweep.rhos")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kind, obj, K = build_problem(_require(cfg, "problem", "config"))
@@ -538,36 +553,38 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
     checks = _require(cfg, "verify", "config")
     _check_keys(checks, {"checks"}, "config.verify")
     kind, obj, K = build_problem(spec)
+    dim = obj.dim if kind == "minimize" else obj.f.dim
+    config_seed = _convert(cfg.get("seed", 0), int, "config.seed")
     reports = []
     for i, c in enumerate(_require(checks, "checks", "config.verify")):
         path = f"config.verify.checks[{i}]"
         _check_keys(c, _CHECK_KEYS, path)
         name = _require(c, "check", path)
-        seed = int(c.get("seed", cfg.get("seed", 0)))
-        radius = c.get("radius")
-        n = int(c.get("n", 2000))
+        seed, n = _number(c, "seed", path, int, config_seed), _number(c, "n", path, int, 2000)
+        if n < 0:
+            raise SchemaError(f"{path}.n", f"must be nonnegative, got {n}")
+        radius, gamma, lip = (_number(c, key, path) for key in ("radius", "gamma", "lip"))
+        beta = _number(c, "beta", path, default=1.0)
+        radii = _numbers(c.get("radii", [10.0, 100.0]), f"{path}.radii", at_least=2)
+        xbar, z = _point(c, "xbar", dim, path), _point(c, "z", dim, path)
         if name not in _UNSAMPLED_CHECKS and radius is None and not K.is_bounded:
             raise SchemaError(path, f"missing required key 'radius' (needed to sample the {K.kind} set)")
         if kind == "minimize":
             h = obj
             if name == "sqc":
-                rep = verify.check_sqc_sampled(h, K, c.get("gamma"), n, seed, radius)
+                rep = verify.check_sqc_sampled(h, K, gamma, n, seed, radius)
             elif name == "modulus":
                 rep = verify.estimate_modulus(h, K, n, seed, radius)
             elif name == "supercoercive":
-                rep = verify.check_supercoercive(h, c.get("radii", [10.0, 100.0]), seed=seed)
+                rep = verify.check_supercoercive(h, radii, seed=seed)
             elif name == "growth":
-                rep = verify.check_quadratic_growth(h, K, c.get("xbar"), c.get("gamma"),
-                                                    n, seed, radius)
+                rep = verify.check_quadratic_growth(h, K, xbar, gamma, n, seed, radius)
             elif name == "foc":
-                rep = verify.check_foc(h, K, c.get("gamma"), n, seed, radius)
+                rep = verify.check_foc(h, K, gamma, n, seed, radius)
             elif name == "pl":
-                rep = verify.check_pl(h, K, c.get("xbar"), c.get("gamma"), c.get("lip"),
-                                      n, seed, radius)
+                rep = verify.check_pl(h, K, xbar, gamma, lip, n, seed, radius)
             elif name == "subdiff":
-                rep = verify.subdiff_member(h, K, c.get("xbar"), c.get("z"),
-                                            float(c.get("beta", 1.0)), c.get("gamma"),
-                                            n, seed, radius)
+                rep = verify.subdiff_member(h, K, xbar, z, beta, gamma, n, seed, radius)
             elif name == "grad":
                 pts = K.sample(seed, min(n, 100), radius)
                 rep = verify.grad_check(h, pts)
@@ -599,15 +616,24 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
         raise SchemaError("config.problem", "dynamics needs an objective problem")
     spec = _require(cfg, "dynamics", "config")
     _check_keys(spec, {"system", "x0", "v0", "T", "dt", "damping"}, "config.dynamics")
-    system = _require(spec, "system", "config.dynamics")
-    x0 = spec.get("x0", [0.0] * h.dim)
-    T, dt = float(_require(spec, "T", "config.dynamics")), float(_require(spec, "dt", "config.dynamics"))
+    path = "config.dynamics"
+    system = _require(spec, "system", path)
+    T = _convert(_require(spec, "T", path), float, path + ".T")
+    dt = _convert(_require(spec, "dt", path), float, path + ".dt")
+    if not dt > 0:
+        raise SchemaError(path + ".dt", f"must be positive, got {dt}")
+    if not dt <= T < np.inf:
+        raise SchemaError(path + ".T", f"must be finite and at least dt = {dt}, got {T}")
+    damping = _number(spec, "damping", path, default=0.0)
+    if not damping >= 0:
+        raise SchemaError(path + ".damping", f"must be nonnegative, got {damping}")
+    x0, v0 = (np.zeros(h.dim) if key not in spec else _point(spec, key, h.dim, path)
+              for key in ("x0", "v0"))
     if system == "ds1":
         traj = integrate_ds1(h, None, x0, T, dt)
         speed = np.linalg.norm(h.grad_many(traj.states), axis=-1)
     elif system in ("ds2", "ds2_undamped"):
-        damping = float(spec.get("damping", 0.0)) if system == "ds2" else 0.0
-        traj = integrate_ds2(h, damping, x0, spec.get("v0", [0.0] * h.dim), T, dt)
+        traj = integrate_ds2(h, damping if system == "ds2" else 0.0, x0, v0, T, dt)
         speed = np.linalg.norm(traj.velocities, axis=-1)
     else:
         raise SchemaError("config.dynamics.system", f"unknown system {system!r}")

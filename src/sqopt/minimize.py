@@ -8,6 +8,9 @@ convergence-theorem regimes: violating a hard invariant raises, while leaving a
 convergence-safe regime only flags the run as unguarded (so divergence
 phenomena stay reproducible).
 
+``_RunParams`` holds, and range-checks on construction, the run parameters
+of every variant here and in ``equilibrium``; a ``Schedule`` is positive.
+
 Sign convention: descent steps use ``-grad h`` everywhere.  Stopping replaces
 the exact equality tests of the underlying schemes by ``residual <= stop_tol``;
 an exactly zero residual still terminates as ``exact_fixed_point``.  Every
@@ -27,27 +30,34 @@ import numpy as np
 
 from .functions import BregmanFunction, Objective, bregman_catalog
 from .geometry import AffineSubspace, FeasibleSet, FullSpace, as_point
-from .prox import GlobalSolveConfig, bregman_prox, prox
+from .prox import GlobalSolveConfig, bregman_prox, check_search_radius, prox
 
 DIVERGENCE_GUARD = 1e6
+SPOTCHECK_EVERY = 100  # SUBGRAD checks its oracle's output at every this-many iterations
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Scalar sequence: constant, 1/(k+1)-scaled, or an explicit list."""
+    """Scalar sequence, every value ``> 0``: constant, 1/(k+1)-scaled, or a list."""
 
     kind: str
     value: float = 0.0
     values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "inv_k", "list"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.kind == "list" and not self.values:
+            raise ValueError("a list schedule needs at least one value")
+        if not all(v > 0 for v in (self.values if self.kind == "list" else (self.value,))):
+            raise ValueError("schedule values must be positive")
 
     def at(self, k: int) -> float:
         if self.kind == "constant":
             return self.value
         if self.kind == "inv_k":
             return self.value / (k + 1)
-        if self.kind == "list":
-            return self.values[k] if k < len(self.values) else self.values[-1]
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        return self.values[min(k, len(self.values) - 1)]
 
     @staticmethod
     def constant(v: float) -> "Schedule":
@@ -59,10 +69,7 @@ class Schedule:
 
     @staticmethod
     def explicit(vals) -> "Schedule":
-        values = tuple(float(v) for v in vals)
-        if not values:
-            raise ValueError("a list schedule needs at least one value")
-        return Schedule("list", 0.0, values)
+        return Schedule("list", 0.0, tuple(float(v) for v in vals))
 
     @staticmethod
     def from_spec(spec) -> "Schedule":
@@ -71,17 +78,36 @@ class Schedule:
         if isinstance(spec, (int, float)):
             return Schedule.constant(spec)
         kind = spec["kind"]
-        if kind == "constant":
-            return Schedule.constant(spec["value"])
-        if kind == "inv_k":
-            return Schedule.inv_k(spec["value"])
         if kind == "list":
             return Schedule.explicit(spec["values"])
-        raise ValueError(f"unknown schedule kind {kind!r}")
+        return Schedule(kind, float(spec["value"]))
 
 
-class _SolveCfg:
-    """``solve_cfg()``: ``prox_cfg``, given ``search_radius`` when it has no radius."""
+@dataclass
+class _RunParams:
+    """The fields every variant's parameter bag shares; ``alpha`` and ``rho`` are constants.
+
+    ``solve_cfg()`` is ``prox_cfg``, given ``search_radius`` when it has none.
+    """
+
+    alpha: float = 0.0  # inertial parameter / cap
+    rho_lo: float = 1.0
+    rho_hi: float = 1.0
+    stop_tol: float = 1e-8
+    max_iters: int = 100_000
+    prox_cfg: GlobalSolveConfig = field(default_factory=GlobalSolveConfig)
+    search_radius: float | None = None
+
+    def __post_init__(self):
+        if not self.stop_tol >= 0:
+            raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
+        if not self.max_iters >= 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        check_search_radius(self.search_radius)
+
+    @property
+    def rho(self) -> float:
+        return 0.5 * (self.rho_lo + self.rho_hi)
 
     def solve_cfg(self) -> GlobalSolveConfig:
         if self.search_radius is not None and self.prox_cfg.search_radius is None:
@@ -90,42 +116,17 @@ class _SolveCfg:
 
 
 @dataclass
-class MinParams(_SolveCfg):
-    """Parameter bag shared by the minimization variants."""
+class MinParams(_RunParams):
+    """Parameter bag of the minimization variants."""
 
     variant: str = "PPA"
     c: Schedule = field(default_factory=lambda: Schedule.constant(1.0))  # prox parameter
-    alpha: float = 0.0  # inertial cap
-    alpha_sched: Schedule | None = None  # defaults to the constant cap
-    rho_lo: float = 1.0
-    rho_hi: float = 1.0
-    rho_sched: Schedule | None = None  # defaults to the midpoint
     steps: Schedule = field(default_factory=lambda: Schedule.constant(0.1))  # step sizes
     beta: float = 1.0  # strong-subdifferential parameter
     theta: float = 0.5  # heavy-ball momentum
     hb_eta: float = 0.1  # heavy-ball eta (step is eta^2)
     eta_min: float = 0.0  # inertial method lower step bound
     psi: Callable[[int], np.ndarray] | None = None  # summable perturbations
-    stop_tol: float = 1e-8
-    max_iters: int = 100_000
-    prox_cfg: GlobalSolveConfig = field(default_factory=GlobalSolveConfig)
-    search_radius: float | None = None
-    spotcheck_every: int = 100
-
-    def alpha_at(self, k: int) -> float:
-        a = self.alpha if self.alpha_sched is None else self.alpha_sched.at(k)
-        if not 0.0 <= a <= self.alpha + 1e-15:
-            raise ValueError(f"alpha_k={a} leaves [0, alpha={self.alpha}]")
-        return a
-
-    def rho_at(self, k: int) -> float:
-        if self.rho_sched is not None:
-            r = self.rho_sched.at(k)
-        else:
-            r = 0.5 * (self.rho_lo + self.rho_hi)
-        if not self.rho_lo - 1e-15 <= r <= self.rho_hi + 1e-15:
-            raise ValueError(f"rho_k={r} leaves [{self.rho_lo}, {self.rho_hi}]")
-        return r
 
 
 @dataclass
@@ -247,29 +248,25 @@ def _drive(rec: _Recorder, p, step, guard: bool = False) -> str:
     return "max_iters"
 
 
-def _run_proximal(rec: _Recorder, p, prox_at, notes, alpha_at=None, rho_at=None) -> IterationTrace:
+def _run_proximal(rec: _Recorder, p, prox_at, notes, alpha=0.0, rho=1.0) -> IterationTrace:
     """The proximal point iteration, from the recorder's first state.
 
-    Extrapolate ``y = x + alpha_k (x - x_prev)``, take the proximal step
+    Extrapolate ``y = x + alpha (x - x_prev)``, take the proximal step
     ``z = prox_at(k, y)`` (a ProxResult), stop when ``||z - y|| <= stop_tol``,
-    otherwise relax ``x_next = (1 - rho_k) y + rho_k z``.  Without
-    ``alpha_at``/``rho_at``, alpha_k = 0 and rho_k = 1.  The extras sum the
-    inertial summands ``alpha_k ||x - x_prev||^2``, all and the last quarter.
+    otherwise relax ``x_next = (1 - rho) y + rho z``.  The inertia ``alpha``
+    and the relaxation ``rho`` are constants.  The extras sum the inertial
+    summands ``alpha ||x - x_prev||^2``, all and the last quarter.
     """
-    alpha_at = alpha_at or (lambda k: 0.0)
-    rho_at = rho_at or (lambda k: 1.0)
     x = x_prev = rec.states[0]
     summands = []
 
     def step(k):
         nonlocal x, x_prev
-        a_k = alpha_at(k)
-        y = x + a_k * (x - x_prev)
+        y = x + alpha * (x - x_prev)
         z = rec.took(prox_at(k, y))
-        summands.append(a_k * float(np.sum((x - x_prev) ** 2)))
+        summands.append(alpha * float(np.sum((x - x_prev) ** 2)))
         yield float(np.linalg.norm(z - y)), z
-        rho_k = rho_at(k)
-        x_prev, x = x, (1.0 - rho_k) * y + rho_k * z
+        x_prev, x = x, (1.0 - rho) * y + rho * z
         yield x, None
 
     end = _drive(rec, p, step)
@@ -280,12 +277,6 @@ def _run_proximal(rec: _Recorder, p, prox_at, notes, alpha_at=None, rho_at=None)
 
 def _is_affine(K: FeasibleSet) -> bool:
     return isinstance(K, (FullSpace, AffineSubspace))
-
-
-def _schedule_positive(s: Schedule, label: str):
-    probe = [s.at(k) for k in (0, 1, 10, 1000)]
-    if any(v <= 0 for v in probe):
-        raise ValueError(f"{label} must stay positive")
 
 
 def rippa_rho_upper(beta_hat: float, rho_lo: float) -> float:
@@ -299,7 +290,7 @@ def default_rippa_params(gamma: float, alpha_target: float, rho_lo: float, **kw)
     """Guarded relaxed-inertial parameters for a given inertial target.
 
     Uses ``beta_hat = (1 + alpha_target)/2`` and the summability relaxation
-    ceiling; the relaxation schedule is the midpoint of its admissible range.
+    ceiling; the relaxation is the midpoint of its admissible range.
     Raises when the ceiling does not exceed ``rho_lo`` (lower the target).
     """
     if not 0.0 <= alpha_target < 1.0:
@@ -315,10 +306,8 @@ def default_rippa_params(gamma: float, alpha_target: float, rho_lo: float, **kw)
     return MinParams(
         variant="RIPPA",
         alpha=alpha_target,
-        alpha_sched=Schedule.constant(alpha_target),
         rho_lo=rho_lo,
         rho_hi=rho_hi,
-        rho_sched=Schedule.constant(0.5 * (rho_lo + rho_hi)),
         **kw,
     )
 
@@ -339,7 +328,6 @@ def _relaxed_inertial_notes(name: str, p, K: FeasibleSet) -> list[str]:
 
 def validate_rippa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
     notes = _relaxed_inertial_notes("RIPPA", p, K)
-    _schedule_positive(p.c, "c_k")
     if p.alpha > 0.0:
         ceiling = rippa_rho_upper(0.5 * (1.0 + p.alpha), p.rho_lo)
         if p.rho_hi > ceiling + 1e-12:
@@ -358,17 +346,16 @@ def run_rippa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> Iteratio
     cfg = p.solve_cfg()
     rec = _Recorder(h.value, as_point(x0, h.dim))
     prox_at = lambda k, y: prox(h, K, p.c.at(k), y, cfg)
-    return _run_proximal(rec, p, prox_at, notes, p.alpha_at, p.rho_at)
+    return _run_proximal(rec, p, prox_at, notes, p.alpha, p.rho)
 
 
 def run_ppa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> IterationTrace:
     """Proximal point method: the alpha = 0, rho = 1 degeneracy of run_rippa."""
-    q = replace(p, variant="PPA", alpha=0.0, alpha_sched=None, rho_lo=1.0, rho_hi=1.0, rho_sched=None)
+    q = replace(p, variant="PPA", alpha=0.0, rho_lo=1.0, rho_hi=1.0)
     return run_rippa(h, K, q, x0)
 
 
 def validate_bppa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
-    _schedule_positive(p.c, "c_k")
     return ["objective declares no positive modulus"] if h.modulus <= 0 else []
 
 
@@ -412,10 +399,9 @@ def _subgradient_bound(h: Objective, p: MinParams) -> float:
 def validate_subgradient(h: Objective, K: FeasibleSet, p: MinParams, oracle=None) -> list[str]:
     if oracle is None and h.grad is None:
         raise ValueError("SUBGRAD needs an oracle or a differentiable objective")
-    if p.beta <= 0:
+    if not p.beta > 0:
         raise ValueError("beta must be positive")
     bound = _subgradient_bound(h, p)
-    _schedule_positive(p.steps, "step schedule")
     if p.steps.at(0) >= bound:
         raise ValueError(f"step schedule must stay below 1/(gamma beta) = {bound:.6g}")
     if p.steps.kind == "constant":
@@ -435,7 +421,7 @@ def run_subgradient(
     The default oracle returns the gradient (a strong sublevel-subgradient
     with beta = 1 for differentiable objectives); each oracle output is
     spot-checked against the sublevel membership inequality every
-    ``spotcheck_every`` iterations and the run aborts on a witnessed failure.
+    ``SPOTCHECK_EVERY`` iterations and the run aborts on a witnessed failure.
     """
     from . import verify  # local import: verify depends on functions only
 
@@ -451,7 +437,7 @@ def run_subgradient(
         xi = np.asarray(oracle(x), dtype=float)
         rec.prox_evals += 1
         nrm = float(np.linalg.norm(xi))
-        if p.spotcheck_every and k % p.spotcheck_every == 0 and nrm > 0:
+        if k % SPOTCHECK_EVERY == 0 and nrm > 0:
             rep = verify.subdiff_member(
                 h,
                 K,
@@ -493,7 +479,6 @@ def _gradient_norm(rec: _Recorder, h: Objective, x) -> tuple[np.ndarray, float]:
 def validate_gradient(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
     if h.grad is None:
         raise ValueError("GRAD needs a differentiable objective")
-    _schedule_positive(p.steps, "step schedule")
     if not (h.lip_grad and h.modulus > 0):
         return ["missing modulus or Lipschitz constant: step bound unverified"]
     cap = min(h.modulus / h.lip_grad**2, 2.0 / h.lip_grad)
@@ -524,7 +509,7 @@ def validate_heavy_ball(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]
         raise ValueError("HEAVY_BALL needs a differentiable objective")
     if not 0.0 < p.theta < 1.0:
         raise ValueError("HEAVY_BALL requires theta in (0, 1)")
-    if p.hb_eta <= 0:
+    if not p.hb_eta > 0:
         raise ValueError("HEAVY_BALL requires eta > 0")
     if not h.lip_grad:
         return ["missing Lipschitz constant: eta window unverified"]
@@ -554,9 +539,8 @@ def run_heavy_ball(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
 def validate_inertial_gm(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
     if h.grad is None:
         raise ValueError("INERTIAL_GM needs a differentiable objective")
-    if p.eta_min <= 0:
+    if not p.eta_min > 0:
         raise ValueError("INERTIAL_GM requires a positive step lower bound eta_min")
-    _schedule_positive(p.steps, "step schedule")
     return []
 
 

@@ -48,26 +48,35 @@ ARMIJO_C = 1e-4
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+def check_search_radius(r: float | None):
+    """A search radius bounds an unbounded set: absent, or positive and finite."""
+    if r is not None and not 0.0 < r < np.inf:
+        raise ValueError(f"search_radius must be positive and finite, got {r}")
+
+
 @dataclass(frozen=True)
 class GlobalSolveConfig:
-    """Multistart configuration; identical config + inputs give identical output."""
+    """Multistart configuration; identical config + inputs give identical output.
+
+    The starts are a grid or a Halton set, so there is no seed.  NaN fails every check.
+    """
 
     n_starts: int = 64
     grid_density: int = 10_000
     local_tol: float = 1e-9
     max_local_iters: int = 400
-    seed: int = 0
     search_radius: float | None = None
 
     def __post_init__(self):
-        if self.n_starts < 1:
+        if not self.n_starts >= 1:
             raise ValueError("n_starts must be at least 1")
-        if self.grid_density < 1:
+        if not self.grid_density >= 1:
             raise ValueError("grid_density must be at least 1")
-        if self.max_local_iters < 0:
+        if not self.max_local_iters >= 0:
             raise ValueError("max_local_iters must be nonnegative")
-        if self.local_tol <= 0:
+        if not self.local_tol > 0:
             raise ValueError("local_tol must be positive")
+        check_search_radius(self.search_radius)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from sqopt.harness import (
     sweep_compare,
     validate_config,
 )
-from sqopt.minimize import IterationTrace
+from sqopt.equilibrium import EpParams
+from sqopt.harness import _COMMON_KEYS, _RUN_ARGS, _SOLVE_KEYS
+from sqopt.minimize import IterationTrace, MinParams
+from sqopt.prox import GlobalSolveConfig
 
 
 def minimal_ppa_config(**algo_extra):
@@ -479,17 +483,15 @@ def test_cli_every_variant_at_zero_iterations_hits_the_cap(tmp_path, variant):
 
 
 # one hard-range violation per variant whose validator rejects some config;
-# each of these but RIPPA's exited 3 as a guard abort before
+# each of these but RIPPA's exited 3 as a guard abort before.  PPA, BPPA, GRAD
+# and REG_EP reject only a nonpositive schedule, which Schedule itself now
+# rejects: those cases are in MALFORMED_VALUES
 HARD_RANGE_VIOLATIONS = {
-    "PPA": {"c": -0.5},
     "RIPPA": {"alpha": 1.0},
-    "BPPA": {"c": 0.0},
     "SUBGRAD": {"beta": 0.0},
-    "GRAD": {"steps": -0.1},
     "HEAVY_BALL": {"hb_eta": 0.0},
     "INERTIAL_GM": {"eta_min": 0.0},
     "RIPPA_EP": {"alpha": 1.0},
-    "REG_EP": {"beta": -1.0},
     "IEPPA_EP": {"alpha": 1.0},
     "TWO_PPA_EP": {"epsilon": 0.0},
     "EG_EP": {"ls_alpha": 1.0},
@@ -506,9 +508,29 @@ def test_cli_validator_violation_is_schema_error(tmp_path, capsys, variant):
     assert err.startswith("schema error: algorithm: ") and "\n" not in err
 
 
-# malformed values under one algorithm key; before, six of these ended in a
-# traceback, three aborted with exit 3 and three ran (the unknown bregman key,
-# max_local_iters -1, an infinite seed)
+# NaN under a key whose validator requires it positive; each of these ran
+# (SUBGRAD and HEAVY_BALL then exited 3, INERTIAL_GM 2, TWO_PPA_EP 0)
+NAN_HARD_RANGES = [("SUBGRAD", "beta"), ("HEAVY_BALL", "hb_eta"),
+                   ("INERTIAL_GM", "eta_min"), ("TWO_PPA_EP", "epsilon")]
+
+
+@pytest.mark.parametrize("variant, key", NAN_HARD_RANGES)
+def test_cli_nan_hard_range_is_schema_error(tmp_path, capsys, variant, key):
+    path = write_cfg(tmp_path, variant_config(variant, **{key: float("nan")}))
+    command = "solve-ep" if VARIANTS[variant].kind == "ep" else "minimize"
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: algorithm: ") and "\n" not in err
+
+
+# malformed values under one algorithm key; before, six of the first twelve
+# ended in a traceback, three aborted with exit 3 and three ran (the unknown
+# bregman key, max_local_iters -1, an infinite prox seed; ``prox.seed`` is now
+# an unknown key, since the global solver draws no random numbers).  Of the
+# rest, the nonpositive schedules were validator errors (exit 1); beta -1 on
+# RIPPA_EP, IEPPA_EP and TWO_PPA_EP, and NaN c or beta, aborted at the first
+# prox with exit 3; prox.local_tol NaN and a negative search_radius ran;
+# stop_tol NaN was accepted and max_iters -5 hit the cap with exit 2
 MALFORMED_VALUES = [
     ("BPPA", {"bregman": {}}),
     ("BPPA", {"bregman": "neg_entropy"}),
@@ -522,15 +544,96 @@ MALFORMED_VALUES = [
     ("PPA", {"prox": {"grid_density": -3}}),
     ("PPA", {"prox": {"seed": float("inf")}}),
     ("PPA", {"max_iters": float("inf")}),
+    ("PPA", {"c": -0.5}),
+    ("BPPA", {"c": 0.0}),
+    ("GRAD", {"steps": -0.1}),
+    ("REG_EP", {"beta": -1.0}),
+    ("RIPPA_EP", {"beta": -1}),
+    ("IEPPA_EP", {"beta": -1}),
+    ("TWO_PPA_EP", {"beta": -1}),
+    ("RIPPA_EP", {"beta": float("nan")}),
+    ("PPA", {"c": float("nan")}),
+    ("PPA", {"c": {"kind": "list", "values": [1.0, 0.0]}}),
+    ("PPA", {"prox": {"seed": 123}}),
+    ("PPA", {"prox": {"local_tol": float("nan")}}),
+    ("PPA", {"prox": {"search_radius": -1.0}}),
+    ("PPA", {"search_radius": -1.0}),
+    ("PPA", {"stop_tol": float("nan")}),
+    ("PPA", {"max_iters": -5}),
 ]
 
 
 @pytest.mark.parametrize("variant, algo", MALFORMED_VALUES)
 def test_cli_malformed_algorithm_value_is_schema_error(tmp_path, capsys, variant, algo):
     path = write_cfg(tmp_path, variant_config(variant, **algo))
-    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    command = "solve-ep" if VARIANTS[variant].kind == "ep" else "minimize"
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err.strip()
-    assert err.startswith(f"schema error: algorithm.{next(iter(algo))}") and "\n" not in err
+    # the key is in the path, or, for a range the parameter bag rejects on
+    # construction, the first word of the message
+    key = next(iter(algo))
+    assert err.startswith((f"schema error: algorithm.{key}", f"schema error: algorithm: {key} "))
+    assert "\n" not in err
+
+
+def test_every_parameter_field_is_reached_by_a_config_key():
+    """No knob that no config sets: each accepted key is a bag field and back."""
+    reached = {MinParams: set(), EpParams: set()}
+    for name, entry in VARIANTS.items():
+        cls = MinParams if entry.kind == "minimize" else EpParams
+        names = {f.name for f in fields(cls)}
+        for key in (_COMMON_KEYS | entry.keys) - _RUN_ARGS:
+            field_name = "prox_cfg" if key == "prox" else key
+            assert field_name in names, f"{name} accepts {key!r}, which is no {cls.__name__} field"
+            reached[cls].add(field_name)
+    # psi (summable perturbations of GRAD) is a callable, set only from Python
+    assert {f.name for f in fields(MinParams)} - reached[MinParams] == {"psi"}
+    assert {f.name for f in fields(EpParams)} - reached[EpParams] == set()
+    assert set(_SOLVE_KEYS) == {f.name for f in fields(GlobalSolveConfig)}
+
+
+def _sweep_cfg(**sweep):
+    return {**minimal_ppa_config(), "sweep": {"alphas": [0.1], "rhos": [1.0], **sweep}}
+
+
+def _verify_cfg(**check):
+    cfg = variant_config("PPA")
+    del cfg["algorithm"]
+    return {**cfg, "verify": {"checks": [{"check": "sqc", "n": 10, **check}]}}
+
+
+def _dynamics_cfg(**dyn):
+    cfg = variant_config("PPA")
+    del cfg["algorithm"]
+    return {**cfg, "dynamics": {"system": "ds1", "x0": [0.5], "T": 1.0, "dt": 0.01, **dyn}}
+
+
+# values under sweep, verify and dynamics that fail before any work starts;
+# radii 5 and alphas 0.1 ended in a traceback, the others aborted with exit 3
+SECTION_VALUES = [
+    ("sweep", _sweep_cfg(alphas=0.1), "config.sweep.alphas"),
+    ("sweep", _sweep_cfg(alphas=["x"]), "config.sweep.alphas[0]"),
+    ("sweep", _sweep_cfg(rhos="x"), "config.sweep.rhos"),
+    ("verify", _verify_cfg(check="supercoercive", radii=5), "config.verify.checks[0].radii"),
+    ("verify", _verify_cfg(n="x"), "config.verify.checks[0].n"),
+    ("verify", _verify_cfg(n=-3), "config.verify.checks[0].n"),
+    ("verify", _verify_cfg(gamma="x"), "config.verify.checks[0].gamma"),
+    ("verify", _verify_cfg(check="growth", xbar=[0.0, 0.0]), "config.verify.checks[0].xbar"),
+    ("dynamics", _dynamics_cfg(T="x"), "config.dynamics.T"),
+    ("dynamics", _dynamics_cfg(system="ds2", damping="x"), "config.dynamics.damping"),
+    ("dynamics", _dynamics_cfg(dt=0), "config.dynamics.dt"),
+    ("dynamics", _dynamics_cfg(x0=[0.5, 0.5]), "config.dynamics.x0"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, field_path", SECTION_VALUES,
+                         ids=[field_path for _, _, field_path in SECTION_VALUES])
+def test_cli_bad_section_value_is_schema_error(tmp_path, capsys, command, cfg, field_path):
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {field_path}: ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_ep_sweep_from_rippa_ep_drops_its_keys_in_the_baseline(tmp_path, capsys):

@@ -46,8 +46,7 @@ def test_default_rippa_params():
     expected_hi = rippa_rho_upper(beta_hat, 0.2)
     assert p.rho_hi == pytest.approx(expected_hi)
     assert p.rho_lo < p.rho_hi < 2.0
-    assert p.rho_at(0) == pytest.approx(0.5 * (0.2 + expected_hi))
-    assert 0.0 <= p.alpha_at(3) <= p.alpha
+    assert p.rho == pytest.approx(0.5 * (0.2 + expected_hi))
 
 
 def test_default_rippa_params_rejects_tight_ceiling():
