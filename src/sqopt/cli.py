@@ -9,7 +9,9 @@ Exit codes:
      range a variant's validator rejects before the first iteration)
   2  iteration cap reached without convergence
   3  guard abort during a run
-Every nonzero exit writes one diagnostic line to stderr.
+Every nonzero exit writes one diagnostic line to stderr; a minimize or
+solve-ep run that ends at its cap or diverges still prints its summary on
+stdout.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ from .harness import (
 def _load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def _end_line(summary) -> str:
+    """The stderr line of a run that did not converge."""
+    if summary.terminated_by == "max_iters":
+        return (f"stopped: max_iters reached after {summary.iterations} iterations, "
+                f"residual {summary.final_residual:.6g}")
+    return f"aborted: {summary.terminated_by} at iteration {summary.iterations}"
 
 
 class _UsageError(Exception):
@@ -77,6 +87,8 @@ def main(argv=None) -> int:
         if args.command in ("minimize", "solve-ep"):
             summary, code, paths = run_from_config(cfg, args.out)
             print(summary.to_json())
+            if code != EXIT_OK:
+                print(_end_line(summary), file=sys.stderr)
             return code
         if args.command == "verify":
             reports = run_verify(cfg, args.out)

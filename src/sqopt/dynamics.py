@@ -7,6 +7,18 @@ second-order flows are ``u'' + a u' + grad h(u) = 0`` (viscous damping
 ``a >= 0``); descent signs throughout.  A state that turns non-finite or
 whose norm passes the discrete methods' ``DIVERGENCE_GUARD`` aborts the
 integration with ``FloatingPointError``.
+
+A step costs little beyond its arithmetic.  Each integration builds its field
+once; the field calls ``h.grad`` on the lone stage point, exactly as
+``Objective.grad_at`` does but without re-validating it (``x0``/``v0`` are
+validated once, at entry; a one-row batch could round differently where
+NumPy vectorizes a power).  The guard is one scalar test per step,
+``z.dot(z) <= DIVERGENCE_GUARD**2``, which a non-finite state fails, and so
+does any state whose norm ``sqrt(z.dot(z))`` passes the guard; a state that
+fails it gets the exact finiteness and norm checks, so runs abort exactly
+where a full check at every step would.  A non-finite stage point makes the
+step's state non-finite, and the arithmetic's floating-point warnings are
+silenced: the guard reports such a state.
 """
 
 from __future__ import annotations
@@ -34,6 +46,16 @@ class Trajectory:
         return self.states[-1]
 
 
+def _check_state(z: np.ndarray, t) -> None:
+    """The exact per-step guard: raises on a non-finite state or one past DIVERGENCE_GUARD."""
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError(f"non-finite state at t={t:.6g}")
+    if np.linalg.norm(z) > DIVERGENCE_GUARD:
+        raise FloatingPointError(
+            f"diverged: state norm exceeds {DIVERGENCE_GUARD:.0e} at t={t:.6g}"
+        )
+
+
 def _rk4(field, z0: np.ndarray, T: float, dt: float):
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
@@ -42,20 +64,22 @@ def _rk4(field, z0: np.ndarray, T: float, dt: float):
     out = np.empty((n_steps + 1, z0.shape[0]))
     out[0] = z0
     z = z0.copy()
-    for i in range(n_steps):
-        t = times[i]
-        k1 = field(t, z)
-        k2 = field(t + 0.5 * dt, z + 0.5 * dt * k1)
-        k3 = field(t + 0.5 * dt, z + 0.5 * dt * k2)
-        k4 = field(t + dt, z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(f"non-finite state at t={t + dt:.6g}")
-        if np.linalg.norm(z) > DIVERGENCE_GUARD:
-            raise FloatingPointError(
-                f"diverged: state norm exceeds {DIVERGENCE_GUARD:.0e} at t={t + dt:.6g}"
-            )
-        out[i + 1] = z
+    h2, h6 = 0.5 * dt, dt / 6.0
+    # np.linalg.norm(z) is sqrt(z.dot(z)), and sqrt is monotone, so a state
+    # passing this test passes the exact check; NaN and inf fail it
+    bound = DIVERGENCE_GUARD**2
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            t = times[i]
+            k1 = field(t, z)
+            tm = t + h2
+            k2 = field(tm, z + h2 * k1)
+            k3 = field(tm, z + h2 * k2)
+            k4 = field(t + dt, z + dt * k3)
+            z = z + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not z.dot(z) <= bound:
+                _check_state(z, t + dt)
+            out[i + 1] = z
     return times, out
 
 
@@ -64,11 +88,12 @@ def integrate_ds1(h: Objective, psi, x0, T: float, dt: float) -> Trajectory:
     if h.grad is None:
         raise ValueError("integrate_ds1 needs a differentiable objective")
     x0 = as_point(x0, h.dim)
+    grad = h.grad
 
     if psi is None:
-        field_fn = lambda t, u: -h.grad_at(u)
+        field_fn = lambda t, u: -grad(u)
     else:
-        field_fn = lambda t, u: -h.grad_at(u) + np.asarray(psi(t), dtype=float)
+        field_fn = lambda t, u: -grad(u) + np.asarray(psi(t), dtype=float)
     times, states = _rk4(field_fn, x0, T, dt)
     return Trajectory(times, states, h.value_many(states))
 
@@ -82,10 +107,14 @@ def integrate_ds2(h: Objective, damping: float, x0, v0, T: float, dt: float) -> 
     x0 = as_point(x0, h.dim)
     v0 = as_point(v0, h.dim)
     n = h.dim
+    grad = h.grad
 
     def field_fn(t, z):
-        u, v = z[:n], z[n:]
-        return np.concatenate([v, -damping * v - h.grad_at(u)])
+        v = z[n:]
+        dz = np.empty(2 * n)
+        dz[:n] = v
+        dz[n:] = -damping * v - grad(z[:n])
+        return dz
 
     times, Z = _rk4(field_fn, np.concatenate([x0, v0]), T, dt)
     states, vel = Z[:, :n], Z[:, n:]

@@ -26,8 +26,8 @@ import numpy as np
 
 from .functions import Bifunction
 from .geometry import FeasibleSet, as_point
-from .minimize import (IterationTrace, Schedule, _drive, _Recorder, _relaxed_inertial_notes,
-                       _run_proximal, _RunParams)
+from .minimize import (IterationTrace, ParamError, Schedule, _drive, _Recorder,
+                       _relaxed_inertial_notes, _run_proximal, _RunParams)
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
 from .verify import (
     CheckReport,
@@ -53,6 +53,13 @@ class EpParams(_RunParams):
     epsilon: float = 1e-3  # two-step interval margin
     inner_max: int = 1000  # nested solve iteration cap
     policy: str = "corrected"  # corrected | strict
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.inner_max >= 1:
+            raise ParamError("inner_max", f"must be at least 1, got {self.inner_max}")
+        if self.policy not in ("corrected", "strict"):
+            raise ParamError("policy", f"must be 'corrected' or 'strict', got {self.policy!r}")
 
 
 @dataclass

@@ -193,7 +193,7 @@ def _neg_quad() -> Objective:
         domain=box1d(0.0, 1.0),
         modulus=NEG_QUAD_MODULUS,
         fn=lambda X: -X[..., 0] ** 2 - X[..., 0],
-        grad=lambda X: np.stack([-2.0 * X[..., 0] - 1.0], axis=-1),
+        grad=lambda X: (-2.0 * X[..., 0] - 1.0)[..., None],
         lip_grad=2.0,
         known_min=(np.array([1.0]), -2.0),
     )
@@ -210,7 +210,7 @@ def _gauss_well(c: float = 1.0, d: float = 1.0, delta: float = 1.0) -> Objective
         domain=box1d(-delta, delta),
         modulus=d * np.exp(-(delta**2)),
         fn=lambda X: c - d * np.exp(-(X[..., 0] ** 2)),
-        grad=lambda X: np.stack([2.0 * d * X[..., 0] * np.exp(-(X[..., 0] ** 2))], axis=-1),
+        grad=lambda X: (2.0 * d * X[..., 0] * np.exp(-(X[..., 0] ** 2)))[..., None],
         lip_grad=2.0 * d,
         known_min=(np.array([0.0]), c - d),
     )
@@ -224,7 +224,7 @@ def _sin_quad() -> Objective:
         domain=FullSpace(1),
         modulus=SIN_QUAD_MODULUS,
         fn=lambda X: X[..., 0] ** 2 + 3.0 * np.sin(X[..., 0]) ** 2,
-        grad=lambda X: np.stack([2.0 * X[..., 0] + 3.0 * np.sin(2.0 * X[..., 0])], axis=-1),
+        grad=lambda X: (2.0 * X[..., 0] + 3.0 * np.sin(2.0 * X[..., 0]))[..., None],
         lip_grad=8.0,
         known_min=(np.array([0.0]), 0.0),
     )
@@ -263,9 +263,7 @@ def _root_quartic(k: float = 1.0, c: float = 1.0) -> Objective:
     grad = None
     lip = None
     if k != 0.0:
-        grad = lambda X: np.stack(
-            [X[..., 0] / (2.0 * (X[..., 0] ** 2 + k**2) ** 0.75)], axis=-1
-        )
+        grad = lambda X: (X[..., 0] / (2.0 * (X[..., 0] ** 2 + k**2) ** 0.75))[..., None]
         lip = 1.0 / (2.0 * abs(k) ** 1.5)
     return Objective(
         name=f"root_quartic(k={k},c={c})",

@@ -258,6 +258,8 @@ def _params(kind: str, spec: dict, path: str):
             kw[key] = _convert(spec[key], _CONVERT.get(key, float), kpath)
     try:
         return cls(**kw)
+    except mz.ParamError as e:
+        raise SchemaError(f"{path}.{e.key}", e.message) from e
     except ValueError as e:
         raise SchemaError(path, str(e)) from e
 
@@ -641,8 +643,9 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"u{i}" for i in range(h.dim)] + ["value", "speed"])
-        for i, t in enumerate(traj.times):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in traj.states[i]]
-                       + [_fmt(traj.values[i]), _fmt(speed[i])])
+        # repr of a Python float from tolist() is _fmt of the entry; one
+        # row at a time, so no list of the whole table is held
+        table = np.column_stack([traj.times, traj.states, traj.values, speed])
+        w.writerows(map(repr, row.tolist()) for row in table)
     return {"trajectory": str(path), "final_state": traj.final_state.tolist(),
             "final_value": float(traj.values[-1])}

@@ -36,6 +36,15 @@ DIVERGENCE_GUARD = 1e6
 SPOTCHECK_EVERY = 100  # SUBGRAD checks its oracle's output at every this-many iterations
 
 
+class ParamError(ValueError):
+    """A parameter-bag field outside its range; ``key`` names the field."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key = key
+        self.message = message
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Scalar sequence, every value ``> 0``: constant, 1/(k+1)-scaled, or a list."""
@@ -100,9 +109,9 @@ class _RunParams:
 
     def __post_init__(self):
         if not self.stop_tol >= 0:
-            raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
+            raise ParamError("stop_tol", f"must be nonnegative, got {self.stop_tol}")
         if not self.max_iters >= 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+            raise ParamError("max_iters", f"must be nonnegative, got {self.max_iters}")
         check_search_radius(self.search_radius)
 
     @property

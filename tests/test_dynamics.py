@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from sqopt.dynamics import (
     loglinear_rate,
 )
 from sqopt.functions import Objective, catalog
-from sqopt.geometry import FullSpace
-from sqopt.minimize import MinParams, Schedule, run_inertial_gm
+from sqopt.geometry import Box, FullSpace, as_point
+from sqopt.minimize import DIVERGENCE_GUARD, MinParams, Schedule, run_inertial_gm
 
 
 def test_ds1_linear_flow_matches_exponential():
@@ -143,6 +145,109 @@ def test_integrator_argument_validation():
 
     hn = Objective(name="blowup", dim=1, domain=FullSpace(1), modulus=0.0,
                    fn=lambda X: -X[..., 0] ** 4, grad=blow_grad)
-    # the finite-time blowup surfaces as a non-finite state or point error
-    with pytest.raises((FloatingPointError, ValueError)):
-        integrate_ds1(hn, None, np.array([2.0]), T=50.0, dt=0.5)
+    # the finite-time blowup trips the divergence guard; no RuntimeWarning
+    # escapes, since under "error" it would be raised instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="diverged"):
+            integrate_ds1(hn, None, np.array([2.0]), T=50.0, dt=0.5)
+
+
+def test_divergence_guard_fires_at_the_first_step_past_it():
+    # du/dt = u grows like e^t and first exceeds the guard of 1e6 at t = 13.82
+    hill = Objective(name="hill", dim=1, domain=FullSpace(1), modulus=0.0,
+                     fn=lambda X: -0.5 * X[..., 0] ** 2, grad=lambda X: -X)
+    traj = integrate_ds1(hill, None, [1.0], T=13.81, dt=0.01)
+    assert 0.99 * DIVERGENCE_GUARD < traj.final_state[0] <= DIVERGENCE_GUARD
+    with pytest.raises(FloatingPointError, match=r"exceeds 1e\+06 at t=13\.82$"):
+        integrate_ds1(hill, None, [1.0], T=20.0, dt=0.01)
+
+
+def test_non_finite_stage_point_is_a_non_finite_state():
+    # from 1e30 the third stage's gradient overflows, so the fourth stage
+    # point is infinite (this was a ValueError from the point check); the
+    # overflow itself must not reach the caller as a RuntimeWarning
+    hn = Objective(name="blowup", dim=1, domain=FullSpace(1), modulus=0.0,
+                   fn=lambda X: -X[..., 0] ** 4,
+                   grad=lambda X: (-4.0 * X[..., 0] ** 3)[..., None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite state at t=0.5"):
+            integrate_ds1(hn, None, np.array([1e30]), T=50.0, dt=0.5)
+
+
+# --- bit-for-bit regression against the per-step checked loop -----------------
+
+
+def _reference_rk4(field, z0, T, dt):
+    """RK4 as it ran with both guards evaluated at every step."""
+    n_steps = int(round(T / dt))
+    times = np.arange(n_steps + 1) * dt
+    out = np.empty((n_steps + 1, z0.shape[0]))
+    out[0] = z0
+    z = z0.copy()
+    for i in range(n_steps):
+        t = times[i]
+        k1 = field(t, z)
+        k2 = field(t + 0.5 * dt, z + 0.5 * dt * k1)
+        k3 = field(t + 0.5 * dt, z + 0.5 * dt * k2)
+        k4 = field(t + dt, z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.all(np.isfinite(z)) and np.linalg.norm(z) <= DIVERGENCE_GUARD
+        out[i + 1] = z
+    return times, out
+
+
+def _reference_ds1(h, psi, x0, T, dt):
+    x0 = as_point(x0, h.dim)
+    if psi is None:
+        field = lambda t, u: -h.grad_at(u)
+    else:
+        field = lambda t, u: -h.grad_at(u) + np.asarray(psi(t), dtype=float)
+    return _reference_rk4(field, x0, T, dt)
+
+
+def _reference_ds2(h, damping, x0, v0, T, dt):
+    n = h.dim
+
+    def field(t, z):
+        u, v = z[:n], z[n:]
+        return np.concatenate([v, -damping * v - h.grad_at(u)])
+
+    return _reference_rk4(field, np.concatenate([as_point(x0, n), as_point(v0, n)]), T, dt)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+FLOW_CASES = [
+    (catalog("gauss_well", c=1.0, d=1.0, delta=1.0), [0.9]),
+    (catalog("sin_quad"), [2.0]),
+    (catalog("root_quartic", k=1.0, c=2.0), [1.5]),
+    (catalog("quad_fractional", A=[[2.0, 0.5], [0.5, 1.0]], a=[0.1, -0.2], alpha=0.0,
+             B=np.zeros((2, 2)), b=[0.1, 0.05], beta=1.0,
+             K=Box(-np.ones(2), np.ones(2)), m=0.8, M=1.2), [0.7, -0.4]),
+]
+
+
+@pytest.mark.parametrize("h, x0", FLOW_CASES, ids=[h.name.split("(")[0] for h, _ in FLOW_CASES])
+@pytest.mark.parametrize("with_psi", [False, True])
+def test_ds1_bits_match_the_checked_loop(h, x0, with_psi):
+    psi = (lambda t: np.exp(-t) * np.ones(h.dim)) if with_psi else None
+    traj = integrate_ds1(h, psi, x0, T=4.0, dt=0.01)
+    times, states = _reference_ds1(h, psi, x0, T=4.0, dt=0.01)
+    assert _same_bits(traj.times, times)
+    assert _same_bits(traj.states, states)
+
+
+@pytest.mark.parametrize("h, x0", FLOW_CASES, ids=[h.name.split("(")[0] for h, _ in FLOW_CASES])
+@pytest.mark.parametrize("damping", [0.0, 1.0])
+def test_ds2_bits_match_the_checked_loop(h, x0, damping):
+    v0 = 0.1 * np.ones(h.dim)
+    traj = integrate_ds2(h, damping, x0, v0, T=4.0, dt=0.01)
+    times, Z = _reference_ds2(h, damping, x0, v0, T=4.0, dt=0.01)
+    assert _same_bits(traj.times, times)
+    assert _same_bits(traj.states, Z[:, :h.dim])
+    assert _same_bits(traj.velocities, Z[:, h.dim:])

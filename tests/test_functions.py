@@ -266,6 +266,35 @@ def test_catalog_grad_batch_equals_row_by_row(h):
     np.testing.assert_allclose(h.grad_many(X), rows, rtol=1e-12, atol=1e-15)
 
 
+# the single-column gradients as they were written, with np.stack
+STACK_GRADIENTS = {
+    "neg_quad": (catalog("neg_quad"),
+                 lambda X: np.stack([-2.0 * X[..., 0] - 1.0], axis=-1)),
+    "gauss_well": (catalog("gauss_well", c=1.0, d=2.0, delta=1.0),
+                   lambda X: np.stack([4.0 * X[..., 0] * np.exp(-(X[..., 0] ** 2))], axis=-1)),
+    "sin_quad": (catalog("sin_quad"),
+                 lambda X: np.stack([2.0 * X[..., 0] + 3.0 * np.sin(2.0 * X[..., 0])], axis=-1)),
+    "root_quartic": (catalog("root_quartic", k=0.5, c=2.0),
+                     lambda X: np.stack([X[..., 0] / (2.0 * (X[..., 0] ** 2 + 0.25) ** 0.75)],
+                                        axis=-1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_GRADIENTS))
+def test_single_column_gradients_equal_the_stack_form_bit_for_bit(name):
+    h, ref = STACK_GRADIENTS[name]
+    X = np.random.Generator(np.random.Philox(key=83)).uniform(-3.0, 3.0, size=(2000, 1))
+
+    def same(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+            a.view(np.int64), b.view(np.int64))
+
+    assert same(h.grad(X), ref(X))  # many rows
+    for x in X[:300]:
+        assert same(h.grad(x), ref(x))  # a lone point
+        assert same(h.grad(x[None]), ref(x[None]))  # a one-row batch
+
+
 @pytest.mark.parametrize("f", bifunction_entries(), ids=lambda f: f.name)
 def test_bifunction_y_gradients_batch_equal_row_by_row(f):
     Xs = _seeded_batch(f.domain, 4, seed=62)

@@ -576,6 +576,62 @@ def test_cli_malformed_algorithm_value_is_schema_error(tmp_path, capsys, variant
     assert "\n" not in err
 
 
+# REG_EP with inner_max -1 aborted with exit 3 (inner solve "stagnated"), and
+# an unknown policy ran as the strict one with exit 0
+PARAMETER_RANGES = [
+    ("REG_EP", "inner_max", -1),
+    ("REG_EP", "inner_max", 0),
+    ("RIPPA_EP", "policy", "bogus"),
+    ("PPA_EP", "policy", "Strict"),
+]
+
+
+@pytest.mark.parametrize("variant, key, value", PARAMETER_RANGES)
+def test_cli_parameter_range_names_its_key(tmp_path, capsys, variant, key, value):
+    path = write_cfg(tmp_path, variant_config(variant, **{key: value}))
+    assert cli_main(["solve-ep", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: algorithm.{key}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_ep_params_accept_the_documented_values():
+    assert EpParams(inner_max=1, policy="strict").policy == "strict"
+    with pytest.raises(ValueError, match="policy"):
+        EpParams(policy="bogus")
+
+
+# runs that end without converging print their summary and one line on stderr
+NOT_CONVERGED = [
+    ({"variant": "GRAD", "x0": [2.0], "steps": {"kind": "constant", "value": 5.0}},
+     {"catalog": "sin_quad", "params": {}}, EXIT_GUARD, "aborted: diverged at iteration "),
+    ({"variant": "PPA", "x0": [0.5], "max_iters": 1, "stop_tol": 1e-14},
+     {"catalog": "gauss_well", "params": {}}, EXIT_MAX_ITERS,
+     "stopped: max_iters reached after 1 iterations, residual "),
+]
+
+
+@pytest.mark.parametrize("algo, objective, code, line", NOT_CONVERGED,
+                         ids=["diverged", "max_iters"])
+def test_cli_unconverged_run_writes_one_stderr_line(tmp_path, capsys, algo, objective, code,
+                                                    line):
+    cfg = {"schema_version": 1, "problem": {"kind": "minimize", "objective": objective},
+           "algorithm": algo}
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary == json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert captured.err.startswith(line) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cli_converged_run_writes_nothing_to_stderr(tmp_path, capsys):
+    path = write_cfg(tmp_path, minimal_ppa_config())
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_every_parameter_field_is_reached_by_a_config_key():
     """No knob that no config sets: each accepted key is a bag field and back."""
     reached = {MinParams: set(), EpParams: set()}
