@@ -68,7 +68,8 @@ def main(argv=None) -> int:
         if name == "verify":
             sp.add_argument("--seed", type=int, default=None, help="override config seed")
         if name == "sweep":
-            sp.add_argument("--workers", type=int, default=1, help="sweep worker limit")
+            sp.add_argument("--workers", type=int, default=1,
+                            help="accepted and ignored: a sweep runs its cells in lockstep")
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:

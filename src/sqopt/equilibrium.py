@@ -14,8 +14,11 @@ flag runs outside the windows instead of blocking them.
 
 The relaxed-inertial, plain and constant-inertia schemes are one step,
 ``minimize._run_proximal``, with the proximal step in the second argument
-and constant inertia and relaxation.  ``EpParams`` adds the equilibrium
-fields to ``minimize._RunParams``.
+and constant inertia and relaxation.  Their proximal requests are answered
+one at a time, also when a sweep runs its cells in lockstep:
+``y_objective(c)`` binds the center into the callables, so no two requests
+share a stack key.
+``EpParams`` adds the equilibrium fields to ``minimize._RunParams``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 
 from .functions import Bifunction
 from .geometry import FeasibleSet, as_point
-from .minimize import (IterationTrace, ParamError, Schedule, _drive, _Recorder,
-                       _relaxed_inertial_notes, _run_proximal, _RunParams)
+from .minimize import (IterationTrace, ParamError, Run, Schedule, _drive, _drive_one,
+                       _Recorder, _relaxed_inertial_notes, _run_proximal, _RunParams)
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
 from .verify import (
     CheckReport,
@@ -258,13 +261,18 @@ def _ep_recorder(prob: EpProblem, x0: np.ndarray) -> _Recorder:
     return _Recorder(lambda x: float(prob.f.fn(ref, np.asarray(x, dtype=float))), x0)
 
 
-def run_rippa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
-    """Relaxed-inertial proximal point method for the equilibrium problem."""
+def start_rippa_ep(prob: EpProblem, p: EpParams, x0) -> Run:
+    """``run_rippa_ep`` as a run; its requests carry no StackKey (see ``minimize``)."""
     notes = validate_rippa_ep(prob, p)
     cfg = p.solve_cfg()
     rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
     prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
-    return _run_proximal(rec, p, prox_at, notes, p.alpha, p.rho)
+    return (yield from _run_proximal(rec, p, prox_at, notes, p.alpha, p.rho))
+
+
+def run_rippa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
+    """Relaxed-inertial proximal point method for the equilibrium problem."""
+    return _drive_one(start_rippa_ep(prob, p, x0))
 
 
 def run_ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
@@ -338,7 +346,7 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
         x = z
         yield x, None
 
-    return rec.done(_drive(rec, p, step), not notes, notes)
+    return rec.done(_drive_one(_drive(rec, p, step)), not notes, notes)
 
 
 def run_ieppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
@@ -347,7 +355,7 @@ def run_ieppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     cfg = p.solve_cfg()
     rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
     prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
-    return _run_proximal(rec, p, prox_at, notes, p.alpha)
+    return _drive_one(_run_proximal(rec, p, prox_at, notes, p.alpha))
 
 
 def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
@@ -368,7 +376,8 @@ def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
         corr_gaps.append(float(np.linalg.norm(x - y)))
         yield x, None
 
-    return rec.done(_drive(rec, p, step), not notes, notes, extra={"corrector_gaps": corr_gaps})
+    return rec.done(_drive_one(_drive(rec, p, step)), not notes, notes,
+                    extra={"corrector_gaps": corr_gaps})
 
 
 def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> bool:
@@ -427,7 +436,7 @@ def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: boo
         x = x1
         yield x, None
 
-    end = _drive(rec, p, step)
+    end = _drive_one(_drive(rec, p, step))
     return rec.done(end, not notes, notes, extra={"line_search_m": ls_counts})
 
 

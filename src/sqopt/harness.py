@@ -14,6 +14,7 @@ time lives in the summary JSON, which is the only nondeterministic output).
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,7 +26,8 @@ from . import equilibrium as ep
 from . import minimize as mz
 from . import verify
 from .dynamics import integrate_ds1, integrate_ds2, loglinear_rate
-from .functions import Objective, bifunction_catalog, bregman_catalog, catalog
+from .functions import (_BUILDERS, Objective, bifunction_catalog, bregman_catalog, catalog,
+                        glt_example)
 from .geometry import FeasibleSet, as_point, feasible_set_from_spec
 from .prox import GlobalSolveConfig
 
@@ -95,12 +97,49 @@ def _numbers(value, path: str, at_least: int = 1) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _build_set(spec, path: str) -> FeasibleSet:
+    """A feasible set from its spec; every defect of the spec is a SchemaError at ``path``."""
+    if not isinstance(spec, dict):
+        raise SchemaError(path, f"expected an object, got {type(spec).__name__}")
+    try:
+        return feasible_set_from_spec(spec)
+    except KeyError as e:
+        raise SchemaError(path, f"missing required key {e.args[0]!r}") from e
+    except (TypeError, ValueError) as e:
+        raise SchemaError(path, str(e)) from e
+
+
+_NUMBER_ANNOTATIONS = {int, float, float | None}
+
+
+def _catalog_params(spec: dict, path: str, make=None) -> dict:
+    """A copy of ``spec["params"]``, which must be an object, checked against ``make``.
+
+    A set spec under the ``K`` parameter of the catalog constructor ``make``
+    is built, and a parameter annotated as a number must hold one (or null,
+    where null is its default).
+    """
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError(path + ".params", f"expected an object, got {type(params).__name__}")
+    params = dict(params)
+    signature = inspect.signature(make, eval_str=True).parameters if make else {}
+    for key, prm in signature.items():
+        if key not in params:
+            continue
+        value = params[key]
+        if key == "K":
+            params[key] = _build_set(value, f"{path}.params.K")
+        elif (prm.annotation in _NUMBER_ANNOTATIONS and not (value is None and prm.default is None)
+              and (isinstance(value, bool) or not isinstance(value, (int, float)))):
+            raise SchemaError(f"{path}.params.{key}", f"expected a number, got {value!r}")
+    return params
+
+
 def _build_objective(spec: dict, path: str) -> Objective:
     _check_keys(spec, {"catalog", "params"}, path)
     name = _require(spec, "catalog", path)
-    params = dict(spec.get("params", {}))
-    if name == "quad_fractional" and "K" in params:
-        params["K"] = feasible_set_from_spec(params["K"])
+    params = _catalog_params(spec, path, _BUILDERS.get(name) if isinstance(name, str) else None)
     try:
         return catalog(name, **params)
     except (TypeError, ValueError) as e:
@@ -110,19 +149,17 @@ def _build_objective(spec: dict, path: str) -> Objective:
 def _build_bifunction(spec: dict, path: str):
     _check_keys(spec, {"catalog", "params"}, path)
     name = _require(spec, "catalog", path)
-    params = dict(spec.get("params", {}))
-    try:
-        if name == "value_gap":
-            h = _build_objective(_require(params, "objective", path), path + ".objective")
-            return bifunction_catalog("value_gap", h=h)
-        if name == "glt_example":
-            if "K" in params:
-                params["K"] = feasible_set_from_spec(params["K"])
+    if name == "value_gap":
+        params = _catalog_params(spec, path)
+        h = _build_objective(_require(params, "objective", path + ".params"),
+                             path + ".params.objective")
+        return bifunction_catalog("value_gap", h=h)
+    if name == "glt_example":
+        params = _catalog_params(spec, path, glt_example)
+        try:
             return bifunction_catalog("glt_example", **params)
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise SchemaError(path, str(e)) from e
+        except (TypeError, ValueError) as e:
+            raise SchemaError(path, str(e)) from e
     raise SchemaError(path, f"unknown bifunction {name!r}")
 
 
@@ -130,12 +167,7 @@ def build_problem(spec: dict, path: str = "problem"):
     """Returns ("minimize", Objective, K) or ("ep", EpProblem, K)."""
     _check_keys(spec, {"kind", "objective", "bifunction", "set"}, path)
     kind = spec.get("kind", "minimize")
-    K: FeasibleSet | None = None
-    if "set" in spec:
-        try:
-            K = feasible_set_from_spec(spec["set"])
-        except (ValueError, KeyError) as e:
-            raise SchemaError(path + ".set", str(e)) from e
+    K = _build_set(spec["set"], path + ".set") if "set" in spec else None
     if kind == "minimize":
         h = _build_objective(_require(spec, "objective", path), path + ".objective")
         return kind, h, (K or h.domain)
@@ -163,7 +195,11 @@ class Variant:
     ``validate(problem, K, params)`` returns guard notes and raises
     ValueError on a hard invariant.  ``run(problem, K, params, x0, x1, spec)``
     looks its runner up when called, never at import, so a runner replaced
-    on its module (or in ``EP_RUNNERS``) is the one that runs.
+    on its module (or in ``EP_RUNNERS``) is the one that runs.  The swept
+    variants also have ``start(problem, K, params, x0)``: the same run, not
+    yet started, for ``minimize._drive_many``.  PPA and PPA_EP start the
+    relaxed-inertial run: their keys exclude ``alpha`` and the ``rho`` pair,
+    so their parameters already hold alpha = 0, rho = 1.
     """
 
     kind: str
@@ -171,6 +207,7 @@ class Variant:
     radius: str
     validate: Callable
     run: Callable
+    start: Callable | None = None
 
 
 def _run_bppa(h, K, p, x0, x1, spec):
@@ -185,16 +222,19 @@ def _run_bppa(h, K, p, x0, x1, spec):
     return mz.run_bppa(h, K, phi, p, x0)
 
 
-def _ep(keys, validate) -> Variant:
+def _ep(keys, validate, start=None) -> Variant:
     return Variant("ep", keys, "sampled", lambda prob, K, p: validate(prob, p),
-                   lambda prob, K, p, x0, x1, spec: ep.EP_RUNNERS[p.variant](prob, p, x0))
+                   lambda prob, K, p, x0, x1, spec: ep.EP_RUNNERS[p.variant](prob, p, x0),
+                   start)
 
 
 VARIANTS = {
     "PPA": Variant("minimize", {"c"}, "solve", mz.validate_rippa,
-                   lambda h, K, p, x0, x1, spec: mz.run_ppa(h, K, p, x0)),
+                   lambda h, K, p, x0, x1, spec: mz.run_ppa(h, K, p, x0),
+                   lambda h, K, p, x0: mz.start_rippa(h, K, p, x0)),
     "RIPPA": Variant("minimize", {"c", "alpha", "rho_lo", "rho_hi"}, "solve", mz.validate_rippa,
-                     lambda h, K, p, x0, x1, spec: mz.run_rippa(h, K, p, x0)),
+                     lambda h, K, p, x0, x1, spec: mz.run_rippa(h, K, p, x0),
+                     lambda h, K, p, x0: mz.start_rippa(h, K, p, x0)),
     "BPPA": Variant("minimize", {"c", "bregman"}, "solve", mz.validate_bppa, _run_bppa),
     "SUBGRAD": Variant("minimize", {"steps", "beta"}, "sampled", mz.validate_subgradient,
                        lambda h, K, p, x0, x1, spec: mz.run_subgradient(h, K, p, x0)),
@@ -204,8 +244,10 @@ VARIANTS = {
                           lambda h, K, p, x0, x1, spec: mz.run_heavy_ball(h, p, x0, x1)),
     "INERTIAL_GM": Variant("minimize", {"steps", "eta_min"}, "none", mz.validate_inertial_gm,
                            lambda h, K, p, x0, x1, spec: mz.run_inertial_gm(h, p, x0, x1)),
-    "RIPPA_EP": _ep({"beta", "alpha", "rho_lo", "rho_hi", "policy"}, ep.validate_rippa_ep),
-    "PPA_EP": _ep({"beta", "policy"}, ep.validate_rippa_ep),
+    "RIPPA_EP": _ep({"beta", "alpha", "rho_lo", "rho_hi", "policy"}, ep.validate_rippa_ep,
+                    lambda prob, K, p, x0: ep.start_rippa_ep(prob, p, x0)),
+    "PPA_EP": _ep({"beta", "policy"}, ep.validate_rippa_ep,
+                  lambda prob, K, p, x0: ep.start_rippa_ep(prob, p, x0)),
     "REG_EP": _ep({"beta", "inner_max"}, ep.validate_reg_ep),
     "IEPPA_EP": _ep({"beta", "alpha"}, ep.validate_ieppa),
     "TWO_PPA_EP": _ep({"beta", "epsilon"}, ep.validate_2ppa),
@@ -395,12 +437,10 @@ def _check_search_radius(K: FeasibleSet, params, need: str, path: str):
     raise SchemaError(path, f"missing required key 'search_radius' (needed to bound the {K.kind} set)")
 
 
-def run_algorithm(kind: str, problem, K: FeasibleSet, spec: dict,
-                  path: str = "algorithm") -> mz.IterationTrace:
-    """Check ``spec`` against its registry entry, then run the variant.
+def _checked(kind: str, problem, K: FeasibleSet, spec: dict, path: str) -> tuple:
+    """``spec`` checked against its registry entry: ``(entry, params, x0, x1)``.
 
-    A hard invariant that the variant's validator rejects before the first
-    iteration is a SchemaError; guards that fire during the run propagate.
+    A hard invariant that the variant's validator rejects is a SchemaError.
     """
     variant = _require(spec, "variant", path)
     entry = VARIANTS.get(variant) if isinstance(variant, str) else None
@@ -416,6 +456,17 @@ def run_algorithm(kind: str, problem, K: FeasibleSet, spec: dict,
         entry.validate(problem, K, params)
     except ValueError as e:
         raise SchemaError(path, str(e)) from e
+    return entry, params, x0, x1
+
+
+def run_algorithm(kind: str, problem, K: FeasibleSet, spec: dict,
+                  path: str = "algorithm") -> mz.IterationTrace:
+    """Check ``spec`` against its registry entry, then run the variant.
+
+    A hard invariant that the variant's validator rejects before the first
+    iteration is a SchemaError; guards that fire during the run propagate.
+    """
+    entry, params, x0, x1 = _checked(kind, problem, K, spec, path)
     return entry.run(problem, K, params, x0, x1, spec)
 
 
@@ -463,6 +514,15 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
     Rows come out in grid order (alpha outer, rho inner) with the baseline
     (alpha=0, rho=1) appended last; the best cell minimizes iterations with
     subproblem evaluations as the tie-break.
+
+    Every cell is checked before any runs, then all run in lockstep under
+    ``minimize._drive_many``: each round, the cells' proximal requests that
+    share a stack key (objective, set, solve config and ``c_k``) are one
+    stacked global solve, and each cell's trace keeps the bits of its run
+    alone.  Equilibrium cells' requests have no key and are solved one at a
+    time.  A cell that raises ValueError or RuntimeError becomes an error
+    row; any other exception ends the sweep after the rows before it are
+    written.  ``workers`` is accepted and ignored.
     """
     validate_config(cfg)
     sweep = _require(cfg, "sweep", "config")
@@ -478,7 +538,7 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
     relaxed, plain = _SWEPT[kind]
     kind_keys = set().union(*(v.keys for v in VARIANTS.values() if v.kind == kind))
 
-    def one_cell(tag: str, alpha: float, rho: float) -> dict:
+    def cell_run(alpha: float, rho: float) -> mz.Run:
         variant = relaxed if (alpha != 0.0 or rho != 1.0) else plain
         # drop the base's keys that this cell's variant does not accept
         dropped = kind_keys - VARIANTS[variant].keys
@@ -486,34 +546,30 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
         spec["variant"] = variant
         if variant == relaxed:
             spec.update(alpha=alpha, rho_lo=rho, rho_hi=rho)
-        row = {"cell": tag, "alpha": alpha, "rho": rho}
-        try:
-            trace = run_algorithm(kind, obj, K, spec)
-        except SchemaError:
-            raise
-        except (ValueError, RuntimeError) as e:
-            row.update(error=str(e), converged=False, guarded=False,
-                       iterations=None, subproblem_evals=None)
-            return row
-        write_trace_csv(out / f"{tag}_trace.csv", trace, is_ep=(kind == "ep"))
-        row.update(
-            guarded=trace.guarded,
-            converged=trace.terminated_by in ("residual", "exact_fixed_point"),
-            iterations=trace.iterations,
-            subproblem_evals=trace.prox_evals,
-            final_residual=trace.final_residual,
-        )
-        return row
+        entry, params, x0, _ = _checked(kind, obj, K, spec, "algorithm")
+        return entry.start(obj, K, params, x0)
 
     cells = [(f"cell_{i}_{j}", a, r) for i, a in enumerate(alphas) for j, r in enumerate(rhos)]
     cells.append(("baseline", 0.0, 1.0))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: one_cell(*c), cells))
-    else:
-        rows = [one_cell(*c) for c in cells]
+    ends = mz._drive_many([cell_run(alpha, rho) for _, alpha, rho in cells])
+    rows = []
+    for (tag, alpha, rho), trace in zip(cells, ends):
+        row = {"cell": tag, "alpha": alpha, "rho": rho}
+        if isinstance(trace, (ValueError, RuntimeError)):
+            row.update(error=str(trace), converged=False, guarded=False,
+                       iterations=None, subproblem_evals=None)
+        elif isinstance(trace, Exception):
+            raise trace
+        else:
+            write_trace_csv(out / f"{tag}_trace.csv", trace, is_ep=(kind == "ep"))
+            row.update(
+                guarded=trace.guarded,
+                converged=trace.terminated_by in ("residual", "exact_fixed_point"),
+                iterations=trace.iterations,
+                subproblem_evals=trace.prox_evals,
+                final_residual=trace.final_residual,
+            )
+        rows.append(row)
     converged = [r for r in rows if r.get("converged")]
     best = min(converged, key=lambda r: (r["iterations"], r["subproblem_evals"])) if converged else None
     baseline = rows[-1]

@@ -18,19 +18,31 @@ runner here and in ``equilibrium`` supplies only its step: ``_drive`` owns the
 iteration loop, that stop test, the divergence guard and the termination label.
 The proximal point family (PPA, RIPPA, BPPA; PPA_EP, RIPPA_EP, IEPPA_EP) is one
 step, ``_run_proximal``, with its own proximal operator, inertia and relaxation.
+
+A run is a generator: its step yields each proximal step it needs as a
+``ProxRequest`` and is sent the ``ProxResult``.  ``_drive_many`` advances many
+runs in lockstep, one request each per round.  A request's ``solve()`` is the
+step alone.  Where the subproblem's callables are paired, the request also
+carries a ``StackKey`` (the base ``fn``/``grad``, the set, the solve config and
+beta) and its center; the requests of one round with equal keys get one
+stacked ``prox_many`` solve, which gives each center the bits of its solve
+alone.  Equilibrium requests carry no key: ``Bifunction.y_objective(c)`` binds
+the center into the callables, so no two of them pair.  A runner such as
+``run_rippa`` is ``_drive_one``: ``_drive_many`` with one run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
 from .functions import BregmanFunction, Objective, bregman_catalog
 from .geometry import AffineSubspace, FeasibleSet, FullSpace, as_point
-from .prox import GlobalSolveConfig, bregman_prox, check_search_radius, prox
+from .prox import (GlobalSolveConfig, ProxResult, bregman_prox, check_search_radius, prox,
+                   prox_many)
 
 DIVERGENCE_GUARD = 1e6
 SPOTCHECK_EVERY = 100  # SUBGRAD checks its oracle's output at every this-many iterations
@@ -227,8 +239,121 @@ class _Recorder:
         )
 
 
-def _drive(rec: _Recorder, p, step, guard: bool = False) -> str:
-    """The iteration loop of every runner; returns how the run ended.
+@dataclass(frozen=True, eq=False)
+class StackKey:
+    """What stacked proximal requests share: every argument of ``prox_many`` but the centers.
+
+    Keys are equal when they hold the same callables and the same set object,
+    and equal solve configs and betas.
+    """
+
+    fn: Callable
+    grad: Callable | None
+    K: FeasibleSet
+    cfg: GlobalSolveConfig
+    beta: float
+
+    def _identity(self) -> tuple:
+        return self.fn, self.grad, id(self.K), self.cfg, self.beta
+
+    def __eq__(self, other):
+        return isinstance(other, StackKey) and self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
+
+    def solve(self, C: np.ndarray) -> list[ProxResult]:
+        return prox_many(self.fn, self.grad, self.K, self.beta, C, self.cfg)
+
+
+@dataclass
+class ProxRequest:
+    """One proximal step a run asks for.
+
+    ``solve()`` answers it alone.  Requests with equal ``key``s (not None)
+    may instead be answered together, each by its ``center`` row of one
+    stacked solve.
+    """
+
+    solve: Callable[[], ProxResult]
+    key: StackKey | None
+    center: np.ndarray
+
+
+Run = Generator[ProxRequest, ProxResult, object]
+
+
+def _answer(requests: list[ProxRequest]) -> list[tuple[bool, object]]:
+    """``(True, result)`` or ``(False, exception)`` for each request, in order.
+
+    Two or more requests (of one key) get one stacked solve.  If it raises,
+    each request is solved alone, so an error reaches only its own run.
+    """
+    if len(requests) > 1:
+        try:
+            results = requests[0].key.solve(np.stack([q.center for q in requests]))
+            return [(True, r) for r in results]
+        except Exception:
+            pass
+    out = []
+    for q in requests:
+        try:
+            out.append((True, q.solve()))
+        except Exception as e:
+            out.append((False, e))
+    return out
+
+
+def _drive_many(runs: list[Run]) -> list:
+    """Drive every run to its end in lockstep; returns what each returned or raised.
+
+    Each round answers the one pending request of every active run: the
+    requests with equal keys together (see ``_answer``), every other one by
+    its own ``solve()``.  A failed solve is thrown into the run that asked,
+    and an exception ends only the run it leaves.
+    """
+    ends: list = [None] * len(runs)
+    pending: dict[int, ProxRequest] = {}
+
+    def advance(i, resume, value):
+        try:
+            pending[i] = resume(value)
+        except StopIteration as stop:
+            ends[i] = stop.value
+        except Exception as e:
+            ends[i] = e
+
+    for i, run in enumerate(runs):
+        advance(i, run.send, None)
+    while pending:
+        requests, pending = pending, {}
+        groups: dict = {}
+        for i, q in requests.items():
+            groups.setdefault(i if q.key is None else q.key, []).append(i)
+        for members in groups.values():
+            for i, (ok, value) in zip(members, _answer([requests[i] for i in members])):
+                advance(i, runs[i].send if ok else runs[i].throw, value)
+    return ends
+
+
+def _drive_one(run: Run):
+    """``_drive_many`` with one run: what it returns; what it raises propagates."""
+    end = _drive_many([run])[0]
+    if isinstance(end, Exception):
+        raise end
+    return end
+
+
+def _phase(phases):
+    """The next phase of a step; the proximal requests before it are passed up."""
+    item = next(phases)
+    while isinstance(item, ProxRequest):
+        item = phases.send((yield item))
+    return item
+
+
+def _drive(rec: _Recorder, p, step, guard: bool = False):
+    """The iteration loop of every runner; a run that returns how it ended.
 
     ``step(k)`` is a generator of two phases.  The first yields ``(r, at)``:
     the step residual and the state to stop at (``None``: the current one).
@@ -237,14 +362,15 @@ def _drive(rec: _Recorder, p, step, guard: bool = False) -> str:
     Otherwise the second yields ``(x, end)``: the next state (``None``: stay)
     and, when the step itself ends the run, its label.  With ``guard`` a next
     state that is non-finite or has norm above DIVERGENCE_GUARD ends the run
-    as ``diverged`` and is recorded clipped to the guard.
+    as ``diverged`` and is recorded clipped to the guard.  A step may yield
+    ProxRequests before a phase; they are passed up to ``_drive_many``.
     """
     for k in range(p.max_iters):
         phases = step(k)
-        r, x = next(phases)
+        r, x = yield from _phase(phases)
         end = "exact_fixed_point" if r == 0.0 else "residual" if r <= p.stop_tol else None
         if end is None:
-            x, end = next(phases)
+            x, end = yield from _phase(phases)
             if guard and (not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD):
                 x = np.nan_to_num(x, posinf=DIVERGENCE_GUARD, neginf=-DIVERGENCE_GUARD)
                 end = "diverged"
@@ -257,14 +383,15 @@ def _drive(rec: _Recorder, p, step, guard: bool = False) -> str:
     return "max_iters"
 
 
-def _run_proximal(rec: _Recorder, p, prox_at, notes, alpha=0.0, rho=1.0) -> IterationTrace:
-    """The proximal point iteration, from the recorder's first state.
+def _run_proximal(rec: _Recorder, p, prox_at, notes, alpha=0.0, rho=1.0, key_at=None) -> Run:
+    """The proximal point iteration, from the recorder's first state; a run.
 
     Extrapolate ``y = x + alpha (x - x_prev)``, take the proximal step
     ``z = prox_at(k, y)`` (a ProxResult), stop when ``||z - y|| <= stop_tol``,
     otherwise relax ``x_next = (1 - rho) y + rho z``.  The inertia ``alpha``
-    and the relaxation ``rho`` are constants.  The extras sum the inertial
-    summands ``alpha ||x - x_prev||^2``, all and the last quarter.
+    and the relaxation ``rho`` are constants.  The step is requested from the
+    caller; ``key_at(k)``, when given, is its StackKey.  The extras sum the
+    inertial summands ``alpha ||x - x_prev||^2``, all and the last quarter.
     """
     x = x_prev = rec.states[0]
     summands = []
@@ -272,13 +399,14 @@ def _run_proximal(rec: _Recorder, p, prox_at, notes, alpha=0.0, rho=1.0) -> Iter
     def step(k):
         nonlocal x, x_prev
         y = x + alpha * (x - x_prev)
-        z = rec.took(prox_at(k, y))
+        key = None if key_at is None else key_at(k)
+        z = rec.took((yield ProxRequest(lambda: prox_at(k, y), key, y)))
         summands.append(alpha * float(np.sum((x - x_prev) ** 2)))
         yield float(np.linalg.norm(z - y)), z
         x_prev, x = x, (1.0 - rho) * y + rho * z
         yield x, None
 
-    end = _drive(rec, p, step)
+    end = yield from _drive(rec, p, step)
     tail = sum(summands[-max(1, len(summands) // 4) :])
     extra = {"inertial_summand_total": sum(summands, 0.0), "inertial_summand_tail": tail}
     return rec.done(end, not notes, notes, extra=extra)
@@ -348,14 +476,21 @@ def validate_rippa(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
     return notes
 
 
-def run_rippa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> IterationTrace:
-    """Relaxed-inertial proximal point method (PPA when alpha=0, rho=1)."""
+def start_rippa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> Run:
+    """``run_rippa`` as a run; its proximal requests share a StackKey per ``c_k``."""
     K = h.domain if K is None else K
     notes = validate_rippa(h, K, p)
     cfg = p.solve_cfg()
     rec = _Recorder(h.value, as_point(x0, h.dim))
     prox_at = lambda k, y: prox(h, K, p.c.at(k), y, cfg)
-    return _run_proximal(rec, p, prox_at, notes, p.alpha, p.rho)
+    grad = h.grad_many if h.grad else None
+    key_at = lambda k: StackKey(h.value_many, grad, K, cfg, p.c.at(k))
+    return (yield from _run_proximal(rec, p, prox_at, notes, p.alpha, p.rho, key_at))
+
+
+def run_rippa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> IterationTrace:
+    """Relaxed-inertial proximal point method (PPA when alpha=0, rho=1)."""
+    return _drive_one(start_rippa(h, K, p, x0))
 
 
 def run_ppa(h: Objective, K: FeasibleSet | None, p: MinParams, x0) -> IterationTrace:
@@ -398,7 +533,7 @@ def run_bppa(
             )
         return pr
 
-    return _run_proximal(_Recorder(h.value, x), p, prox_at, notes)
+    return _drive_one(_run_proximal(_Recorder(h.value, x), p, prox_at, notes))
 
 
 def _subgradient_bound(h: Objective, p: MinParams) -> float:
@@ -475,7 +610,7 @@ def run_subgradient(
         x = x1
         yield x, None
 
-    return rec.done(_drive(rec, p, step), not notes, notes)
+    return rec.done(_drive_one(_drive(rec, p, step)), not notes, notes)
 
 
 def _gradient_norm(rec: _Recorder, h: Objective, x) -> tuple[np.ndarray, float]:
@@ -510,7 +645,7 @@ def run_gradient(h: Objective, p: MinParams, x0) -> IterationTrace:
             x = x + np.asarray(p.psi(k), dtype=float)
         yield x, None
 
-    return rec.done(_drive(rec, p, step, guard=True), not notes, notes)
+    return rec.done(_drive_one(_drive(rec, p, step, guard=True)), not notes, notes)
 
 
 def validate_heavy_ball(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
@@ -542,7 +677,7 @@ def run_heavy_ball(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
         x_prev, x = x, x + p.theta * (x - x_prev) - p.hb_eta**2 * g
         yield x, None
 
-    return rec.done(_drive(rec, p, step, guard=True), not notes, notes)
+    return rec.done(_drive_one(_drive(rec, p, step, guard=True)), not notes, notes)
 
 
 def validate_inertial_gm(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
@@ -576,7 +711,7 @@ def run_inertial_gm(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
         max_norm = max(max_norm, float(np.linalg.norm(x)))
         yield x, None
 
-    end = _drive(rec, p, step, guard=True)
+    end = _drive_one(_drive(rec, p, step, guard=True))
     if end == "diverged":
         notes.append("divergence guard fired: boundedness hypothesis failed empirically")
     return rec.done(end, not notes, notes, extra={"max_norm": max_norm})

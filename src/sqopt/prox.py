@@ -126,24 +126,29 @@ class _Stack:
 
     Problem ``p`` has center row ``C[p]``.  ``fn(own, Y)`` evaluates row ``i``
     of ``Y`` in problem ``own[i]``, and ``grad(own, Y)`` likewise.  The
-    owners of every ``fn`` batch are kept, so ``counts()`` gives each
+    owners of every ``fn`` batch are counted, so ``counts()`` gives each
     problem's evaluations.
     """
 
     def __init__(self, fn, grad, C: np.ndarray):
         self.C = C
         self._fn, self._grad = fn, grad
-        self._owners = [np.zeros(0, dtype=int)]
+        self._counts = np.zeros(C.shape[0], dtype=int)
+        self._owners, self._held = [], 0
 
     def fn(self, own, Y):
         self._owners.append(own)
+        self._held += own.size
+        if self._held > 1 << 15:  # fold the owners into the counts, so few are held at once
+            self._counts, self._owners, self._held = self.counts(), [], 0
         return self._fn(self.C.take(own, axis=0), Y)
 
     def grad(self, own, Y):
         return np.asarray(self._grad(self.C.take(own, axis=0), Y), dtype=float)
 
     def counts(self) -> np.ndarray:
-        return np.bincount(np.concatenate(self._owners), minlength=self.C.shape[0])
+        held = np.concatenate(self._owners) if self._owners else np.zeros(0, dtype=int)
+        return self._counts + np.bincount(held, minlength=self.C.shape[0])
 
 
 def _norms(V):
@@ -445,17 +450,28 @@ def _prox_objective(base_fn, base_grad, beta: float):
     return fn, grad
 
 
-def prox_point(base_fn, base_grad, K: FeasibleSet, beta: float, x, cfg: GlobalSolveConfig) -> ProxResult:
-    """Proximal step for an arbitrary evaluation callable (internal engine)."""
+def prox_many(base_fn, base_grad, K: FeasibleSet, beta: float, C,
+              cfg: GlobalSolveConfig) -> list[ProxResult]:
+    """Proximal steps from every center row of ``C`` in one stacked global solve.
+
+    Result ``i`` is what ``prox_point`` gives for center ``C[i]`` alone, bit
+    for bit; its ``residual`` is its distance to that center.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    C = np.asarray(C, dtype=float)
+    if not np.all(np.isfinite(C)):
         raise ValueError("prox center must be finite")
     fn, grad = _prox_objective(base_fn, base_grad, float(beta))
-    res = _global_min_impl(fn, grad, K, cfg, x[None, :], seed_centers=True)[0]
-    res.residual = float(np.linalg.norm(res.point - x))
+    res = _global_min_impl(fn, grad, K, cfg, C, seed_centers=True)
+    for r, c in zip(res, C):
+        r.residual = float(np.linalg.norm(r.point - c))
     return res
+
+
+def prox_point(base_fn, base_grad, K: FeasibleSet, beta: float, x, cfg: GlobalSolveConfig) -> ProxResult:
+    """Proximal step for an arbitrary evaluation callable (internal engine)."""
+    return prox_many(base_fn, base_grad, K, beta, np.asarray(x, dtype=float)[None, :], cfg)[0]
 
 
 def prox(h: Objective, K: FeasibleSet | None = None, beta: float = 1.0, x=None, cfg: GlobalSolveConfig | None = None) -> ProxResult:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqopt.cli import main as cli_main
+from sqopt import minimize as mz
 from sqopt.harness import (
     EXIT_GUARD,
     EXIT_MAX_ITERS,
@@ -15,9 +16,11 @@ from sqopt.harness import (
     SchemaError,
     build_problem,
     fit_linear_rate,
+    run_algorithm,
     run_from_config,
     sweep_compare,
     validate_config,
+    write_trace_csv,
 )
 from sqopt.equilibrium import EpParams
 from sqopt.harness import _COMMON_KEYS, _RUN_ARGS, _SOLVE_KEYS
@@ -730,3 +733,162 @@ def test_cli_seed_is_a_verify_flag(tmp_path, capsys):
     }
     path = write_cfg(tmp_path, cfg)
     assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "v"), "--seed", "3"]) == EXIT_OK
+
+
+# --- lockstep sweeps -------------------------------------------------------------
+
+LOCKSTEP_SWEEPS = {
+    # 2-D compass refine
+    "power_norm_2d": (minimal_ppa_config(), [0.0, 0.1, 0.2], [0.8, 1.2]),
+    # 1-D projected-gradient refine, bounded by search_radius
+    "sin_quad_1d": ({"schema_version": 1,
+                     "problem": {"kind": "minimize",
+                                 "objective": {"catalog": "sin_quad", "params": {}}},
+                     "algorithm": {"variant": "PPA", "x0": [2.0], "c": 0.5, "stop_tol": 1e-8,
+                                   "max_iters": 200, "search_radius": 4.0}},
+                    [0.0, 0.1], [0.8, 1.2]),
+    "value_gap_ep": (ep_config(), [0.0, 0.1], [0.9, 1.0]),
+}
+
+
+def _cell_spec(kind, base, row):
+    """The algorithm spec of one sweep row, as run alone."""
+    relaxed, plain = ("RIPPA", "PPA") if kind == "minimize" else ("RIPPA_EP", "PPA_EP")
+    if row["alpha"] == 0.0 and row["rho"] == 1.0:
+        return {**base, "variant": plain}
+    return {**base, "variant": relaxed, "alpha": row["alpha"], "rho_lo": row["rho"],
+            "rho_hi": row["rho"]}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_SWEEPS))
+def test_lockstep_sweep_matches_cells_run_alone(tmp_path, monkeypatch, name):
+    base, alphas, rhos = LOCKSTEP_SWEEPS[name]
+    cfg = {**base, "sweep": {"alphas": alphas, "rhos": rhos}}
+    stacks = []
+    solve = mz.StackKey.solve
+    monkeypatch.setattr(mz.StackKey, "solve", lambda key, C: stacks.append(len(C)) or solve(key, C))
+    table = sweep_compare(cfg, tmp_path / "lockstep")
+    kind, obj, K = build_problem(cfg["problem"])
+    n_cells = len(alphas) * len(rhos) + 1
+    if kind == "minimize":  # the first round is one stack of every cell
+        assert stacks[0] == n_cells and len(stacks) <= max(r["iterations"] for r in table["rows"])
+    else:  # equilibrium requests are solved one at a time
+        assert stacks == []
+    for row in table["rows"]:
+        trace = run_algorithm(kind, obj, K, _cell_spec(kind, cfg["algorithm"], row))
+        write_trace_csv(tmp_path / "alone.csv", trace, is_ep=(kind == "ep"))
+        emitted = tmp_path / "lockstep" / f"{row['cell']}_trace.csv"
+        assert emitted.read_bytes() == (tmp_path / "alone.csv").read_bytes(), row["cell"]
+        assert (row["iterations"], row["subproblem_evals"]) == (trace.iterations, trace.prox_evals)
+    # the same sweep with its cells driven one after another
+    drive_many = mz._drive_many
+    monkeypatch.setattr(mz, "_drive_many", lambda runs: [drive_many([r])[0] for r in runs])
+    assert sweep_compare(cfg, tmp_path / "one_by_one") == table
+    for emitted in ("sweep.json", "sweep.csv"):
+        assert ((tmp_path / "lockstep" / emitted).read_bytes()
+                == (tmp_path / "one_by_one" / emitted).read_bytes())
+
+
+def test_lockstep_sweep_cell_that_raises_mid_run_is_its_own_error_row(tmp_path, monkeypatch):
+    cfg = sweep_config([0.0, 0.1, 0.2], [0.8, 1.2])
+    clean = sweep_compare(cfg, tmp_path / "clean")
+    start_rippa = mz.start_rippa
+
+    def fail_at_fourth_request(run):
+        request = next(run)
+        for _ in range(3):
+            request = run.send((yield request))
+        raise RuntimeError("injected failure")
+
+    def start(h, K, p, x0):
+        run = start_rippa(h, K, p, x0)
+        return fail_at_fourth_request(run) if (p.alpha, p.rho_lo) == (0.1, 0.8) else run
+
+    monkeypatch.setattr(mz, "start_rippa", start)
+    table = sweep_compare(cfg, tmp_path / "faulty")
+    rows = {r["cell"]: r for r in table["rows"]}
+    assert rows.pop("cell_1_0") == {"cell": "cell_1_0", "alpha": 0.1, "rho": 0.8,
+                                    "error": "injected failure", "converged": False,
+                                    "guarded": False, "iterations": None,
+                                    "subproblem_evals": None}
+    assert not (tmp_path / "faulty" / "cell_1_0_trace.csv").exists()
+    for row in clean["rows"]:
+        if row["cell"] != "cell_1_0":
+            assert rows[row["cell"]] == row
+            trace = f"{row['cell']}_trace.csv"
+            faulty, clean_trace = tmp_path / "faulty" / trace, tmp_path / "clean" / trace
+            assert faulty.read_bytes() == clean_trace.read_bytes()
+
+
+def test_sweep_checks_every_cell_before_any_runs(tmp_path, monkeypatch):
+    started = []
+    monkeypatch.setattr(mz, "_drive_many", lambda runs: started.append(runs) or [])
+    with pytest.raises(SchemaError, match="alpha"):
+        sweep_compare(sweep_config([0.0, 1.5], [1.0]), tmp_path)
+    assert started == [] and not list(tmp_path.glob("*_trace.csv"))
+
+
+# --- set and catalog-parameter specs -------------------------------------------------
+
+def _minimize_cfg(objective, set_spec=None):
+    problem = {"kind": "minimize", "objective": objective}
+    if set_spec is not None:
+        problem["set"] = set_spec
+    return {"schema_version": 1, "problem": problem,
+            "algorithm": {"variant": "PPA", "x0": [0.5], "max_iters": 5}}
+
+
+def _ep_cfg(catalog_name, params):
+    return {"schema_version": 1,
+            "problem": {"kind": "ep", "bifunction": {"catalog": catalog_name, "params": params}},
+            "algorithm": {"variant": "PPA_EP", "x0": [0.5], "max_iters": 3}}
+
+
+GAUSS_WELL = {"catalog": "gauss_well", "params": {}}
+
+
+def _quad_fractional(K):
+    return {"catalog": "quad_fractional",
+            "params": {"A": [[2.0]], "a": [0.0], "alpha": 1.0, "B": [[0.0]], "b": [0.0],
+                       "beta": 1.0, "K": K, "m": 0.5, "M": 2.0}}
+
+
+# each ended in a traceback, exited 3, or named the wrong path or no key
+SPEC_ERRORS = [
+    (_minimize_cfg(GAUSS_WELL, 3), "problem.set", "expected an object"),
+    (_minimize_cfg(GAUSS_WELL, {"kind": "box", "hi": [1.0]}), "problem.set",
+     "missing required key 'lo'"),
+    (_minimize_cfg(_quad_fractional(3)), "problem.objective.params.K", "expected an object"),
+    (_minimize_cfg(_quad_fractional({"kind": "nope"})), "problem.objective.params.K",
+     "unknown feasible set kind"),
+    (_minimize_cfg(_quad_fractional({"kind": "box", "hi": [1.0]})),
+     "problem.objective.params.K", "missing required key 'lo'"),
+    (_ep_cfg("glt_example", {"K": 3}), "problem.bifunction.params.K", "expected an object"),
+    (_ep_cfg("glt_example", {"K": {"kind": "nope"}}), "problem.bifunction.params.K",
+     "unknown feasible set kind"),
+    (_minimize_cfg({"catalog": "gauss_well", "params": "x"}), "problem.objective.params",
+     "expected an object"),
+    (_minimize_cfg({"catalog": "gauss_well", "params": [1]}), "problem.objective.params",
+     "expected an object"),
+    (_minimize_cfg({"catalog": "gauss_well", "params": None}), "problem.objective.params",
+     "expected an object"),
+    (_ep_cfg("glt_example", "x"), "problem.bifunction.params", "expected an object"),
+    (_ep_cfg("value_gap", [1]), "problem.bifunction.params", "expected an object"),
+    (_minimize_cfg({"catalog": "gauss_well", "params": {"d": "x"}}),
+     "problem.objective.params.d", "expected a number"),
+    (_ep_cfg("glt_example", {"p": "x"}), "problem.bifunction.params.p", "expected a number"),
+    (_ep_cfg("value_gap", {"objective": {"catalog": "gauss_well", "params": {"d": [1]}}}),
+     "problem.bifunction.params.objective.params.d", "expected a number"),
+]
+
+
+@pytest.mark.parametrize("cfg, field_path, message", SPEC_ERRORS,
+                         ids=[f"{p}-{m.split()[-1]}" for _, p, m in SPEC_ERRORS])
+def test_cli_bad_set_or_params_spec_is_one_schema_error_line(tmp_path, capsys, cfg, field_path,
+                                                             message):
+    command = "solve-ep" if cfg["problem"]["kind"] == "ep" else "minimize"
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {field_path}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -6,7 +6,10 @@ from sqopt.functions import bregman_catalog, catalog
 from sqopt.geometry import box1d
 from sqopt.minimize import (
     MinParams,
+    ProxRequest,
     Schedule,
+    StackKey,
+    _drive_many,
     default_rippa_params,
     rippa_rho_upper,
     run_bppa,
@@ -16,6 +19,7 @@ from sqopt.minimize import (
     run_ppa,
     run_rippa,
     run_subgradient,
+    start_rippa,
 )
 from sqopt.prox import GlobalSolveConfig, prox
 
@@ -375,3 +379,48 @@ def test_uniqueness_cross_check_small():
     for a in finals:
         for b in finals:
             assert np.linalg.norm(a - b) <= 10 * 1e-9 + 1e-6
+
+
+# --- lockstep runs ---------------------------------------------------------------
+
+
+def test_stacked_solve_error_reaches_only_the_run_that_asked(monkeypatch):
+    h, cfg = catalog("sin_quad"), GlobalSolveConfig(search_radius=4.0)
+    key = StackKey(h.value_many, h.grad_many, h.domain, cfg, 0.5)
+    stacks = []
+    solve = StackKey.solve
+    monkeypatch.setattr(StackKey, "solve", lambda k, C: stacks.append(len(C)) or solve(k, C))
+
+    def asking(c):
+        try:
+            return (yield ProxRequest(lambda: prox(h, h.domain, 0.5, c, cfg), key, c))
+        except ValueError as e:
+            return f"thrown in: {e}"
+
+    centers = [np.array([2.0]), np.array([np.nan]), np.array([-1.0])]
+    ends = _drive_many([asking(c) for c in centers])
+    assert stacks == [3]  # one stacked attempt, then one solve per request
+    assert ends[1] == "thrown in: prox center must be finite"
+    for i in (0, 2):
+        alone = prox(h, h.domain, 0.5, centers[i], cfg)
+        assert np.array_equal(ends[i].point, alone.point)
+        assert (ends[i].value, ends[i].residual, ends[i].n_evals) == (
+            alone.value, alone.residual, alone.n_evals)
+
+
+def test_drive_many_answers_equal_keys_with_one_stack_per_round(monkeypatch):
+    h = catalog("power_norm", n=2, halfwidth=1.0)
+    stacks = []
+    solve = StackKey.solve
+    monkeypatch.setattr(StackKey, "solve", lambda k, C: stacks.append(len(C)) or solve(k, C))
+    params = [MinParams(c=Schedule.constant(0.5), alpha=a, rho_lo=r, rho_hi=r)
+              for a, r in ((0.0, 1.0), (0.1, 0.8), (0.2, 1.2))]
+    ends = _drive_many([start_rippa(h, None, p, [0.6, -0.8]) for p in params])
+    alone = [run_rippa(h, None, p, [0.6, -0.8]) for p in params]
+    for trace, ref in zip(ends, alone):
+        for name in ("iterates", "values", "residuals", "step_norms", "cum_evals"):
+            assert np.array_equal(getattr(trace, name), getattr(ref, name))
+        assert (trace.terminated_by, trace.fn_evals) == (ref.terminated_by, ref.fn_evals)
+    # round r stacks every run still active; a lone run's request is solved alone
+    active = [sum(t.prox_evals > r for t in alone) for r in range(max(t.prox_evals for t in alone))]
+    assert stacks == [n for n in active if n >= 2] and stacks[0] == 3

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from sqopt.prox import (
     global_min,
     prox,
     prox_fixed_point_residual,
+    prox_many,
+    prox_point,
 )
 from sqopt import verify
 
@@ -358,3 +362,34 @@ def test_global_solve_stack_equals_each_problem_solo():
             assert res.n_evals == solo.n_evals
             assert len(res.candidates) == len(solo.candidates)
             assert all(np.array_equal(a, b) for a, b in zip(res.candidates, solo.candidates))
+
+
+@pytest.mark.parametrize("name, kw, centers, radius", [
+    ("sin_quad", {}, [[2.0], [-1.3], [0.4]], 4.0),
+    ("power_norm", {"n": 2, "halfwidth": 1.0}, [[0.6, -0.8], [0.1, 0.2], [-1.0, 1.0]], None),
+])
+def test_prox_many_equals_prox_point_per_center(name, kw, centers, radius):
+    h = catalog(name, **kw)
+    cfg = GlobalSolveConfig(search_radius=radius)
+    grad = h.grad_many if h.grad else None
+    stacked = prox_many(h.value_many, grad, h.domain, 0.5, np.array(centers), cfg)
+    for res, c in zip(stacked, centers):
+        alone = prox_point(h.value_many, grad, h.domain, 0.5, np.array(c), cfg)
+        assert np.array_equal(res.point, alone.point)
+        assert (res.value, res.residual, res.n_evals) == (
+            alone.value, alone.residual, alone.n_evals)
+        assert all(np.array_equal(a, b) for a, b in zip(res.candidates, alone.candidates))
+
+
+def test_n_evals_counts_every_row_the_objective_sees():
+    h = catalog("power_norm", n=2, halfwidth=1.0)
+    rows = []
+    counted = dataclasses.replace(h, fn=lambda X: rows.append(len(X)) or h.fn(X))
+    one = prox(counted, None, 0.5, np.array([0.6, -0.8]))
+    assert one.n_evals == sum(rows)
+    rows.clear()
+    # four compass solves evaluate over 2^15 rows, so the owner counts are folded
+    C = np.array([[0.6, -0.8], [0.1, 0.2], [-1.0, 1.0], [0.3, 0.9]])
+    many = prox_many(counted.value_many, None, h.domain, 0.5, C, GlobalSolveConfig())
+    assert sum(r.n_evals for r in many) == sum(rows) > 1 << 15
+    assert many[0].n_evals == one.n_evals
