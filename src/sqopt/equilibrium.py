@@ -281,32 +281,19 @@ def run_ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     return run_rippa_ep(prob, q, x0)
 
 
-def _regularized(f: Bifunction, xk: np.ndarray, beta_k: float, k: int) -> Bifunction:
-    """``f_k(x, y) = f(x, y) + (x - x_k).(y - x)/beta_k``, the REG_EP outer-step bifunction."""
+def _regularized_y_objective(f: Bifunction, xk: np.ndarray, beta_k: float, x) -> tuple:
+    """``(fy, gy)`` of ``f_k(x, .)`` for the REG_EP outer-step bifunction.
 
-    def fn_k(X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        return f.fn(X, Y) + np.einsum("...i,...i->...", X - xk, Y - X) / beta_k
-
-    def y_parts_k(xc):
-        fy, gy = f.y_objective(xc)
-        shift = (np.asarray(xc, dtype=float) - xk) / beta_k
-        # einsum, not ``Y @ shift``: a matrix-vector product may round a row
-        # differently inside a batch than alone
-        fy_k = lambda Y: fy(Y) + np.einsum("...i,i->...", np.asarray(Y, dtype=float), shift)
-        gy_k = None if gy is None else (lambda Y: gy(Y) + shift)
-        return fy_k, gy_k
-
-    return Bifunction(
-        name=f"{f.name}+reg{k}",
-        dim=f.dim,
-        domain=f.domain,
-        fn=fn_k,
-        gamma=f.gamma,
-        eta=f.eta + 0.5 / beta_k,
-        y_parts=y_parts_k,
-    )
+    ``f_k(x, y) = f(x, y) + (x - x_k).(y - x)/beta_k``; like every y-objective,
+    ``fy`` is ``f_k(x, .)`` up to an additive constant.
+    """
+    fy, gy = f.y_objective(x)
+    shift = (np.asarray(x, dtype=float) - xk) / beta_k
+    # einsum, not ``Y @ shift``: a matrix-vector product may round a row
+    # differently inside a batch than alone
+    fy_k = lambda Y: fy(Y) + np.einsum("...i,i->...", np.asarray(Y, dtype=float), shift)
+    gy_k = None if gy is None else (lambda Y: gy(Y) + shift)
+    return fy_k, gy_k
 
 
 def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
@@ -327,10 +314,10 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
         nonlocal x, prev_res
         beta_k = p.beta.at(k)
         z = xk = x.copy()
-        f_k = _regularized(prob.f, xk, beta_k, k)
         inner_tol = max(p.stop_tol, 0.1 * prev_res)
         for _ in range(p.inner_max):
-            z_next = rec.took(prox_point(*f_k.y_objective(z), prob.K, beta_k, z, cfg))
+            fy, gy = _regularized_y_objective(prob.f, xk, beta_k, z)
+            z_next = rec.took(prox_point(fy, gy, prob.K, beta_k, z, cfg))
             r_in = float(np.linalg.norm(z_next - z))
             z = z_next
             if r_in <= inner_tol:

@@ -314,6 +314,8 @@ def _quad_fractional(
     b = np.asarray(b, dtype=float)
     alpha, beta, m, M = float(alpha), float(beta), float(m), float(M)
     n = A.shape[0]
+    if K.dim != n:
+        raise ValueError(f"K has dimension {K.dim}, not {n} as A")
     if not (0 < m < M):
         raise ValueError("quad_fractional requires 0 < m < M")
     if np.max(np.abs(A - A.T)) > 1e-12:
@@ -601,6 +603,8 @@ def glt_example(p: float = 2.0, q: float = 2.0, n: int = 1, K: FeasibleSet | Non
         K = Box(np.zeros(n), 4.0 * np.ones(n))
     if not isinstance(K, Box):
         raise ValueError("glt_example expects a box domain")
+    if K.dim != n:
+        raise ValueError(f"K has dimension {K.dim}, not n = {n}")
     lo, hi = float(np.min(K.lo)), float(np.max(K.hi))
     gamma, eta = _glt_constants(p, q, lo, hi, n)
 

@@ -98,6 +98,10 @@ class FullSpace(FeasibleSet):
     dim: int
     kind: str = field(default="full_space", init=False)
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"full_space dimension must be at least 1, got {self.dim}")
+
     def _project_many(self, X):
         return X.copy()
 
@@ -206,7 +210,7 @@ class AffineSubspace(FeasibleSet):
         if B.ndim != 2 or B.shape[0] != off.shape[0]:
             raise ValueError("basis must be (n, k) with offset of length n")
         gram = B.T @ B
-        if np.max(np.abs(gram - np.eye(B.shape[1]))) > ORTHONORMAL_TOL:
+        if B.shape[1] and np.max(np.abs(gram - np.eye(B.shape[1]))) > ORTHONORMAL_TOL:
             raise ValueError("basis columns must be orthonormal (tolerance 1e-12)")
         object.__setattr__(self, "basis", B)
         object.__setattr__(self, "offset", off)

@@ -1,14 +1,14 @@
 """Run orchestration: config schema, dispatch, trace/summary emission, sweeps.
 
-Configs are JSON with a ``schema_version`` field; unknown keys are rejected
-with a field-path diagnostic.  ``VARIANTS`` is the one table of algorithms:
-each entry gives its problem kind, accepted keys, search-radius need,
-validator and runner.  Exit-code contract (used by the CLI): 0 when a run
-converged, 1 on a schema violation (a hard range that the variant's
-validator rejects before the first iteration included), 2 on hitting the
-iteration cap, 3 on a guard that fires during a run.  Trace CSVs are
-byte-reproducible: the ``wall_ms`` column is left empty on purpose (wall
-time lives in the summary JSON, which is the only nondeterministic output).
+Configs are JSON with a ``schema_version`` field; a key that nothing reads
+is rejected with a field-path diagnostic.  ``VARIANTS`` is the one table of
+algorithms and ``CHECKS`` the one table of ``verify`` checks; each entry
+gives its problem kind and the keys it reads.  Exit codes (used by the
+CLI): 0 when a run converged, 1 on a schema violation (a hard range that
+the variant's validator rejects before the first iteration included), 2 on
+hitting the iteration cap, 3 on a guard that fires during a run.  Trace
+CSVs are byte-reproducible: the ``wall_ms`` column is left empty on purpose
+(wall time lives in the summary JSON, the only nondeterministic output).
 """
 
 from __future__ import annotations
@@ -48,15 +48,20 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def _check_keys(d: dict, allowed: set[str], path: str):
+def _object(d, path: str):
     if not isinstance(d, dict):
         raise SchemaError(path, f"expected an object, got {type(d).__name__}")
+
+
+def _check_keys(d: dict, allowed: set[str], path: str):
+    _object(d, path)
     unknown = set(d) - allowed
     if unknown:
         raise SchemaError(path, f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def _require(d: dict, key: str, path: str):
+    _object(d, path)
     if key not in d:
         raise SchemaError(path, f"missing required key {key!r}")
     return d[key]
@@ -97,10 +102,31 @@ def _numbers(value, path: str, at_least: int = 1) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _finite(value, path: str):
+    """Every number in the JSON value ``value`` must be finite."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _finite(v, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _finite(v, f"{path}[{i}]")
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise SchemaError(path, f"expected a finite number, got {value}")
+
+
+# the keys of each set kind; an affine set is given by a normal or by a basis
+_SET_KEYS = {"full_space": {"dim"}, "box": {"lo", "hi"}, "ball": {"center", "radius"},
+             "affine": {"normal", "value"}, "halfspaces": {"normals", "bounds"}}
+
+
 def _build_set(spec, path: str) -> FeasibleSet:
     """A feasible set from its spec; every defect of the spec is a SchemaError at ``path``."""
-    if not isinstance(spec, dict):
-        raise SchemaError(path, f"expected an object, got {type(spec).__name__}")
+    _object(spec, path)
+    _finite(spec, path)
+    kind = spec.get("kind")
+    if isinstance(kind, str) and kind in _SET_KEYS:
+        keys = {"basis", "offset"} if kind == "affine" and "normal" not in spec else _SET_KEYS[kind]
+        _check_keys(spec, {"kind"} | keys, path)
     try:
         return feasible_set_from_spec(spec)
     except KeyError as e:
@@ -113,15 +139,15 @@ _NUMBER_ANNOTATIONS = {int, float, float | None}
 
 
 def _catalog_params(spec: dict, path: str, make=None) -> dict:
-    """A copy of ``spec["params"]``, which must be an object, checked against ``make``.
+    """A copy of ``spec["params"]``, an object whose numbers are finite, checked against ``make``.
 
     A set spec under the ``K`` parameter of the catalog constructor ``make``
     is built, and a parameter annotated as a number must hold one (or null,
     where null is its default).
     """
     params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaError(path + ".params", f"expected an object, got {type(params).__name__}")
+    _object(params, path + ".params")
+    _finite(params, path + ".params")
     params = dict(params)
     signature = inspect.signature(make, eval_str=True).parameters if make else {}
     for key, prm in signature.items():
@@ -151,6 +177,7 @@ def _build_bifunction(spec: dict, path: str):
     name = _require(spec, "catalog", path)
     if name == "value_gap":
         params = _catalog_params(spec, path)
+        _check_keys(params, {"objective"}, path + ".params")
         h = _build_objective(_require(params, "objective", path + ".params"),
                              path + ".params.objective")
         return bifunction_catalog("value_gap", h=h)
@@ -169,42 +196,44 @@ def build_problem(spec: dict, path: str = "problem"):
     kind = spec.get("kind", "minimize")
     K = _build_set(spec["set"], path + ".set") if "set" in spec else None
     if kind == "minimize":
-        h = _build_objective(_require(spec, "objective", path), path + ".objective")
-        return kind, h, (K or h.domain)
-    if kind == "ep":
-        f = _build_bifunction(_require(spec, "bifunction", path), path + ".bifunction")
-        return kind, ep.EpProblem(f, K or f.domain), (K or f.domain)
-    raise SchemaError(path + ".kind", f"unknown problem kind {kind!r}")
+        func = _build_objective(_require(spec, "objective", path), path + ".objective")
+    elif kind == "ep":
+        func = _build_bifunction(_require(spec, "bifunction", path), path + ".bifunction")
+    else:
+        raise SchemaError(path + ".kind", f"unknown problem kind {kind!r}")
+    if K is None:
+        K = func.domain
+    elif K.dim != func.dim:
+        raise SchemaError(path + ".set", f"dimension {K.dim} differs from the problem's {func.dim}")
+    return kind, (func if kind == "minimize" else ep.EpProblem(func, K)), K
 
 
 # ---------------------------------------------------------------------------
 # algorithm construction
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = {"variant", "x0", "x1", "stop_tol", "max_iters", "search_radius", "prox"}
+_COMMON_KEYS = {"variant", "x0", "stop_tol", "max_iters"}
+_SOLVES = {"prox", "search_radius"}  # the keys of a variant that makes global solves
 
 
 @dataclass(frozen=True)
 class Variant:
     """One entry of the variant registry.
 
-    ``keys``: the config keys the variant accepts beyond ``_COMMON_KEYS``.
-    ``radius``: where a run bounds an unbounded set, and so needs a search
-    radius: ``none`` never, ``solve`` only in its global solves (which also
-    read ``prox.search_radius``), ``sampled`` also to sample or certify.
-    ``validate(problem, K, params)`` returns guard notes and raises
-    ValueError on a hard invariant.  ``run(problem, K, params, x0, x1, spec)``
-    looks its runner up when called, never at import, so a runner replaced
-    on its module (or in ``EP_RUNNERS``) is the one that runs.  The swept
-    variants also have ``start(problem, K, params, x0)``: the same run, not
-    yet started, for ``minimize._drive_many``.  PPA and PPA_EP start the
-    relaxed-inertial run: their keys exclude ``alpha`` and the ``rho`` pair,
-    so their parameters already hold alpha = 0, rho = 1.
+    ``keys``: the config keys the variant reads beyond ``_COMMON_KEYS``, the
+    only others it accepts.  ``validate(problem, K, params)`` returns guard
+    notes and raises ValueError on a hard invariant.  A runner,
+    ``run(problem, K, params, x0, x1, spec)``, is looked up when called,
+    never at import, so a runner replaced on its module (or in
+    ``EP_RUNNERS``) is the one that runs.  The swept variants also have
+    ``start(problem, K, params, x0)``: the same run, not yet started, for
+    ``minimize._drive_many``.  PPA and PPA_EP start the relaxed-inertial
+    run: their keys exclude ``alpha`` and the ``rho`` pair, so their
+    parameters already hold alpha = 0, rho = 1.
     """
 
     kind: str
     keys: set
-    radius: str
     validate: Callable
     run: Callable
     start: Callable | None = None
@@ -223,26 +252,26 @@ def _run_bppa(h, K, p, x0, x1, spec):
 
 
 def _ep(keys, validate, start=None) -> Variant:
-    return Variant("ep", keys, "sampled", lambda prob, K, p: validate(prob, p),
+    return Variant("ep", keys | _SOLVES, lambda prob, K, p: validate(prob, p),
                    lambda prob, K, p, x0, x1, spec: ep.EP_RUNNERS[p.variant](prob, p, x0),
                    start)
 
 
 VARIANTS = {
-    "PPA": Variant("minimize", {"c"}, "solve", mz.validate_rippa,
+    "PPA": Variant("minimize", {"c"} | _SOLVES, mz.validate_rippa,
                    lambda h, K, p, x0, x1, spec: mz.run_ppa(h, K, p, x0),
                    lambda h, K, p, x0: mz.start_rippa(h, K, p, x0)),
-    "RIPPA": Variant("minimize", {"c", "alpha", "rho_lo", "rho_hi"}, "solve", mz.validate_rippa,
+    "RIPPA": Variant("minimize", {"c", "alpha", "rho_lo", "rho_hi"} | _SOLVES, mz.validate_rippa,
                      lambda h, K, p, x0, x1, spec: mz.run_rippa(h, K, p, x0),
                      lambda h, K, p, x0: mz.start_rippa(h, K, p, x0)),
-    "BPPA": Variant("minimize", {"c", "bregman"}, "solve", mz.validate_bppa, _run_bppa),
-    "SUBGRAD": Variant("minimize", {"steps", "beta"}, "sampled", mz.validate_subgradient,
+    "BPPA": Variant("minimize", {"c", "bregman"} | _SOLVES, mz.validate_bppa, _run_bppa),
+    "SUBGRAD": Variant("minimize", {"steps", "beta", "search_radius"}, mz.validate_subgradient,
                        lambda h, K, p, x0, x1, spec: mz.run_subgradient(h, K, p, x0)),
-    "GRAD": Variant("minimize", {"steps"}, "none", mz.validate_gradient,
+    "GRAD": Variant("minimize", {"steps"}, mz.validate_gradient,
                     lambda h, K, p, x0, x1, spec: mz.run_gradient(h, p, x0)),
-    "HEAVY_BALL": Variant("minimize", {"theta", "hb_eta"}, "none", mz.validate_heavy_ball,
+    "HEAVY_BALL": Variant("minimize", {"theta", "hb_eta", "x1"}, mz.validate_heavy_ball,
                           lambda h, K, p, x0, x1, spec: mz.run_heavy_ball(h, p, x0, x1)),
-    "INERTIAL_GM": Variant("minimize", {"steps", "eta_min"}, "none", mz.validate_inertial_gm,
+    "INERTIAL_GM": Variant("minimize", {"steps", "eta_min", "x1"}, mz.validate_inertial_gm,
                            lambda h, K, p, x0, x1, spec: mz.run_inertial_gm(h, p, x0, x1)),
     "RIPPA_EP": _ep({"beta", "alpha", "rho_lo", "rho_hi", "policy"}, ep.validate_rippa_ep,
                     lambda prob, K, p, x0: ep.start_rippa_ep(prob, p, x0)),
@@ -265,8 +294,7 @@ _CONVERT = {"max_iters": int, "inner_max": int, "policy": str}
 _RUN_ARGS = {"x0", "x1", "bregman"}
 
 # the keys of ``algorithm.prox`` and how each value converts
-_SOLVE_KEYS = {"n_starts": int, "grid_density": int, "local_tol": float,
-               "max_local_iters": int, "search_radius": float}
+_SOLVE_KEYS = {"n_starts": int, "grid_density": int, "local_tol": float, "max_local_iters": int}
 
 
 def _solve_cfg_from(spec: dict, path: str) -> GlobalSolveConfig:
@@ -428,13 +456,10 @@ def _summarize(problem_label, algo_label, trace, known=None, rate=None) -> RunSu
     )
 
 
-def _check_search_radius(K: FeasibleSet, params, need: str, path: str):
-    """An unbounded set needs a search radius wherever a run bounds it."""
-    if K.is_bounded or need == "none" or params.search_radius is not None:
-        return
-    if need == "solve" and params.prox_cfg.search_radius is not None:
-        return
-    raise SchemaError(path, f"missing required key 'search_radius' (needed to bound the {K.kind} set)")
+def _radius_rule(K: FeasibleSet, keys, key: str, value, path: str):
+    """An entry that accepts the radius ``key`` needs it on a set with no bounding box."""
+    if key in keys and value is None and not K.is_bounded:
+        raise SchemaError(path, f"missing required key {key!r} ({K.kind} has no bounding box)")
 
 
 def _checked(kind: str, problem, K: FeasibleSet, spec: dict, path: str) -> tuple:
@@ -448,7 +473,7 @@ def _checked(kind: str, problem, K: FeasibleSet, spec: dict, path: str) -> tuple
         raise SchemaError(path + ".variant", f"unknown variant {variant!r}")
     _check_keys(spec, _COMMON_KEYS | entry.keys, path)
     params = _params(kind, spec, path)
-    _check_search_radius(K, params, entry.radius, path)
+    _radius_rule(K, entry.keys, "search_radius", params.search_radius, path)
     _require(spec, "x0", path)
     dim = problem.dim if kind == "minimize" else problem.f.dim
     x0, x1 = _point(spec, "x0", dim, path), _point(spec, "x1", dim, path)
@@ -533,15 +558,13 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     kind, obj, K = build_problem(_require(cfg, "problem", "config"))
     base_algo = _require(cfg, "algorithm", "config")
-    if not isinstance(base_algo, dict):
-        raise SchemaError("config.algorithm", f"expected an object, got {type(base_algo).__name__}")
+    _object(base_algo, "config.algorithm")
     relaxed, plain = _SWEPT[kind]
-    kind_keys = set().union(*(v.keys for v in VARIANTS.values() if v.kind == kind))
 
     def cell_run(alpha: float, rho: float) -> mz.Run:
         variant = relaxed if (alpha != 0.0 or rho != 1.0) else plain
-        # drop the base's keys that this cell's variant does not accept
-        dropped = kind_keys - VARIANTS[variant].keys
+        # the baseline drops the relaxed variant's keys that it does not read
+        dropped = VARIANTS[relaxed].keys - VARIANTS[variant].keys
         spec = {k: v for k, v in base_algo.items() if k not in dropped}
         spec["variant"] = variant
         if variant == relaxed:
@@ -599,68 +622,75 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
 # verify / dynamics dispatch (CLI back ends)
 # ---------------------------------------------------------------------------
 
-_CHECK_KEYS = {"check", "gamma", "n", "seed", "radius", "radii", "xbar", "z", "beta", "lip"}
-_UNSAMPLED_CHECKS = {"supercoercive"}  # every other check samples the set
+# the checks of each problem kind: ``call(target, K, **values)`` on the objective or bifunction;
+# its keywords after K are the keys it reads, and it looks its verify function up when called
+CHECKS = {
+    "minimize": {
+        "sqc": lambda h, K, gamma, n, seed, radius:
+            verify.check_sqc_sampled(h, K, gamma, n, seed, radius),
+        "modulus": lambda h, K, n, seed, radius: verify.estimate_modulus(h, K, n, seed, radius),
+        "supercoercive": lambda h, K, radii, seed: verify.check_supercoercive(h, radii, seed=seed),
+        "growth": lambda h, K, xbar, gamma, n, seed, radius:
+            verify.check_quadratic_growth(h, K, xbar, gamma, n, seed, radius),
+        "foc": lambda h, K, gamma, n, seed, radius: verify.check_foc(h, K, gamma, n, seed, radius),
+        "pl": lambda h, K, xbar, gamma, lip, n, seed, radius:
+            verify.check_pl(h, K, xbar, gamma, lip, n, seed, radius),
+        "subdiff": lambda h, K, xbar, z, beta, gamma, n, seed, radius:
+            verify.subdiff_member(h, K, xbar, z, beta, gamma, n, seed, radius),
+        "grad": lambda h, K, n, seed, radius: verify.grad_check(h, K.sample(seed, min(n, 100), radius)),
+    },
+    "ep": {
+        "a0": lambda f, K, n, seed, radius: verify.check_a0(f, K, n, seed, radius),
+        "pseudomonotone": lambda f, K, n, seed, radius:
+            verify.check_pseudomonotone(f, K, n, seed, radius),
+        "a4": lambda f, K, seed, radius: verify.check_a4_sampled(f, K, seed=seed, radius=radius),
+        "eta": lambda f, K, n, seed, radius: verify.estimate_eta(f, K, n, seed, radius),
+    },
+}
+
+
+def keys_read(call: Callable) -> tuple:
+    return tuple(inspect.signature(call).parameters)[2:]
+
+
+def _check_arg(c: dict, key: str, path: str, dim: int, config_seed: int):
+    """The value of the check key ``key``, converted; its default when absent."""
+    if key in ("xbar", "z"):
+        return _point(c, key, dim, path)
+    if key == "radii":
+        return _numbers(c.get(key, [10.0, 100.0]), f"{path}.{key}", at_least=2)
+    value = _number(c, key, path, int if key in ("n", "seed") else float,
+                    {"seed": config_seed, "n": 2000, "beta": 1.0}.get(key))
+    if key == "n" and value < 0:
+        raise SchemaError(f"{path}.n", f"must be nonnegative, got {value}")
+    return value
 
 
 def run_verify(cfg: dict, out_dir) -> list[dict]:
     validate_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = _require(cfg, "problem", "config")
     checks = _require(cfg, "verify", "config")
     _check_keys(checks, {"checks"}, "config.verify")
-    kind, obj, K = build_problem(spec)
-    dim = obj.dim if kind == "minimize" else obj.f.dim
+    kind, obj, K = build_problem(_require(cfg, "problem", "config"))
+    target = obj if kind == "minimize" else obj.f
     config_seed = _convert(cfg.get("seed", 0), int, "config.seed")
+    items = _require(checks, "checks", "config.verify")
+    if not isinstance(items, list):
+        raise SchemaError("config.verify.checks", f"expected a list, got {type(items).__name__}")
     reports = []
-    for i, c in enumerate(_require(checks, "checks", "config.verify")):
+    for i, c in enumerate(items):
         path = f"config.verify.checks[{i}]"
-        _check_keys(c, _CHECK_KEYS, path)
         name = _require(c, "check", path)
-        seed, n = _number(c, "seed", path, int, config_seed), _number(c, "n", path, int, 2000)
-        if n < 0:
-            raise SchemaError(f"{path}.n", f"must be nonnegative, got {n}")
-        radius, gamma, lip = (_number(c, key, path) for key in ("radius", "gamma", "lip"))
-        beta = _number(c, "beta", path, default=1.0)
-        radii = _numbers(c.get("radii", [10.0, 100.0]), f"{path}.radii", at_least=2)
-        xbar, z = _point(c, "xbar", dim, path), _point(c, "z", dim, path)
-        if name not in _UNSAMPLED_CHECKS and radius is None and not K.is_bounded:
-            raise SchemaError(path, f"missing required key 'radius' (needed to sample the {K.kind} set)")
-        if kind == "minimize":
-            h = obj
-            if name == "sqc":
-                rep = verify.check_sqc_sampled(h, K, gamma, n, seed, radius)
-            elif name == "modulus":
-                rep = verify.estimate_modulus(h, K, n, seed, radius)
-            elif name == "supercoercive":
-                rep = verify.check_supercoercive(h, radii, seed=seed)
-            elif name == "growth":
-                rep = verify.check_quadratic_growth(h, K, xbar, gamma, n, seed, radius)
-            elif name == "foc":
-                rep = verify.check_foc(h, K, gamma, n, seed, radius)
-            elif name == "pl":
-                rep = verify.check_pl(h, K, xbar, gamma, lip, n, seed, radius)
-            elif name == "subdiff":
-                rep = verify.subdiff_member(h, K, xbar, z, beta, gamma, n, seed, radius)
-            elif name == "grad":
-                pts = K.sample(seed, min(n, 100), radius)
-                rep = verify.grad_check(h, pts)
-            else:
-                raise SchemaError(path, f"unknown objective check {name!r}")
-        else:
-            f = obj.f
-            if name == "a0":
-                rep = verify.check_a0(f, K, n, seed, radius)
-            elif name == "pseudomonotone":
-                rep = verify.check_pseudomonotone(f, K, n, seed, radius)
-            elif name == "a4":
-                rep = verify.check_a4_sampled(f, K, seed=seed, radius=radius)
-            elif name == "eta":
-                rep = verify.estimate_eta(f, K, n, seed, radius)
-            else:
-                raise SchemaError(path, f"unknown bifunction check {name!r}")
-        reports.append(asdict(rep))
+        call = CHECKS[kind].get(name) if isinstance(name, str) else None
+        if call is None:
+            raise SchemaError(path + ".check", f"unknown check {name!r} for a {kind} problem")
+        keys = keys_read(call)
+        # values first, so a bad value is reported before an unread key
+        args = {key: _check_arg(c, key, path, target.dim, config_seed) for key in keys}
+        _check_keys(c, {"check", *keys}, path)
+        _radius_rule(K, keys, "radius", args.get("radius"), path)
+        reports.append(asdict(call(target, K, **args)))
     (out / "checks.json").write_text(strict_json(reports) + "\n")
     return reports
 

@@ -1,0 +1,260 @@
+"""Every config key is read: exact key sets per variant, per check and per set kind."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from sqopt.cli import main as cli_main
+from sqopt.harness import (_COMMON_KEYS, _SOLVE_KEYS, CHECKS, EXIT_MAX_ITERS, EXIT_OK,
+                           EXIT_SCHEMA, VARIANTS, keys_read)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+GAUSS_WELL = {"catalog": "gauss_well", "params": {}}
+VALUE_GAP = {"catalog": "value_gap", "params": {"objective": GAUSS_WELL}}
+PROBLEMS = {"minimize": {"kind": "minimize", "objective": GAUSS_WELL},
+            "ep": {"kind": "ep", "bifunction": VALUE_GAP}}
+
+# a value of each algorithm key that every variant reading the key accepts
+ALGORITHM_VALUES = {
+    "c": 0.5, "alpha": 0.1, "rho_lo": 1.0, "rho_hi": 1.0, "bregman": {"name": "half_sq_norm"},
+    "steps": 0.1, "beta": 1.0, "theta": 0.5, "hb_eta": 0.1, "eta_min": 0.01, "x1": [0.4],
+    "prox": {"grid_density": 401}, "search_radius": 2.0, "policy": "corrected",
+    "inner_max": 10, "epsilon": 0.01, "ls_alpha": 0.5, "ls_rho": 0.5,
+}
+
+# a value of each check key that every check reading the key accepts (1-D problems)
+CHECK_VALUES = {"gamma": 0.5, "n": 10, "seed": 1, "radius": 2.0, "radii": [10.0, 100.0],
+                "xbar": [0.5], "z": [0.0], "beta": 1.0, "lip": 1.0}
+
+# every key some variant accepts; x1, search_radius and prox were once accepted by all
+OFFERED_ALGORITHM_KEYS = {"x1", "search_radius", "prox"}.union(*(v.keys for v in VARIANTS.values()))
+UNREAD_ALGORITHM_KEYS = [(name, key) for name, v in sorted(VARIANTS.items())
+                         for key in sorted(OFFERED_ALGORITHM_KEYS - v.keys)]
+UNREAD_CHECK_KEYS = [(kind, name, key) for kind, table in sorted(CHECKS.items())
+                     for name, call in sorted(table.items())
+                     for key in sorted(set(CHECK_VALUES) - set(keys_read(call)))]
+
+
+def _cli(tmp_path, command, cfg) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+def _algorithm_cfg(variant, **keys):
+    kind = VARIANTS[variant].kind
+    algo = {"variant": variant, "x0": [0.5], "max_iters": 0, **keys}
+    return ("solve-ep" if kind == "ep" else "minimize",
+            {"schema_version": 1, "problem": PROBLEMS[kind], "algorithm": algo})
+
+
+def test_value_tables_cover_every_key():
+    assert set(ALGORITHM_VALUES) == OFFERED_ALGORITHM_KEYS
+    assert set(CHECK_VALUES) == {key for table in CHECKS.values() for call in table.values()
+                                 for key in keys_read(call)}
+
+
+@pytest.mark.parametrize("variant, key", UNREAD_ALGORITHM_KEYS)
+def test_variant_rejects_a_key_it_does_not_read(tmp_path, capsys, variant, key):
+    command, cfg = _algorithm_cfg(variant, **{key: ALGORITHM_VALUES[key]})
+    assert _cli(tmp_path, command, cfg) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: algorithm: unknown keys [{key!r}]; allowed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_variant_accepts_every_key_it_reads(tmp_path, capsys, variant):
+    keys = {key: ALGORITHM_VALUES[key] for key in VARIANTS[variant].keys}
+    if variant == "INERTIAL_GM":
+        keys["eta_min"] = 0.01  # its validator needs a positive lower step bound
+    command, cfg = _algorithm_cfg(variant, **keys)
+    assert _cli(tmp_path, command, cfg) == EXIT_MAX_ITERS
+    assert capsys.readouterr().err.startswith("stopped: max_iters reached after 0 iterations")
+
+
+@pytest.mark.parametrize("kind, check, key", UNREAD_CHECK_KEYS)
+def test_check_rejects_a_key_it_does_not_read(tmp_path, capsys, kind, check, key):
+    cfg = {"schema_version": 1, "problem": PROBLEMS[kind],
+           "verify": {"checks": [{"check": check, key: CHECK_VALUES[key]}]}}
+    assert _cli(tmp_path, "verify", cfg) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: config.verify.checks[0]: unknown keys [{key!r}]; ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, check", [(kind, name) for kind, table in sorted(CHECKS.items())
+                                         for name in sorted(table)])
+def test_check_accepts_every_key_it_reads(tmp_path, capsys, kind, check):
+    keys = {key: CHECK_VALUES[key] for key in keys_read(CHECKS[kind][check])}
+    cfg = {"schema_version": 1, "problem": PROBLEMS[kind],
+           "verify": {"checks": [{"check": check, **keys}]}}
+    # gauss_well has no ray that leaves its box, so supercoercivity is inapplicable (exit 3)
+    assert _cli(tmp_path, "verify", cfg) in (EXIT_OK, 3)
+    assert not capsys.readouterr().err.startswith("schema error")
+
+
+def test_prox_search_radius_is_no_second_spelling(tmp_path, capsys):
+    command, cfg = _algorithm_cfg("PPA", prox={"search_radius": 2.0})
+    assert _cli(tmp_path, command, cfg) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(
+        "schema error: algorithm.prox: unknown keys ['search_radius']; ")
+
+
+def test_unbounded_set_needs_the_radius_of_every_entry_that_accepts_one(tmp_path, capsys):
+    line = {"kind": "full_space", "dim": 1}
+    for variant, v in sorted(VARIANTS.items()):
+        command, cfg = _algorithm_cfg(variant, **({"eta_min": 0.01} if variant == "INERTIAL_GM"
+                                                  else {}))
+        cfg["problem"] = {**cfg["problem"], "set": line}
+        code = _cli(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        if "search_radius" in v.keys:
+            assert code == EXIT_SCHEMA and "missing required key 'search_radius'" in err, variant
+        else:
+            assert code == EXIT_MAX_ITERS, variant
+    for name, call in sorted(CHECKS["minimize"].items()):
+        cfg = {"schema_version": 1, "problem": {**PROBLEMS["minimize"], "set": line},
+               "verify": {"checks": [{"check": name}]}}
+        code = _cli(tmp_path, "verify", cfg)
+        err = capsys.readouterr().err
+        if "radius" in keys_read(call):
+            assert code == EXIT_SCHEMA and "missing required key 'radius'" in err, name
+        else:
+            assert not err.startswith("schema error"), name
+
+
+def test_sweep_rejects_a_base_key_that_no_cell_reads(tmp_path, capsys):
+    # every cell dropped the keys of other variants, so a GRAD base's steps ran unread
+    _, cfg = _algorithm_cfg("GRAD", steps=0.1, max_iters=50)
+    cfg["sweep"] = {"alphas": [0.1], "rhos": [1.0]}
+    assert _cli(tmp_path, "sweep", cfg) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("schema error: algorithm: unknown keys ['steps']; ")
+
+
+# --- set specs and catalog parameters -------------------------------------------------
+
+
+def _minimize_cfg(objective, set_spec=None):
+    problem = {"kind": "minimize", "objective": objective}
+    if set_spec is not None:
+        problem["set"] = set_spec
+    return "minimize", {"schema_version": 1, "problem": problem,
+                        "algorithm": {"variant": "PPA", "x0": [0.5], "max_iters": 5}}
+
+
+def _ep_cfg(bifunction, set_spec=None):
+    problem = {"kind": "ep", "bifunction": bifunction}
+    if set_spec is not None:
+        problem["set"] = set_spec
+    return "solve-ep", {"schema_version": 1, "problem": problem,
+                        "algorithm": {"variant": "PPA_EP", "x0": [0.5], "max_iters": 3}}
+
+
+GLT = {"catalog": "glt_example", "params": {"p": 2, "q": 2}}
+BOX_2D = {"kind": "box", "lo": [0.0, 0.0], "hi": [4.0, 4.0]}
+INF, NAN = float("inf"), float("nan")
+
+# each exited 3 (with a NumPy message or several stderr lines), ran with a key
+# or a non-finite value unread (some printing NumPy RuntimeWarnings), or exited
+# 1 with a NumPy message
+PROBLEM_DEFECTS = {
+    "set_dim_gauss_well": (_minimize_cfg(GAUSS_WELL, BOX_2D), "problem.set", "dimension 2"),
+    "set_dim_glt": (_ep_cfg(GLT, BOX_2D), "problem.set", "dimension 2"),
+    "K_dim_glt": (_ep_cfg({"catalog": "glt_example", "params": {"n": 1, "K": BOX_2D}}),
+                  "problem.bifunction", "K has dimension 2, not n = 1"),
+    "K_dim_quad_fractional": (
+        _minimize_cfg({"catalog": "quad_fractional",
+                       "params": {"A": [[2.0]], "a": [0.0], "alpha": 1.0, "B": [[0.0]],
+                                  "b": [0.0], "beta": 1.0, "K": BOX_2D, "m": 0.5, "M": 2.0}}),
+        "problem.objective", "K has dimension 2, not 1"),
+    "full_space_dim": (_minimize_cfg(GAUSS_WELL, {"kind": "full_space", "dim": -3}),
+                       "problem.set", "dimension must be at least 1, got -3"),
+    "box_unread_key": (_minimize_cfg(GAUSS_WELL, {"kind": "box", "lo": [-1], "hi": [1],
+                                                  "bogus": 1}),
+                       "problem.set", "unknown keys ['bogus']"),
+    "ball_unread_key": (_minimize_cfg(GAUSS_WELL, {"kind": "ball", "center": [0], "radius": 1,
+                                                   "lo": [0]}),
+                        "problem.set", "unknown keys ['lo']"),
+    "affine_mixed_forms": (_minimize_cfg(GAUSS_WELL, {"kind": "affine", "normal": [1.0],
+                                                      "value": 0.0, "offset": [0.0]}),
+                           "problem.set", "unknown keys ['offset']"),
+    "affine_basis_unread_key": (_minimize_cfg(GAUSS_WELL, {"kind": "affine", "basis": [[]],
+                                                           "offset": [0.0], "value": 0.0}),
+                                "problem.set", "unknown keys ['value']"),
+    "K_unread_key": (_ep_cfg({"catalog": "glt_example",
+                              "params": {"K": {"kind": "box", "lo": [0], "hi": [4], "x": 1}}}),
+                     "problem.bifunction.params.K", "unknown keys ['x']"),
+    "value_gap_unread_key": (_ep_cfg({**VALUE_GAP, "params": {"objective": GAUSS_WELL, "K": 3}}),
+                             "problem.bifunction.params", "unknown keys ['K']"),
+    "gauss_well_d_nan": (_minimize_cfg({"catalog": "gauss_well", "params": {"d": NAN}}),
+                         "problem.objective.params.d", "expected a finite number, got nan"),
+    "gauss_well_delta_inf": (_minimize_cfg({"catalog": "gauss_well", "params": {"delta": INF}}),
+                             "problem.objective.params.delta", "expected a finite number"),
+    "box_lo_inf": (_minimize_cfg(GAUSS_WELL, {"kind": "box", "lo": [-INF], "hi": [1]}),
+                   "problem.set.lo[0]", "expected a finite number, got -inf"),
+    "ball_radius_inf": (_minimize_cfg(GAUSS_WELL, {"kind": "ball", "center": [0],
+                                                   "radius": INF}),
+                        "problem.set.radius", "expected a finite number, got inf"),
+    "glt_p_inf": (_ep_cfg({"catalog": "glt_example", "params": {"p": INF}}),
+                  "problem.bifunction.params.p", "expected a finite number, got inf"),
+    "value_gap_objective_nan": (
+        _ep_cfg({**VALUE_GAP, "params": {"objective": {"catalog": "gauss_well",
+                                                       "params": {"c": NAN}}}}),
+        "problem.bifunction.params.objective.params.c", "expected a finite number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_DEFECTS))
+def test_problem_defect_is_one_schema_error_line(tmp_path, capsys, name):
+    (command, cfg), field_path, message = PROBLEM_DEFECTS[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity, as Python's JSON writes and reads them
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {field_path}: ") and message in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_checks_must_be_a_list(tmp_path, capsys):
+    # a number here was a TypeError traceback
+    cfg = {"schema_version": 1, "problem": PROBLEMS["minimize"], "verify": {"checks": 3}}
+    assert _cli(tmp_path, "verify", cfg) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == "schema error: config.verify.checks: expected a list, got int\n"
+
+
+# --- README ----------------------------------------------------------------------------
+
+
+def _readme_table(header: str) -> dict:
+    """The README table under ``header``: first cell -> (problem, set of keys)."""
+    lines = README.read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        name, problem, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = (problem, set(re.findall(r"`([^`]+)`", keys)))
+    return rows
+
+
+def test_readme_key_tables_equal_the_registries():
+    variants = _readme_table("| variant | problem | keys |")
+    assert variants == {name: (v.kind, v.keys) for name, v in VARIANTS.items()}
+    checks = _readme_table("| check | problem | keys |")
+    assert checks == {name: (kind, set(keys_read(call)))
+                      for kind, table in CHECKS.items() for name, call in table.items()}
+    text = " ".join(README.read_text().split())
+    common = re.search(r"Every variant accepts (.*?)\. Beyond", text).group(1)
+    assert set(re.findall(r"`([^`]+)`", common)) == _COMMON_KEYS
+    prox = re.search(r"an object with any of (.*?);", text).group(1)
+    assert set(re.findall(r"`([^`]+)`", prox)) == set(_SOLVE_KEYS)
+
+
+def test_readme_config_block_runs(tmp_path):
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+    assert _cli(tmp_path, "minimize", json.loads(block)) == EXIT_OK

@@ -312,10 +312,10 @@ def test_ep_residual_batch_equals_one_at_a_time(prob, X, cfg):
 def test_reg_ep_regularized_objective_batch_equals_row_by_row():
     # the shift term used ``Y @ shift``, which rounds a row differently inside
     # a batch than alone
-    from sqopt.equilibrium import _regularized
+    from sqopt.equilibrium import _regularized_y_objective
 
-    f_k = _regularized(glt_example(2, 2, n=2), np.array([1.3, 0.6]), 0.18, 0)
-    fy, _ = f_k.y_objective(np.array([2.1, 0.35]))
-    Y = f_k.domain.sample(seed=71, m=64)
+    f = glt_example(2, 2, n=2)
+    fy, _ = _regularized_y_objective(f, np.array([1.3, 0.6]), 0.18, np.array([2.1, 0.35]))
+    Y = f.domain.sample(seed=71, m=64)
     V = fy(Y)
     assert all(fy(Y[i]) == V[i] for i in range(Y.shape[0]))

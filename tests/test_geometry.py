@@ -189,3 +189,17 @@ def test_affine_batch_equals_row_by_row(n):
     P = K.project_many(X)
     assert np.array_equal(P, np.stack([K.project(x) for x in X]))
     assert np.allclose(K.project_many(P), P, atol=1e-12)
+
+
+def test_hyperplane_of_the_line_is_a_point():
+    # a 1-D hyperplane has an empty basis, whose orthonormality check raised
+    # "zero-size array to reduction operation maximum"
+    K = hyperplane(np.array([2.0]), 1.0)
+    assert K.is_bounded and K.subspace_dim == 0
+    assert np.array_equal(K.project_many(np.array([[3.0], [-1.0]])), np.array([[0.5], [0.5]]))
+    assert np.array_equal(K.sample(seed=0, m=2), np.array([[0.5], [0.5]]))
+
+
+def test_full_space_needs_a_positive_dimension():
+    with pytest.raises(ValueError, match="at least 1"):
+        FullSpace(0)
