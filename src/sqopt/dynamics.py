@@ -85,7 +85,7 @@ def _rk4(field, z0: np.ndarray, T: float, dt: float):
 
 def integrate_ds1(h: Objective, psi, x0, T: float, dt: float) -> Trajectory:
     """First-order flow ``du/dt = -grad h(u) + psi(t)``; descent when psi = 0."""
-    if h.grad is None:
+    if not h.differentiable:
         raise ValueError("integrate_ds1 needs a differentiable objective")
     x0 = as_point(x0, h.dim)
     grad = h.grad
@@ -100,7 +100,7 @@ def integrate_ds1(h: Objective, psi, x0, T: float, dt: float) -> Trajectory:
 
 def integrate_ds2(h: Objective, damping: float, x0, v0, T: float, dt: float) -> Trajectory:
     """Second-order flow ``u'' + damping u' + grad h(u) = 0`` in (u, u') form."""
-    if h.grad is None:
+    if not h.differentiable:
         raise ValueError("integrate_ds2 needs a differentiable objective")
     if damping < 0:
         raise ValueError("damping must be nonnegative")

@@ -5,6 +5,11 @@ moduli are guaranteed lower bounds: either a published closed form or a frozen
 constant obtained from a dense-grid certification run (those constants sit
 strictly below the grid infimum).  All evaluation callables broadcast over a
 leading batch axis, i.e. they accept shape ``(n,)`` or ``(m, n)``.
+
+``power_norm``, ``euclid_norm`` and ``abs_shift`` have a kink at their
+minimizer; their ``grad`` is a subgradient there (0) and the gradient
+elsewhere, and they are not ``smooth``, hence not ``differentiable``.
+``inv_gap`` and ``root_quartic`` with ``k = 0`` have no ``grad``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ class Objective:
     ``modulus`` is the declared modulus on ``domain`` (0 means merely
     quasiconvex).  ``fn`` and ``grad`` broadcast over a leading batch axis.
     ``known_min`` is ``(argmin, min_value)`` when the minimizer is known.
+    A ``grad`` that is not ``smooth`` is the gradient away from kinks and a
+    fixed subgradient on them; the global solver uses it, and everything
+    that needs a true gradient (gradient methods and flows, gradient-based
+    checks) asks for ``differentiable``: a ``grad`` that is smooth.
     """
 
     name: str
@@ -52,6 +61,7 @@ class Objective:
     lip_grad: float | None = None
     known_min: tuple[np.ndarray, float] | None = None
     lower_semicontinuous: bool = True
+    smooth: bool = True
 
     def value(self, x) -> float:
         return float(self.fn(as_point(x, self.dim)))
@@ -61,7 +71,7 @@ class Objective:
 
     @property
     def differentiable(self) -> bool:
-        return self.grad is not None
+        return self.grad is not None and self.smooth
 
     def grad_at(self, x) -> np.ndarray:
         if self.grad is None:
@@ -141,6 +151,11 @@ class BregmanFunction:
 # ---------------------------------------------------------------------------
 
 
+def _nonzero(nrm):
+    """Row norms with 0 replaced by 1: a norm's gradient ``x / ||x||`` is then 0 at x = 0."""
+    return np.where(nrm == 0.0, 1.0, nrm)
+
+
 def _abs_shift(a: float = 0.0, gamma: float = 1.0) -> Objective:
     """|t + a| on [0, 1/gamma] with modulus gamma."""
     if gamma <= 0:
@@ -161,7 +176,9 @@ def _abs_shift(a: float = 0.0, gamma: float = 1.0) -> Objective:
         domain=dom,
         modulus=float(gamma),
         fn=fn,
+        grad=lambda X: np.sign(X[..., 0] + a)[..., None],  # 0 at the kink t = -a
         known_min=(np.array([xm]), vm),
+        smooth=False,
     )
 
 
@@ -181,7 +198,9 @@ def _euclid_norm(n: int = 2, gamma: float = 1.0, halfwidth: float | None = None)
         domain=dom,
         modulus=float(gamma),
         fn=lambda X: np.linalg.norm(X, axis=-1),
+        grad=lambda X: X / _nonzero(np.linalg.norm(X, axis=-1, keepdims=True)),
         known_min=(np.zeros(n), 0.0),
+        smooth=False,
     )
 
 
@@ -289,13 +308,19 @@ def _power_norm(n: int = 2, halfwidth: float = 1.0, alpha: float = 0.5) -> Objec
     n, w = int(n), float(halfwidth)
     r = w * np.sqrt(n)
     modulus = 1.0 / (80.0**0.25 * r**1.5) if alpha == 0.5 else 0.0
+
+    def grad(X):  # alpha ||x||^(alpha - 2) x, and 0 at the cusp x = 0
+        return alpha * _nonzero(np.linalg.norm(X, axis=-1, keepdims=True)) ** (alpha - 2.0) * X
+
     return Objective(
         name=f"power_norm(n={n},w={w},alpha={alpha})",
         dim=n,
         domain=Box(-w * np.ones(n), w * np.ones(n)),
         modulus=modulus,
         fn=lambda X: np.linalg.norm(X, axis=-1) ** alpha,
+        grad=grad,
         known_min=(np.zeros(n), 0.0),
+        smooth=False,
     )
 
 
@@ -411,6 +436,7 @@ def combine_scale(h: Objective, kappa: float) -> Objective:
         lip_grad=None if h.lip_grad is None else kappa * h.lip_grad,
         known_min=km,
         lower_semicontinuous=h.lower_semicontinuous,
+        smooth=h.smooth,
     )
 
 
@@ -449,6 +475,7 @@ def combine_linear(h: Objective, A, domain: FeasibleSet, n_check: int = 1000) ->
         grad=grad,
         known_min=known,
         lower_semicontinuous=h.lower_semicontinuous,
+        smooth=h.smooth,
     )
 
 
@@ -478,6 +505,7 @@ def combine_max(hs: list[Objective]) -> Objective:
         modulus=min(h.modulus for h in hs),
         fn=fn,
         lower_semicontinuous=all(h.lower_semicontinuous for h in hs),
+        smooth=all(h.smooth for h in hs),
     )
 
 
@@ -507,7 +535,7 @@ def value_gap(h: Objective) -> Bifunction:
         return h.fn, h.grad
 
     pg = None
-    if h.grad is not None:
+    if h.differentiable:  # the y-gradient that EG_EP and PEG_EP step along
         pg = lambda x, Y: _as_rows(h.grad, Y)
     return Bifunction(
         name=f"value_gap({h.name})",
@@ -531,7 +559,7 @@ def _glt_g_grad(U: np.ndarray, q: float) -> np.ndarray:
     """Row-wise gradient of ``_glt_g``; the zero subgradient at the kink u = 0."""
     nrm = np.linalg.norm(U, axis=-1, keepdims=True)
     on_sqrt = np.sqrt(nrm) >= np.sum((U - q) ** 2, axis=-1, keepdims=True) - q
-    return np.where(on_sqrt, U / (2.0 * np.where(nrm == 0.0, 1.0, nrm) ** 1.5), 2.0 * (U - q))
+    return np.where(on_sqrt, U / (2.0 * _nonzero(nrm) ** 1.5), 2.0 * (U - q))
 
 
 @functools.lru_cache(maxsize=32)

@@ -366,17 +366,3 @@ def feasible_set_from_spec(spec: dict) -> FeasibleSet:
             np.asarray(spec["normals"], dtype=float), np.asarray(spec["bounds"], dtype=float)
         )
     raise ValueError(f"unknown feasible set kind: {kind!r}")
-
-
-def set_to_spec(K: FeasibleSet) -> dict:
-    if isinstance(K, FullSpace):
-        return {"kind": "full_space", "dim": K.dim}
-    if isinstance(K, Box):
-        return {"kind": "box", "lo": K.lo.tolist(), "hi": K.hi.tolist()}
-    if isinstance(K, Ball):
-        return {"kind": "ball", "center": K.center.tolist(), "radius": K.radius}
-    if isinstance(K, AffineSubspace):
-        return {"kind": "affine", "basis": K.basis.tolist(), "offset": K.offset.tolist()}
-    if isinstance(K, HalfspaceIntersection):
-        return {"kind": "halfspaces", "normals": K.normals.tolist(), "bounds": K.bounds.tolist()}
-    raise ValueError(f"cannot serialize set of type {type(K).__name__}")

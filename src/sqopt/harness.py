@@ -85,6 +85,14 @@ def _convert(value, conv, path: str):
         raise SchemaError(path, str(e)) from e
 
 
+def _integer(value) -> int:
+    """``value`` as an int: a JSON number with no fractional part, never a boolean."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and float(value).is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _number(d: dict, key: str, path: str, conv=float, default=None):
     """Optional field ``d[key]`` converted by ``conv``; ``default`` when absent or null."""
     return default if d.get(key) is None else _convert(d[key], conv, f"{path}.{key}")
@@ -123,6 +131,8 @@ def _build_set(spec, path: str) -> FeasibleSet:
     """A feasible set from its spec; every defect of the spec is a SchemaError at ``path``."""
     _object(spec, path)
     _finite(spec, path)
+    if "dim" in spec:  # the one integer of a set spec
+        _convert(spec["dim"], _integer, f"{path}.dim")
     kind = spec.get("kind")
     if isinstance(kind, str) and kind in _SET_KEYS:
         keys = {"basis", "offset"} if kind == "affine" and "normal" not in spec else _SET_KEYS[kind]
@@ -135,7 +145,7 @@ def _build_set(spec, path: str) -> FeasibleSet:
         raise SchemaError(path, str(e)) from e
 
 
-_NUMBER_ANNOTATIONS = {int, float, float | None}
+_NUMBER_ANNOTATIONS = {float, float | None}
 
 
 def _catalog_params(spec: dict, path: str, make=None) -> dict:
@@ -143,7 +153,7 @@ def _catalog_params(spec: dict, path: str, make=None) -> dict:
 
     A set spec under the ``K`` parameter of the catalog constructor ``make``
     is built, and a parameter annotated as a number must hold one (or null,
-    where null is its default).
+    where null is its default); one annotated as an int must hold an integer.
     """
     params = spec.get("params", {})
     _object(params, path + ".params")
@@ -156,6 +166,8 @@ def _catalog_params(spec: dict, path: str, make=None) -> dict:
         value = params[key]
         if key == "K":
             params[key] = _build_set(value, f"{path}.params.K")
+        elif prm.annotation is int:
+            _convert(value, _integer, f"{path}.params.{key}")
         elif (prm.annotation in _NUMBER_ANNOTATIONS and not (value is None and prm.default is None)
               and (isinstance(value, bool) or not isinstance(value, (int, float)))):
             raise SchemaError(f"{path}.params.{key}", f"expected a number, got {value!r}")
@@ -288,13 +300,14 @@ VARIANTS = {
 _SWEPT = {"minimize": ("RIPPA", "PPA"), "ep": ("RIPPA_EP", "PPA_EP")}
 
 # parameters that are not floats; schedule-valued ones are found by their default
-_CONVERT = {"max_iters": int, "inner_max": int, "policy": str}
+_CONVERT = {"max_iters": _integer, "inner_max": _integer, "policy": str}
 
 # algorithm keys passed to the runner rather than kept in the parameter bag
 _RUN_ARGS = {"x0", "x1", "bregman"}
 
 # the keys of ``algorithm.prox`` and how each value converts
-_SOLVE_KEYS = {"n_starts": int, "grid_density": int, "local_tol": float, "max_local_iters": int}
+_SOLVE_KEYS = {"n_starts": _integer, "grid_density": _integer, "local_tol": float,
+               "max_local_iters": _integer}
 
 
 def _solve_cfg_from(spec: dict, path: str) -> GlobalSolveConfig:
@@ -518,6 +531,8 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
         residual_ep = {int(i): v for i, v in zip(marks, values)}
         write_trace_csv(paths["trace"], trace, is_ep=True, residual_ep=residual_ep)
         label = obj.f.name
+    if known is not None and not K.contains(known):
+        known = None  # a minimizer outside K is not a solution of this problem
     rate = None
     if known is not None:
         fit = fit_linear_rate(trace, known)
@@ -637,7 +652,7 @@ CHECKS = {
             verify.check_pl(h, K, xbar, gamma, lip, n, seed, radius),
         "subdiff": lambda h, K, xbar, z, beta, gamma, n, seed, radius:
             verify.subdiff_member(h, K, xbar, z, beta, gamma, n, seed, radius),
-        "grad": lambda h, K, n, seed, radius: verify.grad_check(h, K.sample(seed, min(n, 100), radius)),
+        "grad": lambda h, K, n, seed, radius: verify.check_grad(h, K, n, seed, radius),
     },
     "ep": {
         "a0": lambda f, K, n, seed, radius: verify.check_a0(f, K, n, seed, radius),
@@ -659,7 +674,7 @@ def _check_arg(c: dict, key: str, path: str, dim: int, config_seed: int):
         return _point(c, key, dim, path)
     if key == "radii":
         return _numbers(c.get(key, [10.0, 100.0]), f"{path}.{key}", at_least=2)
-    value = _number(c, key, path, int if key in ("n", "seed") else float,
+    value = _number(c, key, path, _integer if key in ("n", "seed") else float,
                     {"seed": config_seed, "n": 2000, "beta": 1.0}.get(key))
     if key == "n" and value < 0:
         raise SchemaError(f"{path}.n", f"must be nonnegative, got {value}")
@@ -674,7 +689,7 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
     _check_keys(checks, {"checks"}, "config.verify")
     kind, obj, K = build_problem(_require(cfg, "problem", "config"))
     target = obj if kind == "minimize" else obj.f
-    config_seed = _convert(cfg.get("seed", 0), int, "config.seed")
+    config_seed = _convert(cfg.get("seed", 0), _integer, "config.seed")
     items = _require(checks, "checks", "config.verify")
     if not isinstance(items, list):
         raise SchemaError("config.verify.checks", f"expected a list, got {type(items).__name__}")
@@ -702,6 +717,9 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
     kind, h, K = build_problem(_require(cfg, "problem", "config"))
     if kind != "minimize":
         raise SchemaError("config.problem", "dynamics needs an objective problem")
+    if K is not h.domain:
+        raise SchemaError("config.problem.set",
+                          "dynamics is unconstrained: it takes no problem.set")
     spec = _require(cfg, "dynamics", "config")
     _check_keys(spec, {"system", "x0", "v0", "T", "dt", "damping"}, "config.dynamics")
     path = "config.dynamics"

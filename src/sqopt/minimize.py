@@ -541,7 +541,7 @@ def _subgradient_bound(h: Objective, p: MinParams) -> float:
 
 
 def validate_subgradient(h: Objective, K: FeasibleSet, p: MinParams, oracle=None) -> list[str]:
-    if oracle is None and h.grad is None:
+    if oracle is None and not h.differentiable:
         raise ValueError("SUBGRAD needs an oracle or a differentiable objective")
     if not p.beta > 0:
         raise ValueError("beta must be positive")
@@ -620,9 +620,16 @@ def _gradient_norm(rec: _Recorder, h: Objective, x) -> tuple[np.ndarray, float]:
     return g, float(np.linalg.norm(g))
 
 
+def _unconstrained_gradient_method(name: str, h: Objective, K: FeasibleSet):
+    """A gradient method needs a smooth objective and runs on its whole domain."""
+    if not h.differentiable:
+        raise ValueError(f"{name} needs a differentiable objective")
+    if K is not h.domain:
+        raise ValueError(f"{name} is unconstrained: it takes no problem.set")
+
+
 def validate_gradient(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
-    if h.grad is None:
-        raise ValueError("GRAD needs a differentiable objective")
+    _unconstrained_gradient_method("GRAD", h, K)
     if not (h.lip_grad and h.modulus > 0):
         return ["missing modulus or Lipschitz constant: step bound unverified"]
     cap = min(h.modulus / h.lip_grad**2, 2.0 / h.lip_grad)
@@ -649,8 +656,7 @@ def run_gradient(h: Objective, p: MinParams, x0) -> IterationTrace:
 
 
 def validate_heavy_ball(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
-    if h.grad is None:
-        raise ValueError("HEAVY_BALL needs a differentiable objective")
+    _unconstrained_gradient_method("HEAVY_BALL", h, K)
     if not 0.0 < p.theta < 1.0:
         raise ValueError("HEAVY_BALL requires theta in (0, 1)")
     if not p.hb_eta > 0:
@@ -681,8 +687,7 @@ def run_heavy_ball(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
 
 
 def validate_inertial_gm(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
-    if h.grad is None:
-        raise ValueError("INERTIAL_GM needs a differentiable objective")
+    _unconstrained_gradient_method("INERTIAL_GM", h, K)
     if not p.eta_min > 0:
         raise ValueError("INERTIAL_GM requires a positive step lower bound eta_min")
     return []

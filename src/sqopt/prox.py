@@ -5,9 +5,10 @@ the regularized objective is only guaranteed quasiconvex for all parameters
 when the underlying function is convex.  The solver is a deterministic
 multistart: a dense grid for one dimension, a square grid for two, a Halton
 set above that, every start refined in lockstep by projected gradient (when a
-gradient exists) or compass search (when not).  Projected-gradient rows take
-Barzilai-Borwein step lengths, capped at twice the last accepted step, under
-an Armijo test; a rejected step is halved.
+gradient exists, a subgradient at kinks included) or compass search (when
+not).  Projected-gradient rows take Barzilai-Borwein step lengths, capped at
+twice the last accepted step, under an Armijo test; a rejected step is
+halved.
 
 After refinement the near-ties (within 1e-8 of the best value) are grouped
 into clusters of points within 1e-7 of each other; each cluster is one
@@ -168,26 +169,39 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
     matters across kinks, where the gradient jumps and the BB length means
     nothing.  A rejected trial halves the step.
 
+    A row retires when a trial is rejected below ``local_tol``, or when its
+    move, accepted or clipped by K, is at most ``local_tol`` long and its
+    gradient mapping ``move / step`` is at most ``sqrt(local_tol)``.  Where
+    K does not clip, the mapping is the gradient; at a constrained minimizer
+    the gradient stays large and the projected move is (nearly) zero, and a
+    clipped move there may be rejected only because the projection rounds,
+    as Dykstra's does at a polytope's vertex.
+
     The active rows form a working set: their points, values, gradients,
     steps and owners are compacted together and updated in place, and a row
     is written back to ``X`` and ``F`` once, when it retires.
     """
     lo, hi = K.bounding_box(cfg.search_radius)
     step_cap = 1e3 * (float(np.max(hi - lo)) + 1.0)
-    gtol = np.sqrt(cfg.local_tol)
+    gtol = np.sqrt(cfg.local_tol)  # on the gradient mapping move / step
     rows, o, x, f = np.arange(X.shape[0]), own, X.copy(), F.copy()
     step = np.full(X.shape[0], 0.25 * float(np.max(hi - lo)) + 1e-12)
     g = grad(o, x)
     for _ in range(cfg.max_local_iters):
         if rows.size == 0:
             break
-        C = K.project_many(x - step[:, None] * g)
+        T = x - step[:, None] * g
+        C = K.project_many(T)
         FC = fn(o, C)
         move = C - x
         accept = FC <= f + ARMIJO_C * np.einsum("ij,ij->i", g, move)
-        # converged: a tiny accepted move with a near-stationary gradient
-        # (the gradient guard keeps small-step rows far from optimality alive)
-        done = accept & (_norms(move) <= cfg.local_tol) & (_norms(g) <= gtol)
+        rej = ~accept
+        # converged (see above): the mapping guard keeps small-step rows far
+        # from optimality alive, and a rejected move counts only if K clipped it
+        done = _norms(move) <= np.minimum(gtol * step, cfg.local_tol)
+        check = np.flatnonzero(done & rej)
+        if check.size:
+            done[check] = np.any(C[check] != T[check], axis=1)
         acc = np.flatnonzero(accept)
         if acc.size:
             GC = grad(o[acc], C[acc])
@@ -197,7 +211,6 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
                            out=np.full(acc.size, np.inf), where=sy > 0)
             step[acc] = np.minimum(np.minimum(bb, step[acc] * 2.0), step_cap)
             x[acc], f[acc], g[acc] = C[acc], FC[acc], GC
-        rej = ~accept
         step[rej] *= 0.5
         done |= rej & (step < cfg.local_tol)
         if np.any(done):
@@ -475,17 +488,19 @@ def prox_point(base_fn, base_grad, K: FeasibleSet, beta: float, x, cfg: GlobalSo
 
 
 def prox(h: Objective, K: FeasibleSet | None = None, beta: float = 1.0, x=None, cfg: GlobalSolveConfig | None = None) -> ProxResult:
-    """Global proximity operator: argmin over K of h(y) + ||y - x||^2 / (2 beta)."""
+    """Global proximity operator: argmin over K of h(y) + ||y - x||^2 / (2 beta).
+
+    With ``h.grad`` (a subgradient at kinks for the entries that are not
+    smooth) the starts are refined by projected gradient.  A start stops at
+    a move, accepted or clipped by K, of at most ``cfg.local_tol`` whose
+    gradient mapping (the move over the step, the gradient where K does not
+    clip) is at most ``sqrt(cfg.local_tol)``, or when a rejected step falls
+    below ``cfg.local_tol``.  Without a gradient they are refined by compass
+    search.
+    """
     K = h.domain if K is None else K
     cfg = cfg or GlobalSolveConfig()
     return prox_point(h.value_many, h.grad_many if h.grad else None, K, beta, x, cfg)
-
-
-def prox_fixed_point_residual(h: Objective, K: FeasibleSet | None, beta: float, x, cfg: GlobalSolveConfig | None = None) -> float:
-    """Distance from ``x`` to the nearest proximal candidate (0 iff fixed point)."""
-    pr = prox(h, K, beta, x, cfg)
-    x = np.asarray(x, dtype=float)
-    return min(float(np.linalg.norm(c - x)) for c in pr.candidates)
 
 
 def bregman_prox(

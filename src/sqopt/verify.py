@@ -214,7 +214,7 @@ def check_foc(
     radius: float | None = None,
 ) -> CheckReport:
     """First-order test: h(x) <= h(y) implies grad h(y).(y-x) >= (gamma/2)||x-y||^2."""
-    if h.grad is None:
+    if not h.differentiable:
         raise ValueError("check_foc needs a gradient")
     K = h.domain if K is None else K
     gamma = h.modulus if gamma is None else float(gamma)
@@ -248,7 +248,7 @@ def check_pl(
     radius: float | None = None,
 ) -> CheckReport:
     """Polyak-Lojasiewicz test with constant gamma^2 / (2 L)."""
-    if h.grad is None:
+    if not h.differentiable:
         raise ValueError("check_pl needs a gradient")
     lip = h.lip_grad if lip is None else float(lip)
     if lip is None or lip <= 0:
@@ -297,6 +297,8 @@ def check_cfz_at(
     the ball of radius ``rho``.  A zero gradient yields the trivial
     certificate (the point is the minimizer).
     """
+    if not h.differentiable:
+        raise ValueError("check_cfz_at needs a gradient")
     xbar = np.asarray(xbar, dtype=float)
     g = h.grad_at(xbar)
     gn = float(np.linalg.norm(g))
@@ -484,8 +486,16 @@ def check_a4_sampled(
     return CheckReport("a4_sqc", passed, total, worst, witnesses[:WITNESS_CAP])
 
 
+def check_grad(h: Objective, K: FeasibleSet, n: int, seed: int,
+               radius: float | None) -> CheckReport:
+    """``grad_check`` of a differentiable objective at up to 100 sampled points of K."""
+    if not h.differentiable:
+        raise ValueError("objective has no gradient to check")
+    return grad_check(h, K.sample(seed, min(n, 100), radius))
+
+
 def grad_check(h: Objective, points: np.ndarray) -> CheckReport:
-    """Central finite-difference validation of the analytic gradient."""
+    """Central finite-difference validation of ``h.grad`` (a subgradient at kinks, too)."""
     if h.grad is None:
         raise ValueError("objective has no gradient to check")
     P = np.atleast_2d(np.asarray(points, dtype=float))

@@ -114,8 +114,8 @@ def test_unbounded_set_needs_the_radius_of_every_entry_that_accepts_one(tmp_path
         err = capsys.readouterr().err
         if "search_radius" in v.keys:
             assert code == EXIT_SCHEMA and "missing required key 'search_radius'" in err, variant
-        else:
-            assert code == EXIT_MAX_ITERS, variant
+        else:  # the gradient methods are unconstrained and take no set at all
+            assert code == EXIT_SCHEMA and "takes no problem.set" in err, variant
     for name, call in sorted(CHECKS["minimize"].items()):
         cfg = {"schema_version": 1, "problem": {**PROBLEMS["minimize"], "set": line},
                "verify": {"checks": [{"check": name}]}}
@@ -258,3 +258,61 @@ def test_readme_key_tables_equal_the_registries():
 def test_readme_config_block_runs(tmp_path):
     block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
     assert _cli(tmp_path, "minimize", json.loads(block)) == EXIT_OK
+
+
+# the catalog entries in config form, with a point inside each domain
+QUAD_FRACTIONAL = {"A": [[1.0, 0.0], [0.0, 1.0]], "a": [0.0, 0.0], "alpha": 0.0,
+                   "B": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0], "beta": 1.0,
+                   "K": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "m": 0.5, "M": 1.5}
+ENTRIES = {"abs_shift": {"a": -0.3, "gamma": 2.0}, "euclid_norm": {"n": 2}, "neg_quad": {},
+           "gauss_well": {}, "sin_quad": {}, "inv_gap": {}, "root_quartic": {"k": 1.0, "c": 2.0},
+           "power_norm": {"n": 2}, "quad_fractional": QUAD_FRACTIONAL}
+TWO_D = {"euclid_norm", "power_norm", "quad_fractional"}
+
+# what needs a true gradient: these variants (EG_EP and PEG_EP on the entry's
+# value gap), these checks and both flows
+NEEDS_GRADIENT = {"SUBGRAD", "GRAD", "HEAVY_BALL", "INERTIAL_GM", "EG_EP", "PEG_EP",
+                  "check foc", "check grad", "check pl", "flow ds1", "flow ds2"}
+# the entries with no gradient, or with a subgradient that is not one
+NOT_DIFFERENTIABLE = {"abs_shift", "euclid_norm", "inv_gap", "power_norm"}
+
+
+def _refused_for_a_gradient(tmp_path, capsys, command, cfg) -> bool:
+    _cli(tmp_path, command, cfg)
+    return re.search(r"gradient|differentiable", capsys.readouterr().err) is not None
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_gradient_consumers_admit_the_differentiable_entries_only(tmp_path, capsys, name):
+    # a subgradient on a kinked entry feeds the proximal solves and admits
+    # nothing that needs a gradient: every refused pair is what it was
+    # before those entries had a grad
+    objective = {"catalog": name, "params": ENTRIES[name]}
+    point = [0.1, 0.1] if name in TWO_D else [0.1]
+    problems = {"minimize": {"kind": "minimize", "objective": objective},
+                "ep": {"kind": "ep", "bifunction": {"catalog": "value_gap",
+                                                    "params": {"objective": objective}}}}
+    refused = set()
+    for variant, v in VARIANTS.items():
+        algo = {"variant": variant, "x0": point, "max_iters": 0,
+                **{key: ALGORITHM_VALUES[key] for key in v.keys}}
+        if "x1" in v.keys:
+            algo["x1"] = point
+        cfg = {"schema_version": 1, "problem": problems[v.kind], "algorithm": algo}
+        if _refused_for_a_gradient(tmp_path, capsys, "solve-ep" if v.kind == "ep" else "minimize",
+                                   cfg):
+            refused.add(variant)
+    for kind, table in CHECKS.items():
+        for check, call in table.items():
+            values = {key: point if key in ("xbar", "z") else CHECK_VALUES[key]
+                      for key in keys_read(call)}
+            cfg = {"schema_version": 1, "problem": problems[kind],
+                   "verify": {"checks": [{"check": check, **values}]}}
+            if _refused_for_a_gradient(tmp_path, capsys, "verify", cfg):
+                refused.add(f"check {check}")
+    for system in ("ds1", "ds2"):
+        cfg = {"schema_version": 1, "problem": problems["minimize"],
+               "dynamics": {"system": system, "x0": point, "T": 0.02, "dt": 0.01}}
+        if _refused_for_a_gradient(tmp_path, capsys, "dynamics", cfg):
+            refused.add(f"flow {system}")
+    assert refused == (NEEDS_GRADIENT if name in NOT_DIFFERENTIABLE else set())

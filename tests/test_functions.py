@@ -254,7 +254,7 @@ def _seeded_batch(K, m, seed):
 
 
 def bifunction_entries():
-    gaps = [value_gap(h) for h in all_catalog_entries() if h.grad is not None]
+    gaps = [value_gap(h) for h in all_catalog_entries() if h.differentiable]
     return gaps + [glt_example(2, 2), glt_example(2, 2, n=2), glt_example(3, 1.5, n=3)]
 
 

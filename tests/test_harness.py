@@ -893,3 +893,73 @@ def test_cli_bad_set_or_params_spec_is_one_schema_error_line(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith(f"schema error: {field_path}: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# --- integer fields, unconstrained methods, known solutions ---------------------
+
+# one integer field of each kind; each fractional or boolean value was truncated
+# by int() (max_iters 2.7 ran 2 iterations, power_norm n 2.5 ran as n = 2)
+INTEGER_FIELDS = [
+    ("minimize", variant_config("PPA", max_iters=2.7), "algorithm.max_iters"),
+    ("minimize", variant_config("PPA", max_iters=True), "algorithm.max_iters"),
+    ("minimize", variant_config("PPA", prox={"n_starts": 2.5}), "algorithm.prox.n_starts"),
+    ("minimize", _minimize_cfg({"catalog": "power_norm", "params": {"n": 2.5}}),
+     "problem.objective.params.n"),
+    ("minimize", _minimize_cfg(GAUSS_WELL, {"kind": "full_space", "dim": 1.7}), "problem.set.dim"),
+    ("minimize", _minimize_cfg(GAUSS_WELL, {"kind": "full_space", "dim": True}), "problem.set.dim"),
+    ("verify", _verify_cfg(n=10.9), "config.verify.checks[0].n"),
+    ("verify", {**_verify_cfg(), "seed": 1.5}, "config.seed"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, field_path", INTEGER_FIELDS,
+                         ids=[f"{p}-{i}" for i, (_, _, p) in enumerate(INTEGER_FIELDS)])
+def test_cli_integer_field_rejects_fractional_and_boolean_values(tmp_path, capsys, command, cfg,
+                                                                 field_path):
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {field_path}: expected an integer, got ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_integer_field_accepts_an_integral_float(tmp_path, capsys):
+    path = write_cfg(tmp_path, variant_config("PPA", max_iters=2.0, stop_tol=1e-300))
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_MAX_ITERS
+    assert json.loads(capsys.readouterr().out)["iterations"] == 2
+
+
+# gauss_well on [0.3, 1]: GRAD from 0.5 ended at 4e-9, outside the set, with exit 0
+BOX_0_3 = {"kind": "box", "lo": [0.3], "hi": [1.0]}
+
+
+@pytest.mark.parametrize("variant", ["GRAD", "HEAVY_BALL", "INERTIAL_GM"])
+def test_cli_gradient_method_with_a_set_is_schema_error(tmp_path, capsys, variant):
+    cfg = variant_config(variant, **({"eta_min": 0.01} if variant == "INERTIAL_GM" else {}))
+    cfg["problem"]["set"] = BOX_0_3
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == f"schema error: algorithm: {variant} is unconstrained: it takes no problem.set\n"
+
+
+def test_cli_dynamics_with_a_set_is_schema_error(tmp_path, capsys):
+    cfg = _dynamics_cfg()
+    cfg["problem"]["set"] = BOX_0_3
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["dynamics", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == ("schema error: config.problem.set: dynamics is unconstrained: "
+                   "it takes no problem.set\n")
+
+
+def test_distance_to_known_solution_is_null_when_the_known_minimizer_is_outside_the_set(tmp_path):
+    # the unconstrained minimizer 0 is not in [0.3, 1], whose solution is 0.3
+    cfg = variant_config("PPA", c={"kind": "constant", "value": 0.5}, stop_tol=1e-8)
+    cfg["problem"]["set"] = BOX_0_3
+    summary, code, _ = run_from_config(cfg, tmp_path / "o")
+    assert code == EXIT_OK and summary.final_value == pytest.approx(1.0 - np.exp(-0.09))
+    assert summary.distance_to_known_solution is None and summary.rate_estimate is None
+    cfg["problem"]["set"] = {"kind": "box", "lo": [-0.5], "hi": [1.0]}  # 0 is in this one
+    summary, code, _ = run_from_config(cfg, tmp_path / "o")
+    assert code == EXIT_OK and summary.distance_to_known_solution <= 1e-6
