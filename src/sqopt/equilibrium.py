@@ -27,10 +27,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .fields import Kind, Schedule, declared
 from .functions import Bifunction
 from .geometry import FeasibleSet, as_point
-from .minimize import (IterationTrace, ParamError, Run, Schedule, _drive, _drive_one,
-                       _Recorder, _relaxed_inertial_notes, _run_proximal, _RunParams)
+from .minimize import (IterationTrace, Run, _drive, _drive_one, _Recorder,
+                       _relaxed_inertial_notes, _run_proximal, _RunParams)
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
 from .verify import (
     CheckReport,
@@ -49,20 +50,13 @@ class EpParams(_RunParams):
     """Parameter bag of the equilibrium variants."""
 
     variant: str = "RIPPA_EP"
-    beta: Schedule = field(default_factory=lambda: Schedule.constant(1.0))
-    ls_alpha: float = 0.5  # line-search sufficient-decrease factor
-    ls_rho: float = 0.5  # line-search backtracking ratio
-    steps: Schedule = field(default_factory=lambda: Schedule.inv_k(0.5))  # projection steps
-    epsilon: float = 1e-3  # two-step interval margin
-    inner_max: int = 1000  # nested solve iteration cap
-    policy: str = "corrected"  # corrected | strict
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.inner_max >= 1:
-            raise ParamError("inner_max", f"must be at least 1, got {self.inner_max}")
-        if self.policy not in ("corrected", "strict"):
-            raise ParamError("policy", f"must be 'corrected' or 'strict', got {self.policy!r}")
+    beta: Schedule = declared(Kind("schedule", Schedule.constant(1.0)))
+    ls_alpha: float = declared(Kind("number", 0.5))  # line-search sufficient-decrease factor
+    ls_rho: float = declared(Kind("number", 0.5))  # line-search backtracking ratio
+    steps: Schedule = declared(Kind("schedule", Schedule.inv_k(0.5)))  # projection steps
+    epsilon: float = declared(Kind("number", 1e-3))  # two-step interval margin
+    inner_max: int = declared(Kind("int", 1000, lo=1))  # nested solve iteration cap
+    policy: str = declared(Kind("enum", "corrected", choices=("corrected", "strict")))
 
 
 @dataclass

@@ -677,6 +677,8 @@ def bifunction_catalog(name: str, **params) -> Bifunction:
 # Bregman kernels
 # ---------------------------------------------------------------------------
 
+BREGMAN_NAMES = ("half_sq_norm", "neg_entropy")
+
 
 def bregman_catalog(name: str, dim: int = 1, shift: float = 0.0) -> BregmanFunction:
     """Bregman kernels: ``half_sq_norm`` (zone R^n) and ``neg_entropy``.

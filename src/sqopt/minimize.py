@@ -8,8 +8,8 @@ convergence-theorem regimes: violating a hard invariant raises, while leaving a
 convergence-safe regime only flags the run as unguarded (so divergence
 phenomena stay reproducible).
 
-``_RunParams`` holds, and range-checks on construction, the run parameters
-of every variant here and in ``equilibrium``; a ``Schedule`` is positive.
+``_RunParams`` holds, and checks by their declared kinds on construction, the
+run parameters of every variant here and in ``equilibrium``.
 
 Sign convention: descent steps use ``-grad h`` everywhere.  Stopping replaces
 the exact equality tests of the underlying schemes by ``residual <= stop_tol``;
@@ -39,69 +39,13 @@ from typing import Callable, Generator
 
 import numpy as np
 
+from .fields import RADIUS, Kind, Schedule, check_fields, declared
 from .functions import BregmanFunction, Objective, bregman_catalog
 from .geometry import AffineSubspace, FeasibleSet, FullSpace, as_point
-from .prox import (GlobalSolveConfig, ProxResult, bregman_prox, check_search_radius, prox,
-                   prox_many)
+from .prox import GlobalSolveConfig, ProxResult, bregman_prox, prox, prox_many
 
 DIVERGENCE_GUARD = 1e6
 SPOTCHECK_EVERY = 100  # SUBGRAD checks its oracle's output at every this-many iterations
-
-
-class ParamError(ValueError):
-    """A parameter-bag field outside its range; ``key`` names the field."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key} {message}")
-        self.key = key
-        self.message = message
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Scalar sequence, every value ``> 0``: constant, 1/(k+1)-scaled, or a list."""
-
-    kind: str
-    value: float = 0.0
-    values: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "inv_k", "list"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "list" and not self.values:
-            raise ValueError("a list schedule needs at least one value")
-        if not all(v > 0 for v in (self.values if self.kind == "list" else (self.value,))):
-            raise ValueError("schedule values must be positive")
-
-    def at(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "inv_k":
-            return self.value / (k + 1)
-        return self.values[min(k, len(self.values) - 1)]
-
-    @staticmethod
-    def constant(v: float) -> "Schedule":
-        return Schedule("constant", float(v))
-
-    @staticmethod
-    def inv_k(scale: float) -> "Schedule":
-        return Schedule("inv_k", float(scale))
-
-    @staticmethod
-    def explicit(vals) -> "Schedule":
-        return Schedule("list", 0.0, tuple(float(v) for v in vals))
-
-    @staticmethod
-    def from_spec(spec) -> "Schedule":
-        if isinstance(spec, Schedule):
-            return spec
-        if isinstance(spec, (int, float)):
-            return Schedule.constant(spec)
-        kind = spec["kind"]
-        if kind == "list":
-            return Schedule.explicit(spec["values"])
-        return Schedule(kind, float(spec["value"]))
 
 
 @dataclass
@@ -111,20 +55,16 @@ class _RunParams:
     ``solve_cfg()`` is ``prox_cfg``, given ``search_radius`` when it has none.
     """
 
-    alpha: float = 0.0  # inertial parameter / cap
-    rho_lo: float = 1.0
-    rho_hi: float = 1.0
-    stop_tol: float = 1e-8
-    max_iters: int = 100_000
-    prox_cfg: GlobalSolveConfig = field(default_factory=GlobalSolveConfig)
-    search_radius: float | None = None
+    alpha: float = declared(Kind("number", 0.0))  # inertial parameter / cap
+    rho_lo: float = declared(Kind("number", 1.0))
+    rho_hi: float = declared(Kind("number", 1.0))
+    stop_tol: float = declared(Kind("number", 1e-8, lo=0.0))
+    max_iters: int = declared(Kind("int", 100_000, lo=0))
+    prox_cfg: GlobalSolveConfig = declared(Kind("object", GlobalSolveConfig(), of=GlobalSolveConfig),
+                                           key="prox")
+    search_radius: float | None = declared(RADIUS)
 
-    def __post_init__(self):
-        if not self.stop_tol >= 0:
-            raise ParamError("stop_tol", f"must be nonnegative, got {self.stop_tol}")
-        if not self.max_iters >= 0:
-            raise ParamError("max_iters", f"must be nonnegative, got {self.max_iters}")
-        check_search_radius(self.search_radius)
+    __post_init__ = check_fields
 
     @property
     def rho(self) -> float:
@@ -141,12 +81,12 @@ class MinParams(_RunParams):
     """Parameter bag of the minimization variants."""
 
     variant: str = "PPA"
-    c: Schedule = field(default_factory=lambda: Schedule.constant(1.0))  # prox parameter
-    steps: Schedule = field(default_factory=lambda: Schedule.constant(0.1))  # step sizes
-    beta: float = 1.0  # strong-subdifferential parameter
-    theta: float = 0.5  # heavy-ball momentum
-    hb_eta: float = 0.1  # heavy-ball eta (step is eta^2)
-    eta_min: float = 0.0  # inertial method lower step bound
+    c: Schedule = declared(Kind("schedule", Schedule.constant(1.0)))  # prox parameter
+    steps: Schedule = declared(Kind("schedule", Schedule.constant(0.1)))  # step sizes
+    beta: float = declared(Kind("number", 1.0))  # strong-subdifferential parameter
+    theta: float = declared(Kind("number", 0.5))  # heavy-ball momentum
+    hb_eta: float = declared(Kind("number", 0.1))  # heavy-ball eta (step is eta^2)
+    eta_min: float = declared(Kind("number", 0.0))  # inertial method lower step bound
     psi: Callable[[int], np.ndarray] | None = None  # summable perturbations
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import RADIUS, Kind, check_fields, declared
 from .functions import BregmanFunction, Objective
 from .geometry import FeasibleSet
 
@@ -49,35 +50,21 @@ ARMIJO_C = 1e-4
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def check_search_radius(r: float | None):
-    """A search radius bounds an unbounded set: absent, or positive and finite."""
-    if r is not None and not 0.0 < r < np.inf:
-        raise ValueError(f"search_radius must be positive and finite, got {r}")
-
-
 @dataclass(frozen=True)
 class GlobalSolveConfig:
     """Multistart configuration; identical config + inputs give identical output.
 
-    The starts are a grid or a Halton set, so there is no seed.  NaN fails every check.
+    The starts are a grid or a Halton set, so there is no seed.  A config sets
+    ``search_radius`` by ``algorithm.search_radius``, not under ``algorithm.prox``.
     """
 
-    n_starts: int = 64
-    grid_density: int = 10_000
-    local_tol: float = 1e-9
-    max_local_iters: int = 400
-    search_radius: float | None = None
+    n_starts: int = declared(Kind("int", 64, lo=1))
+    grid_density: int = declared(Kind("int", 10_000, lo=1))
+    local_tol: float = declared(Kind("number", 1e-9, lo=0.0, strict=True))
+    max_local_iters: int = declared(Kind("int", 400, lo=0))
+    search_radius: float | None = declared(RADIUS, key=None)
 
-    def __post_init__(self):
-        if not self.n_starts >= 1:
-            raise ValueError("n_starts must be at least 1")
-        if not self.grid_density >= 1:
-            raise ValueError("grid_density must be at least 1")
-        if not self.max_local_iters >= 0:
-            raise ValueError("max_local_iters must be nonnegative")
-        if not self.local_tol > 0:
-            raise ValueError("local_tol must be positive")
-        check_search_radius(self.search_radius)
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from sqopt.fields import config_keys
 from sqopt.functions import Objective
 from sqopt.geometry import Box, FullSpace, box1d
 
@@ -80,6 +81,12 @@ def grid_min_1d(fn, lo: float, hi: float, n: int = 40_001):
     vals = fn(ts[:, None])
     i = int(np.argmin(vals))
     return float(ts[i]), float(vals[i])
+
+
+def declared_kinds(cls) -> dict:
+    """The config key of each field the dataclass ``cls`` declares -> the field's kind."""
+    return {key: cls.__dataclass_fields__[name].metadata["kind"]
+            for key, name in config_keys(cls).items()}
 
 
 def random_starts(K, seed: int, m: int, radius=None) -> np.ndarray:

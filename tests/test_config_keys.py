@@ -2,13 +2,20 @@
 
 import json
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+from conftest import declared_kinds
 from sqopt.cli import main as cli_main
-from sqopt.harness import (_COMMON_KEYS, _SOLVE_KEYS, CHECKS, EXIT_MAX_ITERS, EXIT_OK,
-                           EXIT_SCHEMA, VARIANTS, keys_read)
+from sqopt.equilibrium import EpParams
+from sqopt.fields import config_keys
+from sqopt.harness import (_CHECK_KINDS, _COMMON_KEYS, _DYNAMICS_KINDS, _RUN_KINDS, _SEED,
+                           _SWEEP_KINDS, CHECKS, EXIT_MAX_ITERS, EXIT_OK, EXIT_SCHEMA, VARIANTS,
+                           keys_read)
+from sqopt.minimize import MinParams
+from sqopt.prox import GlobalSolveConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -252,7 +259,35 @@ def test_readme_key_tables_equal_the_registries():
     common = re.search(r"Every variant accepts (.*?)\. Beyond", text).group(1)
     assert set(re.findall(r"`([^`]+)`", common)) == _COMMON_KEYS
     prox = re.search(r"an object with any of (.*?);", text).group(1)
-    assert set(re.findall(r"`([^`]+)`", prox)) == set(_SOLVE_KEYS)
+    assert set(re.findall(r"`([^`]+)`", prox)) == set(config_keys(GlobalSolveConfig))
+
+
+def _describe(kind) -> str:
+    """A declared kind as the README's field-kind table writes it."""
+    bound = "" if kind.lo is None else f" {'>' if kind.strict else '>='} {kind.lo:g}"
+    return {"int": f"integer{bound}", "number": f"finite number{bound}",
+            "numbers": f"list of at least {kind.at_least} finite numbers{bound}",
+            "enum": "one of " + ", ".join(kind.choices)}.get(kind.name, kind.name)
+
+
+def test_readme_field_kind_table_equals_the_declarations():
+    lines = README.read_text().splitlines()
+    table = {}
+    for line in lines[lines.index("| kind | fields |") + 2:]:
+        if not line.startswith("|"):
+            break
+        kind, names = (cell.strip() for cell in line.strip("|").split("|"))
+        table[kind] = set(re.findall(r"`([^`]+)`", names))
+    declared = defaultdict(set)
+    for section, kinds in [("algorithm", declared_kinds(MinParams)),
+                           ("algorithm", declared_kinds(EpParams)), ("algorithm", _RUN_KINDS),
+                           ("algorithm.prox", declared_kinds(GlobalSolveConfig)),
+                           ("algorithm.bregman", _RUN_KINDS["bregman"].of),
+                           ("verify.checks[]", _CHECK_KINDS), ("dynamics", _DYNAMICS_KINDS),
+                           ("sweep", _SWEEP_KINDS), ("", {"seed": _SEED})]:
+        for key, kind in kinds.items():
+            declared[_describe(kind)].add(f"{section}.{key}".lstrip("."))
+    assert table == declared
 
 
 def test_readme_config_block_runs(tmp_path):

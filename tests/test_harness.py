@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -23,7 +24,8 @@ from sqopt.harness import (
     write_trace_csv,
 )
 from sqopt.equilibrium import EpParams
-from sqopt.harness import _COMMON_KEYS, _RUN_ARGS, _SOLVE_KEYS
+from sqopt.fields import config_keys
+from sqopt.harness import _COMMON_KEYS, _RUN_KINDS
 from sqopt.minimize import IterationTrace, MinParams
 from sqopt.prox import GlobalSolveConfig
 
@@ -512,7 +514,8 @@ def test_cli_validator_violation_is_schema_error(tmp_path, capsys, variant):
 
 
 # NaN under a key whose validator requires it positive; each of these ran
-# (SUBGRAD and HEAVY_BALL then exited 3, INERTIAL_GM 2, TWO_PPA_EP 0)
+# (SUBGRAD and HEAVY_BALL then exited 3, INERTIAL_GM 2, TWO_PPA_EP 0).  The
+# key's finite-number kind now rejects it before the validator runs
 NAN_HARD_RANGES = [("SUBGRAD", "beta"), ("HEAVY_BALL", "hb_eta"),
                    ("INERTIAL_GM", "eta_min"), ("TWO_PPA_EP", "epsilon")]
 
@@ -522,8 +525,8 @@ def test_cli_nan_hard_range_is_schema_error(tmp_path, capsys, variant, key):
     path = write_cfg(tmp_path, variant_config(variant, **{key: float("nan")}))
     command = "solve-ep" if VARIANTS[variant].kind == "ep" else "minimize"
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("schema error: algorithm: ") and "\n" not in err
+    err = capsys.readouterr().err
+    assert err == f"schema error: algorithm.{key}: expected a finite number, got nan\n"
 
 
 # malformed values under one algorithm key; before, six of the first twelve
@@ -563,6 +566,16 @@ MALFORMED_VALUES = [
     ("PPA", {"search_radius": -1.0}),
     ("PPA", {"stop_tol": float("nan")}),
     ("PPA", {"max_iters": -5}),
+    # a boolean, a string or a non-finite number under a float field ran
+    # (exit 0 or 2): each is now one line naming the field
+    ("PPA", {"stop_tol": True}),
+    ("PPA", {"stop_tol": "1e-3"}),
+    ("PPA", {"stop_tol": float("inf")}),
+    ("PPA", {"c": True}),
+    ("PPA", {"c": float("inf")}),
+    ("PPA", {"c": {"kind": "list", "values": ["1"]}}),
+    ("PPA", {"prox": {"local_tol": True}}),
+    ("PPA", {"search_radius": True}),
 ]
 
 
@@ -572,10 +585,11 @@ def test_cli_malformed_algorithm_value_is_schema_error(tmp_path, capsys, variant
     command = "solve-ep" if VARIANTS[variant].kind == "ep" else "minimize"
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err.strip()
-    # the key is in the path, or, for a range the parameter bag rejects on
-    # construction, the first word of the message
+    # the path names the key: under prox, the solve key, or prox itself for an unknown one
     key = next(iter(algo))
-    assert err.startswith((f"schema error: algorithm.{key}", f"schema error: algorithm: {key} "))
+    if key == "prox" and next(iter(algo["prox"])) in config_keys(GlobalSolveConfig):
+        key = f"prox.{next(iter(algo['prox']))}"
+    assert re.match(rf"schema error: algorithm\.{re.escape(key)}[.:\[]", err), err
     assert "\n" not in err
 
 
@@ -641,7 +655,7 @@ def test_every_parameter_field_is_reached_by_a_config_key():
     for name, entry in VARIANTS.items():
         cls = MinParams if entry.kind == "minimize" else EpParams
         names = {f.name for f in fields(cls)}
-        for key in (_COMMON_KEYS | entry.keys) - _RUN_ARGS:
+        for key in (_COMMON_KEYS | entry.keys) - _RUN_KINDS.keys():
             field_name = "prox_cfg" if key == "prox" else key
             assert field_name in names, f"{name} accepts {key!r}, which is no {cls.__name__} field"
             reached[cls].add(field_name)
@@ -649,7 +663,8 @@ def test_every_parameter_field_is_reached_by_a_config_key():
     assert {f.name for f in fields(MinParams)} - reached[MinParams] == {"psi"}
     assert {f.name for f in fields(EpParams)} - reached[EpParams] == set()
     # the solve's search radius is reached only through the top-level search_radius
-    assert set(_SOLVE_KEYS) | {"search_radius"} == {f.name for f in fields(GlobalSolveConfig)}
+    assert set(config_keys(GlobalSolveConfig)) | {"search_radius"} == {
+        f.name for f in fields(GlobalSolveConfig)}
 
 
 def _sweep_cfg(**sweep):
@@ -660,6 +675,12 @@ def _verify_cfg(**check):
     cfg = variant_config("PPA")
     del cfg["algorithm"]
     return {**cfg, "verify": {"checks": [{"check": "sqc", "n": 10, **check}]}}
+
+
+def _second_check(**check):
+    cfg = _verify_cfg()
+    cfg["verify"]["checks"].append({"check": "sqc", "n": 10, **check})
+    return cfg
 
 
 def _dynamics_cfg(**dyn):
@@ -683,11 +704,30 @@ SECTION_VALUES = [
     ("dynamics", _dynamics_cfg(system="ds2", damping="x"), "config.dynamics.damping"),
     ("dynamics", _dynamics_cfg(dt=0), "config.dynamics.dt"),
     ("dynamics", _dynamics_cfg(x0=[0.5, 0.5]), "config.dynamics.x0"),
+    # each ran with exit 0 but gamma NaN or -1 and lip NaN, which exited 3; the bad
+    # value is in a second check, or a second entry, whose index the path names
+    pytest.param("dynamics", _dynamics_cfg(dt=True), "config.dynamics.dt",
+                 id="config.dynamics.dt-boolean"),
+    ("sweep", _sweep_cfg(alphas=[0.1, "0.1"]), "config.sweep.alphas[1]"),
+    ("verify", _second_check(gamma=True), "config.verify.checks[1].gamma"),
+    ("verify", _second_check(gamma=float("nan")), "config.verify.checks[1].gamma"),
+    ("verify", _second_check(gamma=-1), "config.verify.checks[1].gamma"),
+    ("verify", _second_check(check="pl", lip=float("nan")), "config.verify.checks[1].lip"),
+    # declared ranges: a radius of -1, 0 or NaN ran with exit 0; the others exited 3
+    ("verify", _second_check(radius=-1), "config.verify.checks[1].radius"),
+    ("verify", _second_check(radius=0), "config.verify.checks[1].radius"),
+    ("verify", _second_check(radius=float("nan")), "config.verify.checks[1].radius"),
+    ("verify", {**_verify_cfg(), "seed": -1}, "config.seed"),
+    ("verify", _second_check(seed=-1), "config.verify.checks[1].seed"),
+    ("verify", _second_check(check="subdiff", beta=-1), "config.verify.checks[1].beta"),
+    ("verify", _second_check(check="pl", lip=-1), "config.verify.checks[1].lip"),
+    ("verify", _second_check(check="supercoercive", radii=[-1, 2]),
+     "config.verify.checks[1].radii[0]"),
 ]
 
 
 @pytest.mark.parametrize("command, cfg, field_path", SECTION_VALUES,
-                         ids=[field_path for _, _, field_path in SECTION_VALUES])
+                         ids=[row[-1] for row in SECTION_VALUES])  # a pytest.param's own id
 def test_cli_bad_section_value_is_schema_error(tmp_path, capsys, command, cfg, field_path):
     path = write_cfg(tmp_path, cfg)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
@@ -734,6 +774,9 @@ def test_cli_seed_is_a_verify_flag(tmp_path, capsys):
     }
     path = write_cfg(tmp_path, cfg)
     assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "v"), "--seed", "3"]) == EXIT_OK
+    # a negative seed exited 3 with NumPy's Philox message
+    assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "v"), "--seed", "-2"]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == "schema error: config.seed: must be >= 0, got -2\n"
 
 
 # --- lockstep sweeps -------------------------------------------------------------
@@ -776,7 +819,7 @@ def test_lockstep_sweep_matches_cells_run_alone(tmp_path, monkeypatch, name):
     else:  # equilibrium requests are solved one at a time
         assert stacks == []
     for row in table["rows"]:
-        trace = run_algorithm(kind, obj, K, _cell_spec(kind, cfg["algorithm"], row))
+        trace, _ = run_algorithm(kind, obj, K, _cell_spec(kind, cfg["algorithm"], row))
         write_trace_csv(tmp_path / "alone.csv", trace, is_ep=(kind == "ep"))
         emitted = tmp_path / "lockstep" / f"{row['cell']}_trace.csv"
         assert emitted.read_bytes() == (tmp_path / "alone.csv").read_bytes(), row["cell"]
@@ -876,10 +919,10 @@ SPEC_ERRORS = [
     (_ep_cfg("glt_example", "x"), "problem.bifunction.params", "expected an object"),
     (_ep_cfg("value_gap", [1]), "problem.bifunction.params", "expected an object"),
     (_minimize_cfg({"catalog": "gauss_well", "params": {"d": "x"}}),
-     "problem.objective.params.d", "expected a number"),
-    (_ep_cfg("glt_example", {"p": "x"}), "problem.bifunction.params.p", "expected a number"),
+     "problem.objective.params.d", "expected a finite number"),
+    (_ep_cfg("glt_example", {"p": "x"}), "problem.bifunction.params.p", "expected a finite number"),
     (_ep_cfg("value_gap", {"objective": {"catalog": "gauss_well", "params": {"d": [1]}}}),
-     "problem.bifunction.params.objective.params.d", "expected a number"),
+     "problem.bifunction.params.objective.params.d", "expected a finite number"),
 ]
 
 
