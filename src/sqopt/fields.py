@@ -50,15 +50,17 @@ class Kind:
 
     ``name`` is ``int``, ``number`` (finite), ``schedule``, ``point``, ``enum``,
     ``numbers`` or ``object``.  ``lo`` bounds an int, a number or each entry of
-    ``numbers`` from below (``strict``: excluded); ``choices`` are an enum's
-    names, ``at_least`` the least length of ``numbers`` and ``of`` the
-    dataclass, or dict of kinds, of an object.
+    ``numbers`` from below (``strict``: excluded), ``hi`` from above
+    (included); ``choices`` are an enum's names, ``at_least`` the least
+    length of ``numbers`` and ``of`` the dataclass, or dict of kinds, of an
+    object.
     """
 
     name: str
     default: object = field(default_factory=lambda: MISSING)  # a plain MISSING is no default
     lo: float | None = None
     strict: bool = False
+    hi: float | None = None
     choices: tuple = ()
     at_least: int = 1
     of: object = None
@@ -119,6 +121,8 @@ def _finite(value, path: str) -> float:
 def _bounded(x, kind: Kind, path: str):
     if kind.lo is not None and not (x > kind.lo if kind.strict else x >= kind.lo):
         raise SchemaError(path, f"must be {'>' if kind.strict else '>='} {kind.lo:g}, got {x}")
+    if kind.hi is not None and not x <= kind.hi:
+        raise SchemaError(path, f"must be <= {kind.hi}, got {x}")
     return x
 
 

@@ -578,15 +578,18 @@ def _glt_constants(p: float, q: float, lo: float, hi: float, n: int) -> tuple[fl
         keep = Y1 != Y2
         Y1, Y2 = Y1[keep], Y2[keep]
         ts = np.linspace(0.01, 0.99, 61)
+        # g at the ends and the midpoints does not depend on x: evaluate it
+        # once, then form each (x, t) ratio with the operations, and so the
+        # bits, of evaluating it per pair; a minimum does not depend on order
+        pg1, pg2 = p * _glt_g(Y1[:, None], q), p * _glt_g(Y2[:, None], q)
+        mxs = [np.maximum(pg1 + x * Y1, pg2 + x * Y2) for x in xs]
         best = np.inf
-        for x in xs:
-            g1 = p * _glt_g(Y1[:, None], q) + x * Y1
-            g2 = p * _glt_g(Y2[:, None], q) + x * Y2
-            mx = np.maximum(g1, g2)
-            for t in ts:
-                mid_pt = t * Y1 + (1 - t) * Y2
-                mid = p * _glt_g(mid_pt[:, None], q) + x * mid_pt
-                ratio = 2.0 * (mx - mid) / (t * (1 - t) * (Y1 - Y2) ** 2)
+        for t in ts:
+            mid_pt = t * Y1 + (1 - t) * Y2
+            pgm = p * _glt_g(mid_pt[:, None], q)
+            den = t * (1 - t) * (Y1 - Y2) ** 2
+            for x, mx in zip(xs, mxs):
+                ratio = 2.0 * (mx - (pgm + x * mid_pt)) / den
                 best = min(best, float(ratio.min()))
         gamma = 0.90 * best
     else:

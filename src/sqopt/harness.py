@@ -222,13 +222,19 @@ VARIANTS = {
 _SWEPT = {"minimize": ("RIPPA", "PPA"), "ep": ("RIPPA_EP", "PPA_EP")}
 
 
-def validate_config(cfg: dict) -> None:
-    """Schema-validate a config; raises SchemaError with a field path."""
+def validate_config(cfg: dict, reads_seed: bool = False) -> None:
+    """Schema-validate a config; raises SchemaError with a field path.
+
+    Only ``verify`` samples, so only it passes ``reads_seed`` and accepts
+    the top-level ``seed``.
+    """
     check_keys(cfg, {"schema_version", "seed", "problem", "algorithm", "sweep",
                      "dynamics", "verify"}, "config")
     version = require(cfg, "schema_version", "config")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1
         raise SchemaError("config.schema_version", f"unsupported version {version!r}")
+    if "seed" in cfg and not reads_seed:
+        raise SchemaError("config.seed", "only verify reads a seed")
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +545,7 @@ def keys_read(call: Callable) -> tuple:
     return tuple(inspect.signature(call).parameters)[2:]
 
 
-_SEED = Kind("int", 0, lo=0)
+_SEED = Kind("int", 0, lo=0, hi=2**64 - 1)  # a Philox key, with room for the offsets verify adds
 
 # the kind of each check key; a check's seed defaults to the config seed
 _CHECK_KINDS = {"gamma": Kind("number", None, lo=0.0), "n": Kind("int", 2000, lo=0), "seed": _SEED,
@@ -550,7 +556,7 @@ _CHECK_KINDS = {"gamma": Kind("number", None, lo=0.0), "n": Kind("int", 2000, lo
 
 
 def run_verify(cfg: dict, out_dir) -> list[dict]:
-    validate_config(cfg)
+    validate_config(cfg, reads_seed=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks = require(cfg, "verify", "config")

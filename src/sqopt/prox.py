@@ -4,11 +4,31 @@ Proximal subproblems of strongly quasiconvex objectives need a global search:
 the regularized objective is only guaranteed quasiconvex for all parameters
 when the underlying function is convex.  The solver is a deterministic
 multistart: a dense grid for one dimension, a square grid for two, a Halton
-set above that, every start refined in lockstep by projected gradient (when a
-gradient exists, a subgradient at kinks included) or compass search (when
-not).  Projected-gradient rows take Barzilai-Borwein step lengths, capped at
-twice the last accepted step, under an Armijo test; a rejected step is
-halved.
+set above that.
+
+In one dimension the grid is evaluated once and brackets every minimizer.
+The starts (the 16 best grid points and the extras, such as the projected
+proximal center, which is sorted in among the samples) each descend over
+the samples to a discrete local minimum, bracketed by its two neighbours.
+With a derivative (a subgradient at kinks included), all brackets of all
+problems are closed in lockstep by a safeguarded search for its sign
+change: each batch evaluates the derivative at equally spaced interior
+points, at the secant root of the end derivatives and just either side of
+that root, and keeps a sign change, so a bracket shrinks by a fixed factor
+per batch, kink or not, and closes fast about a smooth root (Brent 1973,
+*Algorithms for Minimization without Derivatives*, on safeguarded zero
+finding).  A bracket at most
+``local_tol`` wide is closed by the best of its ends, the crossing of their
+tangents (exact to rounding at a kink between smooth pieces) and its sample
+minimum.  A minimum at an end of the samples where the derivative points out
+of them is that end, exactly.  Without a derivative, or without a sign
+change, a lockstep multisection on values closes the bracket.
+
+Above one dimension every start is refined in lockstep by projected gradient
+(when a gradient exists, a subgradient at kinks included) or compass search
+(when not).  Projected-gradient rows take Barzilai-Borwein step lengths,
+capped at twice the last accepted step, under an Armijo test; a rejected
+step is halved.
 
 After refinement the near-ties (within 1e-8 of the best value) are grouped
 into clusters of points within 1e-7 of each other; each cluster is one
@@ -26,11 +46,12 @@ certificate ``min_y f(x, y)``.  The callables are paired, ``fn(Xc, Y)`` and
 ``grad(Xc, Y)`` evaluating row ``i`` of ``Y`` against center row ``i`` of
 ``Xc``, and give each row the bits it gets alone.  Seeding, the selection
 of starts, the near-tie clusters and the result are per problem; the refine
-and the polish run the rows of all problems together, in one batch per
-step.  The refines keep a working set: the active rows are compacted
-together with their values, steps, gradients and owning problem, and a row
-is written back once, when it retires.  ``prox``, ``prox_point``,
-``bregman_prox`` and ``global_min`` are the one-center case.
+or bracket search and the polish run the rows of all problems together, in
+one batch per step.  They keep a working set: the active rows are compacted
+together with their state and owning problem, and a row is written back
+once, when it retires.  ``ProxResult.refine_iters`` counts the batches of
+the refine or bracket search that held a row of the problem.  ``prox``,
+``prox_point``, ``bregman_prox`` and ``global_min`` are the one-center case.
 """
 
 from __future__ import annotations
@@ -46,6 +67,8 @@ from .geometry import FeasibleSet
 VALUE_TIE_TOL = 1e-8
 DEDUPE_TOL = 1e-7
 ARMIJO_C = 1e-4
+_KEEP = 16  # the best samples of a dense 1-D grid that start a descent
+_PROBES = 31  # equally spaced probes per 1-D bracket and batch: five bisections' worth
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -74,6 +97,7 @@ class ProxResult:
     residual: float
     candidates: list
     n_evals: int = 0
+    refine_iters: int = 0  # lockstep refine or bracket-search batches that held this problem
 
 
 def _halton(m: int, dim: int) -> np.ndarray:
@@ -166,7 +190,8 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
 
     The active rows form a working set: their points, values, gradients,
     steps and owners are compacted together and updated in place, and a row
-    is written back to ``X`` and ``F`` once, when it retires.
+    is written back to ``X`` and ``F`` once, when it retires.  Returns ``X``,
+    ``F`` and each row's number of iterations.
     """
     lo, hi = K.bounding_box(cfg.search_radius)
     step_cap = 1e3 * (float(np.max(hi - lo)) + 1.0)
@@ -174,7 +199,8 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
     rows, o, x, f = np.arange(X.shape[0]), own, X.copy(), F.copy()
     step = np.full(X.shape[0], 0.25 * float(np.max(hi - lo)) + 1e-12)
     g = grad(o, x)
-    for _ in range(cfg.max_local_iters):
+    iters, n = np.zeros(X.shape[0], dtype=int), 0
+    for n in range(1, cfg.max_local_iters + 1):
         if rows.size == 0:
             break
         T = x - step[:, None] * g
@@ -201,17 +227,17 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
         step[rej] *= 0.5
         done |= rej & (step < cfg.local_tol)
         if np.any(done):
-            X[rows[done]], F[rows[done]] = x[done], f[done]
+            X[rows[done]], F[rows[done]], iters[rows[done]] = x[done], f[done], n
             keep = ~done
             rows, o, x, f, g, step = rows[keep], o[keep], x[keep], f[keep], g[keep], step[keep]
-    X[rows], F[rows] = x, f
-    return X, F
+    X[rows], F[rows], iters[rows] = x, f, n
+    return X, F, iters
 
 
 def _refine_compass(fn, K, X, F, own, cfg):
     """Lockstep compass (pattern) search; no gradient needed.
 
-    Rows, owners and the working set as in ``_refine_pg``.
+    Rows, owners, the working set and the result as in ``_refine_pg``.
     """
     lo, hi = K.bounding_box(cfg.search_radius)
     n = K.dim
@@ -220,7 +246,8 @@ def _refine_compass(fn, K, X, F, own, cfg):
     rows, x, f = np.arange(X.shape[0]), X.copy(), F.copy()
     step = np.full(X.shape[0], 0.25 * float(np.max(hi - lo)) + 1e-12)
     o = np.repeat(own, 2 * n)  # the owner of every candidate
-    for _ in range(cfg.max_local_iters * 4):
+    iters, k = np.zeros(X.shape[0], dtype=int), 0
+    for k in range(1, cfg.max_local_iters * 4 + 1):
         if rows.size == 0:
             break
         m = rows.size
@@ -236,12 +263,209 @@ def _refine_compass(fn, K, X, F, own, cfg):
         step[stay] *= 0.5
         done = stay & (step < cfg.local_tol)
         if np.any(done):
-            X[rows[done]], F[rows[done]] = x[done], f[done]
+            X[rows[done]], F[rows[done]], iters[rows[done]] = x[done], f[done], k
             keep = ~done
             rows, x, f, step = rows[keep], x[keep], f[keep], step[keep]
             o = o.reshape(m, 2 * n)[keep].ravel()
-    X[rows], F[rows] = x, f
-    return X, F
+    X[rows], F[rows], iters[rows] = x, f, k
+    return X, F, iters
+
+
+def _brackets_1d(seeds, F, n_extra, cfg):
+    """The brackets ``[a, m, b]`` of one problem's 1-D samples, and their values.
+
+    The samples (the ``n_extra`` extras, then the grid) are sorted, so an
+    extra is a sample like any other, and deduplicated.  The starts are every
+    sample when there are at most ``cfg.n_starts``, else the extras and the
+    ``_KEEP`` best grid samples.  Descent over the samples, to the lower
+    neighbour, takes each start to a discrete local minimum ``m``, which is
+    bracketed by its neighbours ``a`` and ``b`` (by itself at the first or
+    last sample).  Returns the ``(r, 3)`` points ``a, m, b`` and their values.
+    """
+    x = seeds[:, 0]
+    sel = np.arange(x.size)
+    if x.size > cfg.n_starts:
+        top = np.argsort(F[n_extra:], kind="stable")[:_KEEP] + n_extra
+        sel = np.concatenate([sel[:n_extra], top])
+    order = np.argsort(x, kind="stable")
+    xs, fs = x[order], F[order]
+    dup = xs[1:] == xs[:-1]
+    if np.any(dup):
+        first = np.concatenate([[True], ~dup])
+        xs, fs = xs[first], fs[first]
+    i = np.searchsorted(xs, x[sel])
+    fp = np.concatenate([[np.inf], fs, [np.inf]])
+    mins = np.flatnonzero((fs <= fp[:-2]) & (fs <= fp[2:]))
+    down_l, down_r = fp[i] < fs[i], fp[i + 2] < fs[i]
+    left = down_l & ~(down_r & (fp[i + 2] < fp[i]))
+    k = np.searchsorted(mins, i)  # mins[k - 1] < i <= mins[k]
+    i = np.sort(np.where(left, mins[np.maximum(k - 1, 0)],
+                         np.where(down_r, mins[np.minimum(k, mins.size - 1)], i)))
+    i = i[np.concatenate([[True], i[1:] != i[:-1]])]  # each minimum once
+    j = np.stack([np.maximum(i - 1, 0), i, np.minimum(i + 1, xs.size - 1)], axis=1)
+    return xs[j], fs[j]
+
+
+def _closed(a, b, tol):
+    """True where the bracket ``[a, b]`` is at most ``tol`` wide or has no float inside."""
+    mid = a + 0.5 * (b - a)
+    return (b - a <= tol) | (mid <= a) | (mid >= b)
+
+
+def _at(P, j):
+    return P[np.arange(P.shape[0]), j]
+
+
+def _batch(call, own, Q):
+    """``call`` on every point of the ``(r, q)`` array ``Q``, row ``i`` in problem ``own[i]``."""
+    return np.asarray(call(np.repeat(own, Q.shape[1]), Q.reshape(-1, 1)), dtype=float).reshape(Q.shape)
+
+
+def _narrowed(Q, G, a, ga, b, gb):
+    """The brackets ``[a, b]`` narrowed by the probes ``Q`` with derivatives ``G``.
+
+    The new bracket runs from the rightmost point with a negative derivative
+    to the nearest point right of it without one; ends no probe improves on
+    stay, with their derivatives ``ga`` and ``gb``.
+    """
+    neg = G < 0
+    L = np.where(neg, Q, -np.inf)
+    j = np.argmax(L, axis=1)
+    move = _at(L, j) > a
+    a, ga = np.where(move, _at(Q, j), a), np.where(move, _at(G, j), ga)
+    R = np.where(~neg & (Q > a[:, None]), Q, np.inf)
+    j = np.argmin(R, axis=1)
+    move = _at(R, j) < b
+    return a, ga, np.where(move, _at(Q, j), b), np.where(move, _at(G, j), gb)
+
+
+def _root_search(grad, A, M, B, own, cfg):
+    """Lockstep safeguarded search for a sign change of the derivative in 1-D brackets.
+
+    Row ``i`` is the bracket ``[A[i], B[i]]`` around the sample minimum
+    ``M[i]`` of problem ``own[i]``.  The first batch takes the derivative at
+    ``a``, ``m``, ``b`` and ``_PROBES`` equally spaced interior points.  A
+    row whose ``m`` is the first sample and whose derivative there is >= 0
+    (or the last, and <= 0) ends exactly on it.  Another row's bracket is
+    ``_narrowed`` to its points; a row without a sign change among them has
+    no bracket (``ok`` False).  Each further batch takes the derivative at
+    ``_PROBES`` equally spaced interior points, at the secant root of the end
+    derivatives and ``local_tol / 4`` either side of it, and narrows again,
+    so a bracket shrinks at least ``_PROBES + 1``-fold per batch, kink or
+    not, and the guards close it about a smooth root the secant has found.
+    A row retires when its bracket is at most ``local_tol`` wide or holds no
+    float inside, or when a probe's derivative is exactly 0 (its bracket is
+    then that point).
+
+    Returns the brackets ``lo``, ``hi``, their end derivatives, ``ok`` and
+    each row's number of batches.
+    """
+    frac = np.arange(1, _PROBES + 1) / (_PROBES + 1)
+    P = np.column_stack([A, M, B, A[:, None] + (B - A)[:, None] * frac])
+    G = _batch(grad, own, P)
+    inf = np.full(A.size, np.inf)
+    lo, glo, hi, ghi = _narrowed(P, G, -inf, inf, inf, inf)
+    lo = np.where(ghi == 0, hi, lo)
+    at_lo, at_hi = (A == M) & (G[:, 0] >= 0), (M == B) & (G[:, 2] <= 0)
+    end = at_lo | at_hi  # the derivative points out of the samples there
+    lo = np.where(end, np.where(at_lo, A, B), lo)
+    hi = np.where(end, lo, hi)
+    ok = np.isfinite(lo) & np.isfinite(hi)
+    iters, n = np.ones(A.size, dtype=int), 1
+    rows = np.flatnonzero(ok)
+    rows = rows[~_closed(lo[rows], hi[rows], cfg.local_tol)]
+    a, ga, b, gb, o = lo[rows], glo[rows], hi[rows], ghi[rows], own[rows]
+    t = 0.25 * cfg.local_tol
+    for n in range(2, cfg.max_local_iters + 1):
+        if rows.size == 0:
+            break
+        w = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = ga / (ga - gb)  # the secant root, a bisection where that is not inside
+        s = a + w * np.where((sec > 0.0) & (sec < 1.0), sec, 0.5)
+        Q = np.concatenate([a[:, None] + w[:, None] * frac,
+                            np.stack([np.maximum(s - t, a), s, np.minimum(s + t, b)], axis=1)], axis=1)
+        a, ga, b, gb = _narrowed(Q, _batch(grad, o, Q), a, ga, b, gb)  # ga < 0 < gb stays true
+        a = np.where(gb == 0, b, a)
+        done = _closed(a, b, cfg.local_tol)
+        if np.any(done):
+            r = rows[done]
+            lo[r], glo[r], hi[r], ghi[r], iters[r] = a[done], ga[done], b[done], gb[done], n
+            keep = ~done
+            rows, a, ga, b, gb, o = rows[keep], a[keep], ga[keep], b[keep], gb[keep], o[keep]
+    lo[rows], glo[rows], hi[rows], ghi[rows], iters[rows] = a, ga, b, gb, n
+    return lo, glo, hi, ghi, ok, iters
+
+
+def _section_values(fn, X3, F3, own, cfg):
+    """Lockstep multisection on values in 1-D brackets ``[a, m, b]``; no derivative needed.
+
+    ``m`` is the best of its row's three points.  Each batch evaluates
+    ``_PROBES`` equally spaced interior points; the best of the row's points
+    (the leftmost of equal values) becomes ``m`` and its neighbours the
+    bracket, which thus shrinks at least ``(_PROBES + 1) / 2``-fold.  A row
+    retires as ``_closed`` says.  Returns ``m``, its value and each row's
+    number of batches.
+    """
+    frac = np.arange(1, _PROBES + 1) / (_PROBES + 1)
+    M, FM, iters, n = X3[:, 1].copy(), F3[:, 1].copy(), np.zeros(X3.shape[0], dtype=int), 0
+    rows = np.flatnonzero(~_closed(X3[:, 0], X3[:, 2], cfg.local_tol))
+    (a, m, b), (fa, fm, fb), o = X3[rows].T, F3[rows].T, own[rows]
+    for n in range(1, cfg.max_local_iters + 1):
+        if rows.size == 0:
+            break
+        Q = a[:, None] + (b - a)[:, None] * frac
+        P, V = np.column_stack([a, Q, m, b]), np.column_stack([fa, _batch(fn, o, Q), fm, fb])
+        pos = np.argsort(P, axis=1, kind="stable")  # m among the others
+        P, V = np.take_along_axis(P, pos, axis=1), np.take_along_axis(V, pos, axis=1)
+        j = np.argmin(np.where(np.isnan(V), np.inf, V), axis=1)
+        jl, jr = np.maximum(j - 1, 0), np.minimum(j + 1, P.shape[1] - 1)
+        a, fa, m, fm, b, fb = _at(P, jl), _at(V, jl), _at(P, j), _at(V, j), _at(P, jr), _at(V, jr)
+        done = _closed(a, b, cfg.local_tol)
+        if np.any(done):
+            M[rows[done]], FM[rows[done]], iters[rows[done]] = m[done], fm[done], n
+            keep = ~done
+            rows, a, fa, m, fm, b, fb, o = (v[keep] for v in (rows, a, fa, m, fm, b, fb, o))
+    M[rows], FM[rows], iters[rows] = m, fm, n
+    return M, FM, iters
+
+
+def _search_1d(stack, grad, X3, F3, own, cfg):
+    """One point per 1-D bracket ``[a, m, b]``: its value and number of batches.
+
+    With a derivative, ``_root_search`` brackets its sign change.  Of the
+    closed bracket ``[lo, hi]`` the ends and the crossing of the tangents at
+    them are evaluated in two batches, and the best of these and ``m`` (the
+    first of equal values) is the point.  The tangents cross within rounding
+    of a kink between two smooth pieces, and a kink at ``m`` or at a bracket
+    end stays exact.  Rows without a sign change, and every row without a
+    derivative, go to ``_section_values``.
+    """
+    M, FM, iters = X3[:, 1].copy(), F3[:, 1].copy(), np.zeros(X3.shape[0], dtype=int)
+    if cfg.max_local_iters == 0:
+        return M[:, None], FM, iters
+    todo = np.arange(M.size)
+    if grad is not None:
+        lo, glo, hi, ghi, ok, iters = _root_search(grad, X3[:, 0], M, X3[:, 2], own, cfg)
+        g, todo = np.flatnonzero(ok), np.flatnonzero(~ok)
+        lo, glo, hi, ghi, og = lo[g], glo[g], hi[g], ghi[g], own[g]
+        if g.size:
+            FL, FH = _batch(stack.fn, og, np.column_stack([lo, hi])).T
+            T, FT, w = lo.copy(), FL.copy(), hi - lo
+            wide = np.flatnonzero(w > 0)
+            if wide.size:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    d = (FL - FH + ghi * w)[wide] / (ghi - glo)[wide]
+                d = np.where(np.isfinite(d), d, 0.5 * w[wide])
+                T[wide] = lo[wide] + np.clip(d, 0.0, w[wide])
+                FT[wide] = _batch(stack.fn, og[wide], T[wide, None])[:, 0]
+            P, V = np.column_stack([M[g], lo, hi, T]), np.column_stack([FM[g], FL, FH, FT])
+            k = np.argmin(np.where(np.isnan(V), np.inf, V), axis=1)
+            M[g], FM[g] = _at(P, k), _at(V, k)
+    if todo.size:
+        M[todo], FM[todo], it = _section_values(stack.fn, X3[todo], F3[todo], own[todo], cfg)
+        iters[todo] += it
+    return M[:, None], FM, iters
 
 
 def _no_worse(F_new, F):
@@ -301,8 +525,8 @@ def _polish_parabolic(fn, K, X, F, own, rounds: int = 2, delta: float = 1e-5):
 
     Improves the sqrt(eps) comparison floor to ~1e-11 at smooth interior
     minima; moves are only accepted when they do not increase the value (see
-    ``_no_worse``), so kink and boundary minima (already sharp for compass
-    search) are kept.  All rows are probed together, one coordinate at a time;
+    ``_no_worse``), so kink and boundary minima (already sharp from the
+    refine) are kept.  All rows are probed together, one coordinate at a time;
     row ``i`` belongs to problem ``own[i]``, as in ``_refine_pg``.
     """
     X, F = X.copy(), F.copy()
@@ -313,7 +537,7 @@ def _polish_parabolic(fn, K, X, F, own, rounds: int = 2, delta: float = 1e-5):
             probes = np.concatenate([X, X])
             probes[:r, j] += d
             probes[r:, j] -= d
-            # an axis that touches the boundary is left to compass search
+            # an axis that touches the boundary is left as refined
             clipped = np.any(K.project_many(probes) != probes, axis=-1).reshape(2, r)
             idx = np.nonzero(~np.any(clipped, axis=0))[0]
             if idx.size == 0:
@@ -354,7 +578,7 @@ def _tie_representatives(X, F) -> np.ndarray:
     return np.asarray(reps, dtype=int)
 
 
-def _collect(X, F, n_evals) -> ProxResult:
+def _collect(X, F, n_evals, refine_iters) -> ProxResult:
     reps = _tie_representatives(X, F)
     reps = reps[np.lexsort(X[reps].T[::-1])]  # lexicographic by coordinates
     return ProxResult(
@@ -363,6 +587,7 @@ def _collect(X, F, n_evals) -> ProxResult:
         residual=0.0,
         candidates=[X[i].copy() for i in reps],
         n_evals=n_evals,
+        refine_iters=refine_iters,
     )
 
 
@@ -373,8 +598,10 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
     ``raw_fn(Xc, Y)`` and ``raw_grad(Xc, Y)`` (or None) pair row ``i`` of
     ``Y`` with center row ``i`` of ``Xc``; a single center row broadcasts
     over all rows of ``Y``.  With ``seed_centers`` each problem's projected
-    center is an extra start.  Returns one result per problem, each what
-    that problem gets when solved alone.
+    center is an extra start.  In one dimension the starts' brackets go to
+    ``_search_1d``, above it the starts to ``_refine_pg`` or
+    ``_refine_compass``.  Returns one result per problem, each what that
+    problem gets when solved alone.
     """
     stack = _Stack(raw_fn, raw_grad, C)
     grid = _seed_points(K, cfg)
@@ -389,20 +616,21 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
             finite = np.isfinite(F)
             if not np.any(finite):
                 raise ValueError("objective is not finite anywhere on the seed set")
-            seeds, F = seeds[finite], F[finite]
-        if K.dim == 1 and seeds.shape[0] > cfg.n_starts:
-            # dense 1D grid: refine only the most promising points plus the extras
-            keep = np.argsort(F[n_extra:], kind="stable")[:16] + n_extra
-            keep = np.concatenate([np.arange(n_extra), keep])
-            seeds, F = seeds[keep], F[keep]
+            seeds, F, n_extra = seeds[finite], F[finite], int(np.sum(finite[:n_extra]))
+        if K.dim == 1:
+            seeds, F = _brackets_1d(seeds, F, n_extra, cfg)
         starts.append(seeds)
         values.append(F)
     own = np.repeat(np.arange(C.shape[0]), [s.shape[0] for s in starts])
     X, F = np.concatenate(starts), np.concatenate(values)
-    if raw_grad is not None:
-        X, F = _refine_pg(stack.fn, stack.grad, K, X, F, own, cfg)
+    if K.dim == 1:
+        X, F, iters = _search_1d(stack, stack.grad if raw_grad is not None else None, X, F, own, cfg)
+    elif raw_grad is not None:
+        X, F, iters = _refine_pg(stack.fn, stack.grad, K, X, F, own, cfg)
     else:
-        X, F = _refine_compass(stack.fn, K, X, F, own, cfg)
+        X, F, iters = _refine_compass(stack.fn, K, X, F, own, cfg)
+    refine_iters = np.zeros(C.shape[0], dtype=int)
+    np.maximum.at(refine_iters, own, iters)
     # near-ties within DEDUPE_TOL are one minimizer: polish only each
     # cluster's representative and drop the rest, so no unpolished point
     # can be returned
@@ -417,7 +645,8 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
     else:
         X, F = _polish_parabolic(stack.fn, K, X, F, own)
     n_evals = n_seed + stack.counts()
-    return [_collect(X[own == p], F[own == p], int(n_evals[p])) for p in range(C.shape[0])]
+    return [_collect(X[own == p], F[own == p], int(n_evals[p]), int(refine_iters[p]))
+            for p in range(C.shape[0])]
 
 
 def global_min(h: Objective, K: FeasibleSet | None = None, cfg: GlobalSolveConfig | None = None) -> ProxResult:
@@ -477,12 +706,14 @@ def prox_point(base_fn, base_grad, K: FeasibleSet, beta: float, x, cfg: GlobalSo
 def prox(h: Objective, K: FeasibleSet | None = None, beta: float = 1.0, x=None, cfg: GlobalSolveConfig | None = None) -> ProxResult:
     """Global proximity operator: argmin over K of h(y) + ||y - x||^2 / (2 beta).
 
-    With ``h.grad`` (a subgradient at kinks for the entries that are not
-    smooth) the starts are refined by projected gradient.  A start stops at
-    a move, accepted or clipped by K, of at most ``cfg.local_tol`` whose
-    gradient mapping (the move over the step, the gradient where K does not
-    clip) is at most ``sqrt(cfg.local_tol)``, or when a rejected step falls
-    below ``cfg.local_tol``.  Without a gradient they are refined by compass
+    In one dimension the grid's brackets are closed to ``cfg.local_tol`` by
+    the derivative's sign change (``h.grad``, a subgradient at kinks for the
+    entries that are not smooth) or by values.  Above it, with ``h.grad``
+    the starts are refined by projected gradient.  A start stops at a move,
+    accepted or clipped by K, of at most ``cfg.local_tol`` whose gradient
+    mapping (the move over the step, the gradient where K does not clip) is
+    at most ``sqrt(cfg.local_tol)``, or when a rejected step falls below
+    ``cfg.local_tol``.  Without a gradient they are refined by compass
     search.
     """
     K = h.domain if K is None else K
@@ -502,8 +733,9 @@ def bregman_prox(
 
     With the half-squared-norm kernel this routes through ``prox`` exactly,
     matching the collapse of the Bregman operator to the proximity operator.
-    Other kernels are minimized by compass search with the divergence set to
-    +inf outside the zone closure.
+    Other kernels are minimized without a gradient (by values in one
+    dimension, compass search above it) with the divergence set to +inf
+    outside the zone closure.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")

@@ -265,6 +265,7 @@ def test_readme_key_tables_equal_the_registries():
 def _describe(kind) -> str:
     """A declared kind as the README's field-kind table writes it."""
     bound = "" if kind.lo is None else f" {'>' if kind.strict else '>='} {kind.lo:g}"
+    bound += "" if kind.hi is None else f" and <= {kind.hi}"
     return {"int": f"integer{bound}", "number": f"finite number{bound}",
             "numbers": f"list of at least {kind.at_least} finite numbers{bound}",
             "enum": "one of " + ", ".join(kind.choices)}.get(kind.name, kind.name)

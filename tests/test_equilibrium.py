@@ -319,3 +319,35 @@ def test_reg_ep_regularized_objective_batch_equals_row_by_row():
     Y = f.domain.sample(seed=71, m=64)
     V = fy(Y)
     assert all(fy(Y[i]) == V[i] for i in range(Y.shape[0]))
+
+
+def test_1d_glt_extragradient_and_certificate_solves_take_few_batches(tmp_path, monkeypatch):
+    # the solve_ep benchmark's EG_EP and PEG_EP runs from fixed starts, with
+    # their certificates; projected gradient took a median of 46-52 lockstep
+    # iterations per solve, the bracket search takes at most 5
+    import importlib
+
+    import sqopt.equilibrium as E
+    from sqopt.harness import run_from_config
+
+    P = importlib.import_module("sqopt.prox")
+    solve, iters = P._global_min_impl, []
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iters.extend(r.refine_iters for r in res)
+        return res
+
+    monkeypatch.setattr(P, "_global_min_impl", counted)
+    monkeypatch.setattr(E, "_global_min_impl", counted)
+    for variant, beta in (("EG_EP", 0.18), ("PEG_EP", 1.0)):
+        for x0 in (0.7, 3.1):
+            algo = {"variant": variant, "x0": [x0], "beta": {"kind": "constant", "value": beta},
+                    "steps": {"kind": "inv_k", "value": 0.8}, "stop_tol": 5e-3,
+                    "max_iters": 4000, "prox": {"grid_density": 2001}}
+            cfg = {"schema_version": 1, "algorithm": algo,
+                   "problem": {"kind": "ep", "bifunction": {"catalog": "glt_example",
+                                                            "params": {"p": 2, "q": 2}}}}
+            assert run_from_config(cfg, tmp_path / f"{variant}_{x0}")[1] == 0
+    assert len(iters) >= 40
+    assert np.median(iters) <= 20 and max(iters) <= 30

@@ -192,6 +192,66 @@ def test_value_gap_bifunction():
     assert fy is h.fn and gy is h.grad  # shared callables keep prox steps identical
 
 
+def _glt_constants_reference(p, q, lo, hi, n):
+    """``functions._glt_constants`` as it was with ``g`` evaluated per (x, t) pair."""
+    from sqopt.functions import _glt_g
+    from sqopt.geometry import rng_for
+
+    if n == 1:
+        xs = np.linspace(lo, hi, 17)
+        ys = np.linspace(lo, hi, 101)
+        Y1, Y2 = np.meshgrid(ys, ys, indexing="ij")
+        Y1, Y2 = Y1.ravel(), Y2.ravel()
+        keep = Y1 != Y2
+        Y1, Y2 = Y1[keep], Y2[keep]
+        ts = np.linspace(0.01, 0.99, 61)
+        best = np.inf
+        for x in xs:
+            g1 = p * _glt_g(Y1[:, None], q) + x * Y1
+            g2 = p * _glt_g(Y2[:, None], q) + x * Y2
+            mx = np.maximum(g1, g2)
+            for t in ts:
+                mid_pt = t * Y1 + (1 - t) * Y2
+                mid = p * _glt_g(mid_pt[:, None], q) + x * mid_pt
+                ratio = 2.0 * (mx - mid) / (t * (1 - t) * (Y1 - Y2) ** 2)
+                best = min(best, float(ratio.min()))
+        gamma = 0.90 * best
+    else:
+        rng = rng_for(11)
+        m = 40_000
+        X = lo + rng.random((m, n)) * (hi - lo)
+        Y1 = lo + rng.random((m, n)) * (hi - lo)
+        Y2 = lo + rng.random((m, n)) * (hi - lo)
+        t = rng.random((m, 1))
+        g1 = p * _glt_g(Y1, q) + np.einsum("ij,ij->i", X, Y1)
+        g2 = p * _glt_g(Y2, q) + np.einsum("ij,ij->i", X, Y2)
+        midp = t * Y1 + (1 - t) * Y2
+        mid = p * _glt_g(midp, q) + np.einsum("ij,ij->i", X, midp)
+        d2 = np.sum((Y1 - Y2) ** 2, axis=-1)
+        ok = d2 > 1e-12
+        ratio = 2.0 * (np.maximum(g1, g2) - mid)[ok] / (t[ok, 0] * (1 - t[ok, 0]) * d2[ok])
+        gamma = 0.90 * float(ratio.min())
+    rng = rng_for(12)
+    m = 100_000
+    X = lo + rng.random((m, n)) * (hi - lo)
+    Y = lo + rng.random((m, n)) * (hi - lo)
+    Z = lo + rng.random((m, n)) * (hi - lo)
+    num = np.einsum("ij,ij->i", X - Y, Z - Y)
+    den = np.sum((X - Y) ** 2, axis=-1) + np.sum((Y - Z) ** 2, axis=-1)
+    ok = den > 1e-12
+    eta = 1.05 * max(0.0, float(np.max(num[ok] / den[ok])))
+    return max(gamma, 0.0), eta
+
+
+# every (p, q, box, n) that the tests, the README and the benchmark jobs build
+@pytest.mark.parametrize("p, q, lo, hi, n", [(2.0, 2.0, 0.0, 4.0, 1), (2.0, 2.0, 0.0, 4.0, 2),
+                                             (3.0, 1.5, 0.0, 4.0, 3)])
+def test_glt_constants_equal_the_per_pair_loop_bit_for_bit(p, q, lo, hi, n):
+    from sqopt.functions import _glt_constants
+
+    assert _glt_constants.__wrapped__(p, q, lo, hi, n) == _glt_constants_reference(p, q, lo, hi, n)
+
+
 def test_glt_example_basics():
     f = glt_example(2, 2)
     assert f.value([1.0], [1.0]) == 0.0

@@ -41,7 +41,6 @@ def minimal_ppa_config(**algo_extra):
     algo.update(algo_extra)
     return {
         "schema_version": 1,
-        "seed": 0,
         "problem": {
             "kind": "minimize",
             "objective": {"catalog": "power_norm", "params": {"n": 2, "halfwidth": 1.0}},
@@ -719,6 +718,11 @@ SECTION_VALUES = [
     ("verify", _second_check(radius=float("nan")), "config.verify.checks[1].radius"),
     ("verify", {**_verify_cfg(), "seed": -1}, "config.seed"),
     ("verify", _second_check(seed=-1), "config.verify.checks[1].seed"),
+    # a seed of 2**128 or more exited 3 with NumPy's Philox key message
+    pytest.param("verify", {**_verify_cfg(), "seed": 2**128}, "config.seed",
+                 id="config.seed-too-large"),
+    pytest.param("verify", _second_check(seed=2**64), "config.verify.checks[1].seed",
+                 id="config.verify.checks[1].seed-too-large"),
     ("verify", _second_check(check="subdiff", beta=-1), "config.verify.checks[1].beta"),
     ("verify", _second_check(check="pl", lip=-1), "config.verify.checks[1].lip"),
     ("verify", _second_check(check="supercoercive", radii=[-1, 2]),
@@ -734,6 +738,33 @@ def test_cli_bad_section_value_is_schema_error(tmp_path, capsys, command, cfg, f
     err = capsys.readouterr().err
     assert err.startswith(f"schema error: {field_path}: ") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_verify_seed_flag_is_bounded(tmp_path, capsys):
+    path = write_cfg(tmp_path, _verify_cfg())
+    argv = ["verify", "--config", path, "--out", str(tmp_path / "o"), "--seed"]
+    assert cli_main(argv + [str(2**64 - 1)]) == EXIT_OK
+    capsys.readouterr()
+    assert cli_main(argv + [str(2**128)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        f"schema error: config.seed: must be <= {2**64 - 1}, got {2**128}\n")
+
+
+# each ran with exit 0: only verify reads the config seed, and True == 1
+@pytest.mark.parametrize("command, cfg, field_path, message", [
+    ("minimize", {**minimal_ppa_config(), "seed": "x"}, "config.seed", "only verify reads a seed"),
+    ("minimize", {**minimal_ppa_config(), "seed": 0}, "config.seed", "only verify reads a seed"),
+    ("solve-ep", {**ep_config(), "seed": 0}, "config.seed", "only verify reads a seed"),
+    ("sweep", {**_sweep_cfg(), "seed": 0}, "config.seed", "only verify reads a seed"),
+    ("dynamics", {**_dynamics_cfg(), "seed": 0}, "config.seed", "only verify reads a seed"),
+    ("minimize", {**minimal_ppa_config(), "schema_version": True}, "config.schema_version",
+     "unsupported version True"),
+], ids=["minimize-string", "minimize", "solve-ep", "sweep", "dynamics", "schema_version-true"])
+def test_cli_top_level_key_a_command_does_not_read_is_schema_error(tmp_path, capsys, command, cfg,
+                                                                     field_path, message):
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"schema error: {field_path}: {message}\n"
 
 
 def test_ep_sweep_from_rippa_ep_drops_its_keys_in_the_baseline(tmp_path, capsys):

@@ -254,8 +254,8 @@ def test_refine_pg_root_quartic_prox_converges_fast():
         iters += 1
         return stack.fn(own, Y)
 
-    X, _ = P._refine_pg(counted_fn, stack.grad, h.domain, seeds[keep].copy(), F[keep].copy(),
-                        np.zeros(17, dtype=int), cfg)
+    X, _, _ = P._refine_pg(counted_fn, stack.grad, h.domain, seeds[keep].copy(),
+                           F[keep].copy(), np.zeros(17, dtype=int), cfg)
     assert X.shape[0] == 17
     assert iters < 50
     assert np.all(np.linalg.norm(grad(x, X), axis=-1) <= np.sqrt(cfg.local_tol))
@@ -288,11 +288,11 @@ def _refiners(P, case, C):
 
     def compass(X, own):
         stack = P._Stack(fn, grad, C)
-        return P._refine_compass(stack.fn, K, X, stack.fn(own, X), own, cfg)
+        return P._refine_compass(stack.fn, K, X, stack.fn(own, X), own, cfg)[:2]
 
     def pg(X, own):
         stack = P._Stack(fn, grad, C)
-        return P._refine_pg(stack.fn, stack.grad, K, X, stack.fn(own, X), own, cfg)
+        return P._refine_pg(stack.fn, stack.grad, K, X, stack.fn(own, X), own, cfg)[:2]
 
     return [compass] if grad is None else [compass, pg]
 
@@ -338,18 +338,33 @@ def test_lockstep_refiners_stack_equals_each_problem_solo(case):
 
 
 def test_global_solve_stack_equals_each_problem_solo():
-    # per-problem seeding (each center is an extra start), 1-D keep-16
-    # selection, tie representatives, polish and evaluation counts
+    # per-problem seeding (each center is an extra start), 1-D brackets and
+    # bracket search (by derivative: sin_quad's prox and glt_example's
+    # certificate; by values: BPPA's neg_entropy subproblem), tie
+    # representatives, polish, evaluation and batch counts
     P = _prox_mod()
+    cases = []
     for h, cfg in ((catalog("sin_quad"), GlobalSolveConfig(search_radius=6.0)),
                    (catalog("power_norm", n=2, halfwidth=10.0), GlobalSolveConfig())):
         fn, grad = P._prox_objective(h.value_many, h.grad_many if h.grad else None, 0.7)
-        C = _starts(h.domain, cfg, 3, key=100)
-        stacked = P._global_min_impl(fn, grad, h.domain, cfg, C, seed_centers=True)
+        cases.append((fn, grad, h.domain, cfg, _starts(h.domain, cfg, 3, key=100), True))
+    glt = bifunction_catalog("glt_example", p=2.0, q=2.0)
+    cases.append((glt.fn, glt.partial_grad_y, glt.domain, GlobalSolveConfig(grid_density=2001),
+                  np.array([[0.2], [1.3], [3.6]]), False))
+    gw, phi = catalog("gauss_well"), bregman_catalog("neg_entropy", dim=1, shift=2.0)
+
+    def bregman(Xc, Y):  # bregman_prox's subproblem
+        return np.where(phi.closure_contains(Y),
+                        gw.value_many(Y) + phi.divergence_many(Y, Xc) / 0.5, np.inf)
+
+    cases.append((bregman, None, gw.domain, GlobalSolveConfig(), np.array([[-0.6], [0.1], [0.8]]),
+                  True))
+    for fn, grad, K, cfg, C, seed_centers in cases:
+        stacked = P._global_min_impl(fn, grad, K, cfg, C, seed_centers=seed_centers)
         for p, res in enumerate(stacked):
-            solo = P._global_min_impl(fn, grad, h.domain, cfg, C[p : p + 1], seed_centers=True)[0]
+            solo = P._global_min_impl(fn, grad, K, cfg, C[p : p + 1], seed_centers=seed_centers)[0]
             assert np.array_equal(res.point, solo.point) and res.value == solo.value
-            assert res.n_evals == solo.n_evals
+            assert (res.n_evals, res.refine_iters) == (solo.n_evals, solo.refine_iters)
             assert len(res.candidates) == len(solo.candidates)
             assert all(np.array_equal(a, b) for a, b in zip(res.candidates, solo.candidates))
 
@@ -414,3 +429,64 @@ def test_refine_pg_rows_retire_at_a_constrained_minimizer(h, K, cfg, center, poi
     res = prox(h, K, 0.5, np.array(center), cfg)
     np.testing.assert_allclose(res.point, point, rtol=0, atol=atol)
     assert res.n_evals <= max_evals
+
+
+# --- one-dimensional bracket search -----------------------------------------------
+
+
+@pytest.mark.parametrize("grid_density", [999, 1234, 10_000])
+def test_1d_prox_lands_exactly_on_a_kink(grid_density):
+    # |t - 0.3| on [0, 0.5]: every center below is within beta of the kink, so
+    # its proximal point is the kink, a grid point only for 10,000 (10,001
+    # points).  Projected gradient ended up to 3e-11 from the off-grid kink
+    h = catalog("abs_shift", a=-0.3, gamma=2.0)
+    cfg = GlobalSolveConfig(grid_density=grid_density)
+    for c in (0.0, 0.2, 0.45, 0.5):
+        assert prox(h, beta=0.5, x=np.array([c]), cfg=cfg).point[0] == 0.3
+
+
+def test_1d_glt_certificate_lands_on_its_kink():
+    # for these x, min_y f(x, y) of glt_example lies on the max-kink
+    # (3 - sqrt 5)/2 of g; projected gradient ended 1e-12 to 1e-10 from it
+    P = _prox_mod()
+    f = bifunction_catalog("glt_example", p=2.0, q=2.0)
+    kink = (3.0 - np.sqrt(5.0)) / 2.0
+    for x in (0.1, 0.5, 1.3, 2.0, 3.0):
+        res = P._global_min_impl(f.fn, f.partial_grad_y, f.domain, GlobalSolveConfig(),
+                                 np.array([[x]]))[0]
+        assert abs(res.point[0] - kink) <= 1e-15
+
+
+@pytest.mark.parametrize("center, bound", [(0.5, 0.3), (0.1, 0.3), (5.0, 1.0)])
+def test_1d_minimum_at_a_bound_is_the_bound_after_one_batch(center, bound):
+    # gauss_well on [0.3, 1]: where the derivative at an end of the samples
+    # points out of them, that end is the answer, exactly, after one batch
+    res = prox(catalog("gauss_well"), box1d(0.3, 1.0), 0.5, np.array([center]))
+    assert res.point[0] == bound and res.refine_iters == 1
+
+
+def _oracle_cases():
+    """(id, paired fn, paired grad, K, cfg, 50 centers, extra starts?, the oracle's interval)."""
+    P = _prox_mod()
+    rng = np.random.Generator(np.random.Philox(key=131))
+    sq = catalog("sin_quad")
+    fn, grad = P._prox_objective(sq.value_many, sq.grad_many, 0.8)
+    glt = bifunction_catalog("glt_example", p=2.0, q=2.0)
+    return [("sin_quad_prox", fn, grad, sq.domain, GlobalSolveConfig(search_radius=6.0),
+             rng.uniform(-5.0, 5.0, (50, 1)), True, (-6.0, 6.0)),
+            ("glt_certificate", glt.fn, glt.partial_grad_y, glt.domain, GlobalSolveConfig(),
+             rng.uniform(0.0, 4.0, (50, 1)), False, (0.0, 4.0))]
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_1d_solves_agree_with_a_million_point_grid(case):
+    # the bracket search keeps the dense grid's globality: no worse a value
+    # than 10^6 grid points, and a candidate within two of their spacings
+    P = _prox_mod()
+    _, fn, grad, K, cfg, C, seed_centers, (lo, hi) = case
+    T = np.linspace(lo, hi, 1_000_001)[:, None]
+    for c, res in zip(C, P._global_min_impl(fn, grad, K, cfg, C, seed_centers=seed_centers)):
+        V = fn(c[None, :], T)
+        i = int(np.argmin(V))
+        assert res.value <= V[i] + 1e-12
+        assert min(abs(y[0] - T[i, 0]) for y in res.candidates) <= 2.0 * (hi - lo) / 1e6
