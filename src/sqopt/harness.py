@@ -222,19 +222,25 @@ VARIANTS = {
 _SWEPT = {"minimize": ("RIPPA", "PPA"), "ep": ("RIPPA_EP", "PPA_EP")}
 
 
-def validate_config(cfg: dict, reads_seed: bool = False) -> None:
-    """Schema-validate a config; raises SchemaError with a field path.
+# the diagnostic for a section that the command does not read
+_UNREAD = {"algorithm": "only minimize, solve-ep and sweep run an algorithm",
+           "sweep": "only sweep reads a grid", "dynamics": "only dynamics integrates a flow",
+           "verify": "only verify runs checks", "seed": "only verify reads a seed"}
 
-    Only ``verify`` samples, so only it passes ``reads_seed`` and accepts
-    the top-level ``seed``.
+
+def validate_config(cfg: dict, reads: set) -> None:
+    """Schema-validate a config's top level; raises SchemaError with a field path.
+
+    ``reads`` holds the sections the command reads besides ``problem``; a
+    config with any other section is refused, not run without it.
     """
-    check_keys(cfg, {"schema_version", "seed", "problem", "algorithm", "sweep",
-                     "dynamics", "verify"}, "config")
+    check_keys(cfg, {"schema_version", "problem", *_UNREAD}, "config")
     version = require(cfg, "schema_version", "config")
     if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1
         raise SchemaError("config.schema_version", f"unsupported version {version!r}")
-    if "seed" in cfg and not reads_seed:
-        raise SchemaError("config.seed", "only verify reads a seed")
+    for section in cfg:
+        if section in _UNREAD and section not in reads:
+            raise SchemaError(f"config.{section}", _UNREAD[section])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +379,7 @@ def run_algorithm(kind: str, problem, K: FeasibleSet, spec: dict, path: str = "a
 
 def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
     """Validate, dispatch, write trace.csv + summary.json; returns exit code too."""
-    validate_config(cfg)
+    validate_config(cfg, {"algorithm"})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kind, obj, K = build_problem(require(cfg, "problem", "config"))
@@ -443,7 +449,7 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
     row; any other exception ends the sweep after the rows before it are
     written.  ``workers`` is accepted and ignored.
     """
-    validate_config(cfg)
+    validate_config(cfg, {"algorithm", "sweep"})
     grid = read(_SWEEP_KINDS, require(cfg, "sweep", "config"), "config.sweep")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -556,7 +562,7 @@ _CHECK_KINDS = {"gamma": Kind("number", None, lo=0.0), "n": Kind("int", 2000, lo
 
 
 def run_verify(cfg: dict, out_dir) -> list[dict]:
-    validate_config(cfg, reads_seed=True)
+    validate_config(cfg, {"verify", "seed"})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checks = require(cfg, "verify", "config")
@@ -589,7 +595,7 @@ _DYNAMICS_KINDS = {"system": Kind("enum", choices=("ds1", "ds2", "ds2_undamped")
 
 
 def run_dynamics(cfg: dict, out_dir) -> dict:
-    validate_config(cfg)
+    validate_config(cfg, {"dynamics"})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kind, h, K = build_problem(require(cfg, "problem", "config"))

@@ -6,10 +6,9 @@ when the underlying function is convex.  The solver is a deterministic
 multistart: a dense grid for one dimension, a square grid for two, a Halton
 set above that.
 
-In one dimension the grid is evaluated once and brackets every minimizer.
-The starts (the 16 best grid points and the extras, such as the projected
-proximal center, which is sorted in among the samples) each descend over
-the samples to a discrete local minimum, bracketed by its two neighbours.
+In one dimension the grid is evaluated once, with the projected proximal
+center sorted in among its samples, and every discrete local minimum of the
+samples (up to the ``n_starts`` best) is bracketed by its two neighbours.
 With a derivative (a subgradient at kinks included), all brackets of all
 problems are closed in lockstep by a safeguarded search for its sign
 change: each batch evaluates the derivative at equally spaced interior
@@ -17,12 +16,12 @@ points, at the secant root of the end derivatives and just either side of
 that root, and keeps a sign change, so a bracket shrinks by a fixed factor
 per batch, kink or not, and closes fast about a smooth root (Brent 1973,
 *Algorithms for Minimization without Derivatives*, on safeguarded zero
-finding).  A bracket at most
-``local_tol`` wide is closed by the best of its ends, the crossing of their
-tangents (exact to rounding at a kink between smooth pieces) and its sample
-minimum.  A minimum at an end of the samples where the derivative points out
-of them is that end, exactly.  Without a derivative, or without a sign
-change, a lockstep multisection on values closes the bracket.
+finding).  A bracket is closed when no float lies inside it, and its
+better end is the point: exact to rounding at smooth roots and at kinks
+alike, with no polish.  ``local_tol`` plays no part in this search.  A
+minimum at an end of the samples where the derivative points out of them is
+that end, exactly.  Without a derivative, or without a sign change, a
+lockstep multisection on values closes the bracket to ``local_tol``.
 
 Above one dimension every start is refined in lockstep by projected gradient
 (when a gradient exists, a subgradient at kinks included) or compass search
@@ -30,22 +29,23 @@ Above one dimension every start is refined in lockstep by projected gradient
 capped at twice the last accepted step, under an Armijo test; a rejected
 step is halved.
 
-After refinement the near-ties (within 1e-8 of the best value) are grouped
-into clusters of points within 1e-7 of each other; each cluster is one
-minimizer, represented by its best-valued member.  Only the representatives
-are polished (Newton on the gradient, or parabolic steps without one), all in
-one batch, and the other members are dropped.  The representatives that are
-still near-ties are all retained, since the proximity operator of a nonconvex
-function is set-valued, and the returned point is the lexicographically
-smallest of them, which keeps traces deterministic.
+After the search or refinement the near-ties (within 1e-8 of the best value)
+are grouped into clusters of points within 1e-7 of each other; each cluster
+is one minimizer, represented by its best-valued member, and the other
+members are dropped.  The representatives are polished, all in one batch:
+by Newton on the gradient above one dimension, by parabolic steps wherever
+there is no gradient.  The representatives that are still near-ties are all
+retained, since the proximity operator of a nonconvex function is
+set-valued, and the returned point is the lexicographically smallest of
+them, which keeps traces deterministic.
 
 One solve handles a stack of problems that share the set and the
 ``GlobalSolveConfig``.  Problem ``p`` minimizes ``fn(c_p, .)`` for its own
 center ``c_p``: a proximal center, or the ``x`` of an equilibrium
 certificate ``min_y f(x, y)``.  The callables are paired, ``fn(Xc, Y)`` and
 ``grad(Xc, Y)`` evaluating row ``i`` of ``Y`` against center row ``i`` of
-``Xc``, and give each row the bits it gets alone.  Seeding, the selection
-of starts, the near-tie clusters and the result are per problem; the refine
+``Xc``, and give each row the bits it gets alone.  Seeding, the brackets
+or starts, the near-tie clusters and the result are per problem; the refine
 or bracket search and the polish run the rows of all problems together, in
 one batch per step.  They keep a working set: the active rows are compacted
 together with their state and owning problem, and a row is written back
@@ -67,7 +67,6 @@ from .geometry import FeasibleSet
 VALUE_TIE_TOL = 1e-8
 DEDUPE_TOL = 1e-7
 ARMIJO_C = 1e-4
-_KEEP = 16  # the best samples of a dense 1-D grid that start a descent
 _PROBES = 31  # equally spaced probes per 1-D bracket and batch: five bisections' worth
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -77,8 +76,14 @@ _HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
 class GlobalSolveConfig:
     """Multistart configuration; identical config + inputs give identical output.
 
-    The starts are a grid or a Halton set, so there is no seed.  A config sets
-    ``search_radius`` by ``algorithm.search_radius``, not under ``algorithm.prox``.
+    The starts are a grid or a Halton set, so there is no seed.  In one
+    dimension ``grid_density`` sets the samples and ``n_starts`` caps the
+    brackets; above it ``n_starts`` sets the starts.  ``local_tol`` stops
+    the refines and the 1-D search on values; the 1-D search on the
+    derivative closes its brackets to one ulp and does not read it.
+    ``max_local_iters`` caps the batches of each.  A config sets
+    ``search_radius`` by ``algorithm.search_radius``, not under
+    ``algorithm.prox``.
     """
 
     n_starts: int = declared(Kind("int", 64, lo=1))
@@ -137,30 +142,21 @@ class _Stack:
     """The paired callables of a stack of problems, addressed by problem index.
 
     Problem ``p`` has center row ``C[p]``.  ``fn(own, Y)`` evaluates row ``i``
-    of ``Y`` in problem ``own[i]``, and ``grad(own, Y)`` likewise.  The
-    owners of every ``fn`` batch are counted, so ``counts()`` gives each
-    problem's evaluations.
+    of ``Y`` in problem ``own[i]``, and ``grad(own, Y)`` likewise.  Every
+    ``fn`` batch adds its rows to their problems' ``counts``.
     """
 
     def __init__(self, fn, grad, C: np.ndarray):
         self.C = C
         self._fn, self._grad = fn, grad
-        self._counts = np.zeros(C.shape[0], dtype=int)
-        self._owners, self._held = [], 0
+        self.counts = np.zeros(C.shape[0], dtype=int)
 
     def fn(self, own, Y):
-        self._owners.append(own)
-        self._held += own.size
-        if self._held > 1 << 15:  # fold the owners into the counts, so few are held at once
-            self._counts, self._owners, self._held = self.counts(), [], 0
+        self.counts += np.bincount(own, minlength=self.C.shape[0])
         return self._fn(self.C.take(own, axis=0), Y)
 
     def grad(self, own, Y):
         return np.asarray(self._grad(self.C.take(own, axis=0), Y), dtype=float)
-
-    def counts(self) -> np.ndarray:
-        held = np.concatenate(self._owners) if self._owners else np.zeros(0, dtype=int)
-        return self._counts + np.bincount(held, minlength=self.C.shape[0])
 
 
 def _norms(V):
@@ -271,42 +267,30 @@ def _refine_compass(fn, K, X, F, own, cfg):
     return X, F, iters
 
 
-def _brackets_1d(seeds, F, n_extra, cfg):
+def _brackets_1d(seeds, F, cfg):
     """The brackets ``[a, m, b]`` of one problem's 1-D samples, and their values.
 
-    The samples (the ``n_extra`` extras, then the grid) are sorted, so an
-    extra is a sample like any other, and deduplicated.  The starts are every
-    sample when there are at most ``cfg.n_starts``, else the extras and the
-    ``_KEEP`` best grid samples.  Descent over the samples, to the lower
-    neighbour, takes each start to a discrete local minimum ``m``, which is
-    bracketed by its neighbours ``a`` and ``b`` (by itself at the first or
-    last sample).  Returns the ``(r, 3)`` points ``a, m, b`` and their values.
+    The samples are sorted and deduplicated.  Each discrete local minimum
+    ``m`` of their values (the leftmost sample of a flat valley) is bracketed
+    by its neighbours ``a`` and ``b`` (by itself at the first or last
+    sample); of more than ``cfg.n_starts`` minima the best are kept, the
+    leftmost of equal values first.  Returns the ``(r, 3)`` points
+    ``a, m, b`` and their values, in the order of ``m``.
     """
-    x = seeds[:, 0]
-    sel = np.arange(x.size)
-    if x.size > cfg.n_starts:
-        top = np.argsort(F[n_extra:], kind="stable")[:_KEEP] + n_extra
-        sel = np.concatenate([sel[:n_extra], top])
-    order = np.argsort(x, kind="stable")
-    xs, fs = x[order], F[order]
-    dup = xs[1:] == xs[:-1]
-    if np.any(dup):
-        first = np.concatenate([[True], ~dup])
-        xs, fs = xs[first], fs[first]
-    i = np.searchsorted(xs, x[sel])
-    fp = np.concatenate([[np.inf], fs, [np.inf]])
-    mins = np.flatnonzero((fs <= fp[:-2]) & (fs <= fp[2:]))
-    down_l, down_r = fp[i] < fs[i], fp[i + 2] < fs[i]
-    left = down_l & ~(down_r & (fp[i + 2] < fp[i]))
-    k = np.searchsorted(mins, i)  # mins[k - 1] < i <= mins[k]
-    i = np.sort(np.where(left, mins[np.maximum(k - 1, 0)],
-                         np.where(down_r, mins[np.minimum(k, mins.size - 1)], i)))
-    i = i[np.concatenate([[True], i[1:] != i[:-1]])]  # each minimum once
+    order = np.argsort(seeds[:, 0], kind="stable")
+    xs, fs = seeds[order, 0], F[order]
+    new = np.concatenate([[True], xs[1:] != xs[:-1]])
+    xs, fs = xs[new], fs[new]
+    run = np.flatnonzero(np.concatenate([[True], fs[1:] != fs[:-1]]))  # runs of equal values
+    fp = np.concatenate([[np.inf], fs[run], [np.inf]])
+    i = run[(fp[1:-1] < fp[:-2]) & (fp[1:-1] < fp[2:])]
+    if i.size > cfg.n_starts:
+        i = np.sort(i[np.argsort(fs[i], kind="stable")[: cfg.n_starts]])
     j = np.stack([np.maximum(i - 1, 0), i, np.minimum(i + 1, xs.size - 1)], axis=1)
     return xs[j], fs[j]
 
 
-def _closed(a, b, tol):
+def _closed(a, b, tol=0.0):
     """True where the bracket ``[a, b]`` is at most ``tol`` wide or has no float inside."""
     mid = a + 0.5 * (b - a)
     return (b - a <= tol) | (mid <= a) | (mid >= b)
@@ -350,15 +334,15 @@ def _root_search(grad, A, M, B, own, cfg):
     ``_narrowed`` to its points; a row without a sign change among them has
     no bracket (``ok`` False).  Each further batch takes the derivative at
     ``_PROBES`` equally spaced interior points, at the secant root of the end
-    derivatives and ``local_tol / 4`` either side of it, and narrows again,
-    so a bracket shrinks at least ``_PROBES + 1``-fold per batch, kink or
-    not, and the guards close it about a smooth root the secant has found.
-    A row retires when its bracket is at most ``local_tol`` wide or holds no
-    float inside, or when a probe's derivative is exactly 0 (its bracket is
-    then that point).
+    derivatives and ``w / (_PROBES + 1)**2`` either side of it (``w`` the
+    bracket's width), and narrows again.  So a bracket shrinks at least
+    ``_PROBES + 1``-fold per batch, kink or not, and about 500-fold once the
+    secant lies that close to a smooth root.  A row retires when no float
+    lies inside its bracket, or when a probe's derivative is exactly 0 (its
+    bracket is then that point).
 
-    Returns the brackets ``lo``, ``hi``, their end derivatives, ``ok`` and
-    each row's number of batches.
+    Returns the brackets ``lo``, ``hi``, ``ok`` and each row's number of
+    batches.
     """
     frac = np.arange(1, _PROBES + 1) / (_PROBES + 1)
     P = np.column_stack([A, M, B, A[:, None] + (B - A)[:, None] * frac])
@@ -373,28 +357,26 @@ def _root_search(grad, A, M, B, own, cfg):
     ok = np.isfinite(lo) & np.isfinite(hi)
     iters, n = np.ones(A.size, dtype=int), 1
     rows = np.flatnonzero(ok)
-    rows = rows[~_closed(lo[rows], hi[rows], cfg.local_tol)]
+    rows = rows[~_closed(lo[rows], hi[rows])]
     a, ga, b, gb, o = lo[rows], glo[rows], hi[rows], ghi[rows], own[rows]
-    t = 0.25 * cfg.local_tol
     for n in range(2, cfg.max_local_iters + 1):
         if rows.size == 0:
             break
         w = b - a
         with np.errstate(divide="ignore", invalid="ignore"):
             sec = ga / (ga - gb)  # the secant root, a bisection where that is not inside
-        s = a + w * np.where((sec > 0.0) & (sec < 1.0), sec, 0.5)
+        s, t = a + w * np.where((sec > 0.0) & (sec < 1.0), sec, 0.5), w * frac[0] ** 2
         Q = np.concatenate([a[:, None] + w[:, None] * frac,
                             np.stack([np.maximum(s - t, a), s, np.minimum(s + t, b)], axis=1)], axis=1)
         a, ga, b, gb = _narrowed(Q, _batch(grad, o, Q), a, ga, b, gb)  # ga < 0 < gb stays true
         a = np.where(gb == 0, b, a)
-        done = _closed(a, b, cfg.local_tol)
+        done = _closed(a, b)
         if np.any(done):
-            r = rows[done]
-            lo[r], glo[r], hi[r], ghi[r], iters[r] = a[done], ga[done], b[done], gb[done], n
+            lo[rows[done]], hi[rows[done]], iters[rows[done]] = a[done], b[done], n
             keep = ~done
             rows, a, ga, b, gb, o = rows[keep], a[keep], ga[keep], b[keep], gb[keep], o[keep]
-    lo[rows], glo[rows], hi[rows], ghi[rows], iters[rows] = a, ga, b, gb, n
-    return lo, glo, hi, ghi, ok, iters
+    lo[rows], hi[rows], iters[rows] = a, b, n
+    return lo, hi, ok, iters
 
 
 def _section_values(fn, X3, F3, own, cfg):
@@ -433,35 +415,23 @@ def _section_values(fn, X3, F3, own, cfg):
 def _search_1d(stack, grad, X3, F3, own, cfg):
     """One point per 1-D bracket ``[a, m, b]``: its value and number of batches.
 
-    With a derivative, ``_root_search`` brackets its sign change.  Of the
-    closed bracket ``[lo, hi]`` the ends and the crossing of the tangents at
-    them are evaluated in two batches, and the best of these and ``m`` (the
-    first of equal values) is the point.  The tangents cross within rounding
-    of a kink between two smooth pieces, and a kink at ``m`` or at a bracket
-    end stays exact.  Rows without a sign change, and every row without a
-    derivative, go to ``_section_values``.
+    With a derivative, ``_root_search`` brackets its sign change until no
+    float lies inside, and the better end of that bracket (``lo`` on a tie)
+    is the point, exact to rounding at smooth roots and at kinks alike.  Rows
+    without a sign change, and every row without a derivative, go to
+    ``_section_values``.
     """
     M, FM, iters = X3[:, 1].copy(), F3[:, 1].copy(), np.zeros(X3.shape[0], dtype=int)
     if cfg.max_local_iters == 0:
         return M[:, None], FM, iters
     todo = np.arange(M.size)
     if grad is not None:
-        lo, glo, hi, ghi, ok, iters = _root_search(grad, X3[:, 0], M, X3[:, 2], own, cfg)
+        lo, hi, ok, iters = _root_search(grad, X3[:, 0], M, X3[:, 2], own, cfg)
         g, todo = np.flatnonzero(ok), np.flatnonzero(~ok)
-        lo, glo, hi, ghi, og = lo[g], glo[g], hi[g], ghi[g], own[g]
         if g.size:
-            FL, FH = _batch(stack.fn, og, np.column_stack([lo, hi])).T
-            T, FT, w = lo.copy(), FL.copy(), hi - lo
-            wide = np.flatnonzero(w > 0)
-            if wide.size:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = (FL - FH + ghi * w)[wide] / (ghi - glo)[wide]
-                d = np.where(np.isfinite(d), d, 0.5 * w[wide])
-                T[wide] = lo[wide] + np.clip(d, 0.0, w[wide])
-                FT[wide] = _batch(stack.fn, og[wide], T[wide, None])[:, 0]
-            P, V = np.column_stack([M[g], lo, hi, T]), np.column_stack([FM[g], FL, FH, FT])
-            k = np.argmin(np.where(np.isnan(V), np.inf, V), axis=1)
-            M[g], FM[g] = _at(P, k), _at(V, k)
+            FL, FH = _batch(stack.fn, own[g], np.column_stack([lo[g], hi[g]])).T
+            right = FH < FL
+            M[g], FM[g] = np.where(right, hi[g], lo[g]), np.where(right, FH, FL)
     if todo.size:
         M[todo], FM[todo], it = _section_values(stack.fn, X3[todo], F3[todo], own[todo], cfg)
         iters[todo] += it
@@ -480,7 +450,7 @@ def _no_worse(F_new, F):
 
 
 def _polish_newton(fn, grad, K, X, F, own):
-    """Gradient-root polish along the steepest direction for smooth subproblems.
+    """Gradient-root polish along the steepest direction, above one dimension.
 
     Value comparisons bottom out at sqrt(machine eps); driving the gradient
     to zero instead reaches machine precision at interior minima.  Rows step
@@ -598,7 +568,7 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
     ``raw_fn(Xc, Y)`` and ``raw_grad(Xc, Y)`` (or None) pair row ``i`` of
     ``Y`` with center row ``i`` of ``Xc``; a single center row broadcasts
     over all rows of ``Y``.  With ``seed_centers`` each problem's projected
-    center is an extra start.  In one dimension the starts' brackets go to
+    center is an extra sample or start.  In one dimension the brackets go to
     ``_search_1d``, above it the starts to ``_refine_pg`` or
     ``_refine_compass``.  Returns one result per problem, each what that
     problem gets when solved alone.
@@ -609,16 +579,15 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
     n_seed = np.zeros(C.shape[0], dtype=int)
     for p in range(C.shape[0]):
         seeds = np.concatenate([K.project_many(C[p : p + 1]), grid]) if seed_centers else grid
-        n_extra = seeds.shape[0] - grid.shape[0]
         F = raw_fn(C[p : p + 1], seeds)  # one center row broadcast over the seeds
         n_seed[p] = seeds.shape[0]
         if not np.all(np.isfinite(F)):
             finite = np.isfinite(F)
             if not np.any(finite):
                 raise ValueError("objective is not finite anywhere on the seed set")
-            seeds, F, n_extra = seeds[finite], F[finite], int(np.sum(finite[:n_extra]))
+            seeds, F = seeds[finite], F[finite]
         if K.dim == 1:
-            seeds, F = _brackets_1d(seeds, F, n_extra, cfg)
+            seeds, F = _brackets_1d(seeds, F, cfg)
         starts.append(seeds)
         values.append(F)
     own = np.repeat(np.arange(C.shape[0]), [s.shape[0] for s in starts])
@@ -631,20 +600,19 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
         X, F, iters = _refine_compass(stack.fn, K, X, F, own, cfg)
     refine_iters = np.zeros(C.shape[0], dtype=int)
     np.maximum.at(refine_iters, own, iters)
-    # near-ties within DEDUPE_TOL are one minimizer: polish only each
-    # cluster's representative and drop the rest, so no unpolished point
-    # can be returned
+    # near-ties within DEDUPE_TOL are one minimizer: keep (and polish) only
+    # each cluster's representative, so no unpolished point can be returned
     reps = []
     for p in range(C.shape[0]):
         mine = np.flatnonzero(own == p)
         reps.append(mine[_tie_representatives(X[mine], F[mine])])
     reps = np.concatenate(reps)
     X, F, own = X[reps], F[reps], own[reps]
-    if raw_grad is not None:
-        X, F = _polish_newton(stack.fn, stack.grad, K, X, F, own)
-    else:
+    if raw_grad is None:
         X, F = _polish_parabolic(stack.fn, K, X, F, own)
-    n_evals = n_seed + stack.counts()
+    elif K.dim > 1:  # a closed 1-D bracket needs no polish
+        X, F = _polish_newton(stack.fn, stack.grad, K, X, F, own)
+    n_evals = n_seed + stack.counts
     return [_collect(X[own == p], F[own == p], int(n_evals[p]), int(refine_iters[p]))
             for p in range(C.shape[0])]
 
@@ -706,15 +674,15 @@ def prox_point(base_fn, base_grad, K: FeasibleSet, beta: float, x, cfg: GlobalSo
 def prox(h: Objective, K: FeasibleSet | None = None, beta: float = 1.0, x=None, cfg: GlobalSolveConfig | None = None) -> ProxResult:
     """Global proximity operator: argmin over K of h(y) + ||y - x||^2 / (2 beta).
 
-    In one dimension the grid's brackets are closed to ``cfg.local_tol`` by
-    the derivative's sign change (``h.grad``, a subgradient at kinks for the
-    entries that are not smooth) or by values.  Above it, with ``h.grad``
-    the starts are refined by projected gradient.  A start stops at a move,
-    accepted or clipped by K, of at most ``cfg.local_tol`` whose gradient
-    mapping (the move over the step, the gradient where K does not clip) is
-    at most ``sqrt(cfg.local_tol)``, or when a rejected step falls below
-    ``cfg.local_tol``.  Without a gradient they are refined by compass
-    search.
+    In one dimension the grid's brackets are closed by the derivative's sign
+    change (``h.grad``, a subgradient at kinks for the entries that are not
+    smooth) until no float lies inside, or by values to ``cfg.local_tol``.
+    Above it, with ``h.grad`` the starts are refined by projected gradient.
+    A start stops at a move, accepted or clipped by K, of at most
+    ``cfg.local_tol`` whose gradient mapping (the move over the step, the
+    gradient where K does not clip) is at most ``sqrt(cfg.local_tol)``, or
+    when a rejected step falls below ``cfg.local_tol``.  Without a gradient
+    they are refined by compass search.
     """
     K = h.domain if K is None else K
     cfg = cfg or GlobalSolveConfig()

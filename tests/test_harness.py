@@ -75,9 +75,9 @@ def ep_config():
 
 def test_schema_version_required():
     with pytest.raises(SchemaError, match="schema_version"):
-        validate_config({"problem": {}})
+        validate_config({"problem": {}}, set())
     with pytest.raises(SchemaError, match="unsupported"):
-        validate_config({"schema_version": 99, "problem": {}})
+        validate_config({"schema_version": 99, "problem": {}}, set())
 
 
 def test_unknown_keys_rejected():
@@ -765,6 +765,28 @@ def test_cli_top_level_key_a_command_does_not_read_is_schema_error(tmp_path, cap
     path = write_cfg(tmp_path, cfg)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"schema error: {field_path}: {message}\n"
+
+
+# every command ran with exit 0 and ignored a section it does not read, whatever it held
+UNREAD_SECTIONS = {"algorithm": {"variant": "bogus"}, "sweep": 3, "dynamics": "not even an object",
+                   "verify": {"checks": [{"check": "bogus"}]}, "seed": "x"}
+COMMAND_CONFIGS = {"minimize": (minimal_ppa_config, {"algorithm"}),
+                   "solve-ep": (ep_config, {"algorithm"}),
+                   "sweep": (_sweep_cfg, {"algorithm", "sweep"}),
+                   "verify": (_verify_cfg, {"verify", "seed"}),
+                   "dynamics": (_dynamics_cfg, {"dynamics"})}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+def test_cli_section_a_command_does_not_read_is_schema_error(tmp_path, capsys, command):
+    make, reads = COMMAND_CONFIGS[command]
+    for section in sorted(set(UNREAD_SECTIONS) - reads):
+        path = write_cfg(tmp_path, {**make(), section: UNREAD_SECTIONS[section]})
+        assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: config.{section}: ") and err.count("\n") == 1, err
+    assert cli_main([command, "--config", write_cfg(tmp_path, make()),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_ep_sweep_from_rippa_ep_drops_its_keys_in_the_baseline(tmp_path, capsys):

@@ -490,3 +490,39 @@ def test_1d_solves_agree_with_a_million_point_grid(case):
         i = int(np.argmin(V))
         assert res.value <= V[i] + 1e-12
         assert min(abs(y[0] - T[i, 0]) for y in res.candidates) <= 2.0 * (hi - lo) / 1e6
+
+
+@pytest.mark.parametrize("name, kw, cfg, centers", [
+    ("gauss_well", {}, GlobalSolveConfig(), (-1.5, 1.5)),
+    ("sin_quad", {}, GlobalSolveConfig(search_radius=6.0), (-5.0, 5.0)),
+    ("root_quartic", {"k": 1.0, "c": 2.0}, GlobalSolveConfig(), (-2.5, 2.5)),
+])
+def test_1d_prox_points_are_roots_of_the_subproblem_derivative(name, kw, cfg, centers):
+    # a bracket closed until no float lies inside ends on the root; a
+    # Newton polish that kept a point only if its value did not rise left
+    # up to half of the interior gauss_well points with a derivative of 1e-12
+    # to 1e-9
+    h = catalog(name, **kw)
+    C = np.random.Generator(np.random.Philox(key=35)).uniform(*centers, (200, 1))
+    lo, hi = h.domain.bounding_box(cfg.search_radius)
+    Y = np.array([r.point for r in prox_many(h.value_many, h.grad_many, h.domain, 0.5, C, cfg)])
+    inside = (Y[:, 0] > lo[0]) & (Y[:, 0] < hi[0])
+    assert np.sum(inside) >= 150
+    D = h.grad_many(Y[inside]) + (Y[inside] - C[inside]) / 0.5
+    assert np.max(np.abs(D)) <= 1e-14
+
+
+def test_1d_brackets_every_local_minimum_up_to_n_starts():
+    # 0.1 t^2 - cos(2 pi t) on [-1.5, 1.5] has local minima near -1, 0 and 1,
+    # the best at 0; the ends are local maxima
+    P = _prox_mod()
+    K = box1d(-1.5, 1.5)
+    fn = lambda X: 0.1 * X[:, 0] ** 2 - np.cos(2.0 * np.pi * X[:, 0])
+    slope = lambda t: 0.2 * t + 2.0 * np.pi * np.sin(2.0 * np.pi * t)
+    for cfg, minima in ((GlobalSolveConfig(), [-1.0, 0.0, 1.0]),
+                        (GlobalSolveConfig(n_starts=1), [0.0])):
+        seeds = P._seed_points(K, cfg)
+        X3, F3 = P._brackets_1d(seeds, fn(seeds), cfg)
+        np.testing.assert_allclose(X3[:, 1], minima, atol=0.01)
+        assert np.all((slope(X3[:, 0]) < 0) & (slope(X3[:, 2]) > 0))
+        assert np.all(F3[:, 1] <= np.minimum(F3[:, 0], F3[:, 2]))
