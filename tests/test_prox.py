@@ -390,8 +390,8 @@ def test_n_evals_counts_every_row_the_objective_sees():
     h = catalog("power_norm", n=2, halfwidth=1.0)
     rows = []
     counted = dataclasses.replace(h, fn=lambda X: rows.append(len(X)) or h.fn(X))
-    # no gradient on either side: compass search, whose four solves below
-    # evaluate over 2^15 rows, so the owner counts are folded
+    # no gradient on either side: compass search, whose four stacked solves
+    # below evaluate over 2^15 rows in many fn batches
     one = prox_point(counted.value_many, None, h.domain, 0.5, np.array([0.6, -0.8]),
                      GlobalSolveConfig())
     assert one.n_evals == sum(rows)
