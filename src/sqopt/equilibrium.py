@@ -139,17 +139,20 @@ def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> flo
 def check_minty(prob: EpProblem, xbar, n_samples: int = 1000, seed: int = 0, tol: float = 1e-8,
                 radius: float | None = None) -> CheckReport:
     """Dual feasibility: sampled y satisfy f(y, xbar) <= tol at the solution."""
-    from .verify import _map_to_set, _report, _unit_block
+    from .verify import _fold_blocks, _map_to_set
 
     xbar = as_point(xbar, prob.f.dim)
-    Y = _map_to_set(prob.K, _unit_block(seed, n_samples, prob.K.dim), radius)
-    vals = prob.f.fn(Y, xbar[None, :].repeat(n_samples, axis=0))
-    margins = -vals
 
-    def witness(i):
-        return {"y": Y[i].tolist(), "f_y_xbar": float(vals[i])}
+    def block(start, U):
+        Y = _map_to_set(prob.K, U, radius)
+        vals = prob.f.fn(Y, xbar[None, :].repeat(len(Y), axis=0))
 
-    return _report("minty_dual", margins, tol, witness, n_samples)
+        def witness(i):
+            return {"y": Y[i].tolist(), "f_y_xbar": float(vals[i])}
+
+        return -vals, witness, len(Y)
+
+    return _fold_blocks("minty_dual", tol, seed, n_samples, prob.K.dim, block)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +366,15 @@ def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
 
 def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> bool:
     """Strict-level-set condition: f(z, y) < f(z, x) implies w.(y - x) < 0."""
-    from .verify import _map_to_set, _unit_block
+    from .verify import _map_to_set, _unit_blocks
 
-    Y = _map_to_set(K, _unit_block(seed, n_samples, K.dim), radius)
     fz_x = float(f.fn(z, x))
-    fz_y = f.fn(np.broadcast_to(z, Y.shape), Y)
-    lower = fz_y < fz_x - 1e-12
-    if not np.any(lower):
-        return True
-    return bool(np.all((Y[lower] - x) @ w < 1e-10))
+    for _, U in _unit_blocks(seed, n_samples, K.dim):
+        Y = _map_to_set(K, U, radius)
+        lower = Y[f.fn(np.broadcast_to(z, Y.shape), Y) < fz_x - 1e-12]
+        if not np.all(np.einsum("ij,j->i", lower - x, w) < 1e-10):
+            return False
+    return True
 
 
 def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: bool) -> IterationTrace:

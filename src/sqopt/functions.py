@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Box, FeasibleSet, FullSpace, as_point, box1d, rng_for
+from .geometry import BLOCK_ROWS, Box, FeasibleSet, FullSpace, as_point, box1d, rng_for
 
 # Frozen certified lower bounds (dense-grid runs; see package notes).
 SIN_QUAD_MODULUS = 0.6965  # grid infimum 2 + 6*min(sin u / u) = 0.696598...
@@ -568,7 +568,18 @@ def _glt_constants(p: float, q: float, lo: float, hi: float, n: int) -> tuple[fl
 
     gamma: dense-grid modulus of f(x, .) minimized over a grid of x, shaved by
     a 10% safety factor so it stays a certified lower bound.  eta: sampled
-    three-point ratio maximum padded by 5%.
+    three-point ratio maximum padded by 5%.  Ratios of many draws are formed
+    in row blocks of ``BLOCK_ROWS``; a minimum or maximum does not depend on
+    the blocks.
+
+    For n = 1 only two of the 17 grid x's are evaluated per pair.  For a pair
+    (y1, y2) and any t, the ratio's numerator is
+    ``max(pg1 + x y1, pg2 + x y2) - (pgm + x m)`` with ``m = t y1 + (1-t) y2``
+    between y1 and y2, so its two pieces have slopes ``(1-t)(y1 - y2)`` and
+    ``t(y2 - y1)`` of opposite signs: it is V-shaped in x, with its vertex
+    where the lines cross, at ``x* = (pg2 - pg1) / (y1 - y2)`` whatever t is.
+    Its minimum over the grid is then at one of the grid x's either side of
+    x* (an end of the grid when x* is outside [lo, hi]).
     """
     if n == 1:
         xs = np.linspace(lo, hi, 17)
@@ -582,13 +593,15 @@ def _glt_constants(p: float, q: float, lo: float, hi: float, n: int) -> tuple[fl
         # once, then form each (x, t) ratio with the operations, and so the
         # bits, of evaluating it per pair; a minimum does not depend on order
         pg1, pg2 = p * _glt_g(Y1[:, None], q), p * _glt_g(Y2[:, None], q)
-        mxs = [np.maximum(pg1 + x * Y1, pg2 + x * Y2) for x in xs]
+        k = np.clip(np.searchsorted(xs, (pg2 - pg1) / (Y1 - Y2)), 1, xs.size - 1)
+        sides = (xs[k - 1], xs[k])
+        mxs = [np.maximum(pg1 + x * Y1, pg2 + x * Y2) for x in sides]
         best = np.inf
         for t in ts:
             mid_pt = t * Y1 + (1 - t) * Y2
             pgm = p * _glt_g(mid_pt[:, None], q)
             den = t * (1 - t) * (Y1 - Y2) ** 2
-            for x, mx in zip(xs, mxs):
+            for x, mx in zip(sides, mxs):
                 ratio = 2.0 * (mx - (pgm + x * mid_pt)) / den
                 best = min(best, float(ratio.min()))
         gamma = 0.90 * best
@@ -599,24 +612,32 @@ def _glt_constants(p: float, q: float, lo: float, hi: float, n: int) -> tuple[fl
         Y1 = lo + rng.random((m, n)) * (hi - lo)
         Y2 = lo + rng.random((m, n)) * (hi - lo)
         t = rng.random((m, 1))
-        g1 = p * _glt_g(Y1, q) + np.einsum("ij,ij->i", X, Y1)
-        g2 = p * _glt_g(Y2, q) + np.einsum("ij,ij->i", X, Y2)
-        midp = t * Y1 + (1 - t) * Y2
-        mid = p * _glt_g(midp, q) + np.einsum("ij,ij->i", X, midp)
-        d2 = np.sum((Y1 - Y2) ** 2, axis=-1)
-        ok = d2 > 1e-12
-        ratio = 2.0 * (np.maximum(g1, g2) - mid)[ok] / (t[ok, 0] * (1 - t[ok, 0]) * d2[ok])
-        gamma = 0.90 * float(ratio.min())
+        best = np.inf
+        for b in range(0, m, BLOCK_ROWS):
+            x, y1, y2, tb = (A[b : b + BLOCK_ROWS] for A in (X, Y1, Y2, t))
+            g1 = p * _glt_g(y1, q) + np.einsum("ij,ij->i", x, y1)
+            g2 = p * _glt_g(y2, q) + np.einsum("ij,ij->i", x, y2)
+            midp = tb * y1 + (1 - tb) * y2
+            mid = p * _glt_g(midp, q) + np.einsum("ij,ij->i", x, midp)
+            d2 = np.sum((y1 - y2) ** 2, axis=-1)
+            ok = d2 > 1e-12
+            ratio = 2.0 * (np.maximum(g1, g2) - mid)[ok] / (tb[ok, 0] * (1 - tb[ok, 0]) * d2[ok])
+            best = np.minimum(best, ratio.min(initial=np.inf))
+        gamma = 0.90 * float(best)
     # eta from the coupling term x.(y - x); the g terms telescope out.
     rng = rng_for(12)
     m = 100_000
     X = lo + rng.random((m, n)) * (hi - lo)
     Y = lo + rng.random((m, n)) * (hi - lo)
     Z = lo + rng.random((m, n)) * (hi - lo)
-    num = np.einsum("ij,ij->i", X - Y, Z - Y)
-    den = np.sum((X - Y) ** 2, axis=-1) + np.sum((Y - Z) ** 2, axis=-1)
-    ok = den > 1e-12
-    eta = 1.05 * max(0.0, float(np.max(num[ok] / den[ok])))
+    top = -np.inf
+    for b in range(0, m, BLOCK_ROWS):
+        x, y, z = (A[b : b + BLOCK_ROWS] for A in (X, Y, Z))
+        num = np.einsum("ij,ij->i", x - y, z - y)
+        den = np.sum((x - y) ** 2, axis=-1) + np.sum((y - z) ** 2, axis=-1)
+        ok = den > 1e-12
+        top = np.maximum(top, (num[ok] / den[ok]).max(initial=-np.inf))
+    eta = 1.05 * max(0.0, float(top))
     return max(gamma, 0.0), eta
 
 

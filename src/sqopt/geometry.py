@@ -18,6 +18,9 @@ import numpy as np
 DYKSTRA_TOL = 1e-13
 DYKSTRA_MAX_SWEEPS = 10_000
 ORTHONORMAL_TOL = 1e-12
+# rows per block when many sampled rows are reduced to one number (the
+# sampled checks of ``verify``, glt_example's constants); no result depends on it
+BLOCK_ROWS = 1 << 14
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:

@@ -4,9 +4,17 @@ Every verifier here is a one-sided sampled certificate: "pass" means no
 violation was found at the reported sample count and seed, never a proof.
 Margins are normalized by ``1 + |h|`` so large function values do not drown
 the slack; a check passes iff the worst normalized margin stays above minus
-its tolerance.  Sample streams are drawn as a single row-major uniform block
-per call, so enlarging ``n`` keeps earlier samples as a prefix (estimates are
-monotone under sample growth).
+its tolerance.
+
+A check reads its samples as one row-major uniform stream per call, in
+consecutive blocks of ``BLOCK_ROWS`` rows, and folds each block into its
+report (worst margin, witnesses, sample count, estimate) before it reads the
+next.  Its memory therefore does not grow with ``n``.  Every row is computed
+as it would be alone (the batch contract), and grids that run over the
+samples (the t strata, the diagonal pairs) use global row indices, so the
+report does not depend on the block size, and the samples of a smaller ``n``
+are a prefix of those of any larger ``n`` (estimates are monotone under
+sample growth).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functions import Bifunction, Objective
-from .geometry import FeasibleSet, rng_for
+from .geometry import BLOCK_ROWS, FeasibleSet, rng_for
 
 SQC_TOL = 1e-8
 GROWTH_TOL = 1e-9
@@ -44,23 +52,53 @@ class CheckReport:
             raise ValueError("a failing report must carry at least one witness")
 
 
-def _report(prop, margins, tol, witness_of, samples, estimate=None) -> CheckReport:
-    """Assemble a report from normalized margins; first index wins ties."""
-    if margins.size == 0:
-        return CheckReport(prop, True, 0, np.inf, [], estimate)
-    worst = float(np.min(margins))
-    passed = worst >= -tol
-    witnesses = []
-    if not passed:
-        bad = np.nonzero(margins < -tol)[0]
-        order = bad[np.argsort(margins[bad], kind="stable")][:WITNESS_CAP]
-        witnesses = [witness_of(int(i)) for i in order]
-    return CheckReport(prop, passed, int(samples), worst, witnesses, estimate)
+class _Fold:
+    """A report folded over blocks of margins, taken in sample order.
+
+    The worst margin is the minimum so far.  The witnesses are the violations
+    with the lowest margins, ties to the earliest position in the
+    concatenated margins, at most ``WITNESS_CAP``: what one stable sort of
+    the whole array would pick.  ``samples`` is summed over blocks.
+    """
+
+    def __init__(self, prop: str, tol: float):
+        self.prop, self.tol = prop, tol
+        self.worst, self.samples, self.seen = np.inf, 0, 0
+        self.bad = []  # (margin, position, witness)
+
+    def add(self, margins, witness_of, samples) -> "_Fold":
+        if margins.size:
+            self.worst = float(np.minimum(self.worst, np.min(margins)))
+            bad = np.nonzero(margins < -self.tol)[0]
+            order = bad[np.argsort(margins[bad], kind="stable")][:WITNESS_CAP]
+            new = [(float(margins[i]), self.seen + int(i), witness_of(int(i))) for i in order]
+            self.bad = sorted(self.bad + new, key=lambda b: b[:2])[:WITNESS_CAP]
+            self.seen += margins.size
+        self.samples += int(samples)
+        return self
+
+    def report(self, estimate=None) -> CheckReport:
+        return CheckReport(self.prop, self.worst >= -self.tol, self.samples, self.worst,
+                           [w for _, _, w in self.bad], estimate)
 
 
-def _unit_block(seed: int, m: int, width: int) -> np.ndarray:
-    """One (m, width) uniform block; rows are a prefix of any larger block."""
-    return rng_for(seed).random((m, width))
+def _unit_blocks(seed: int, n: int, width: int):
+    """The (n, width) uniform stream of ``seed`` as ``(start, rows)`` blocks.
+
+    The blocks hold the bits of one (n, width) draw, in order, so the rows
+    of any n are a prefix of those of a larger n.
+    """
+    rng = rng_for(seed)
+    for start in range(0, n, BLOCK_ROWS):
+        yield start, rng.random((min(BLOCK_ROWS, n - start), width))
+
+
+def _fold_blocks(prop, tol, seed, n, width, block) -> CheckReport:
+    """Fold ``block(start, U) -> (margins, witness_of, samples)`` over the stream."""
+    fold = _Fold(prop, tol)
+    for start, U in _unit_blocks(seed, n, width):
+        fold.add(*block(start, U))
+    return fold.report()
 
 
 def _map_to_set(K: FeasibleSet, U: np.ndarray, radius: float | None) -> np.ndarray:
@@ -88,22 +126,24 @@ def check_sqc_sampled(
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     d = K.dim
-    U = _unit_block(seed, n_triples, 2 * d + 1)
-    X = _map_to_set(K, U[:, :d], radius)
-    Y = _map_to_set(K, U[:, d : 2 * d], radius)
-    t = (np.arange(n_triples) % 64 + U[:, 2 * d]) / 64.0
-    mid = t[:, None] * Y + (1.0 - t[:, None]) * X
-    hx, hy, hm = h.value_many(X), h.value_many(Y), h.value_many(mid)
-    mx = np.maximum(hx, hy)
-    d2 = np.sum((X - Y) ** 2, axis=-1)
-    slack = mx - t * (1.0 - t) * (gamma / 2.0) * d2 - hm
-    scale = 1.0 + np.maximum(np.abs(mx), np.abs(hm))
-    margins = slack / scale
 
-    def witness(i):
-        return {"x": X[i].tolist(), "y": Y[i].tolist(), "t": float(t[i]), "slack": float(slack[i])}
+    def block(start, U):
+        X = _map_to_set(K, U[:, :d], radius)
+        Y = _map_to_set(K, U[:, d : 2 * d], radius)
+        t = (np.arange(start, start + len(U)) % 64 + U[:, 2 * d]) / 64.0
+        mid = t[:, None] * Y + (1.0 - t[:, None]) * X
+        hx, hy, hm = h.value_many(X), h.value_many(Y), h.value_many(mid)
+        mx = np.maximum(hx, hy)
+        d2 = np.sum((X - Y) ** 2, axis=-1)
+        slack = mx - t * (1.0 - t) * (gamma / 2.0) * d2 - hm
+        scale = 1.0 + np.maximum(np.abs(mx), np.abs(hm))
 
-    return _report(f"sqc(gamma={gamma})", margins, SQC_TOL, witness, n_triples)
+        def witness(i):
+            return {"x": X[i].tolist(), "y": Y[i].tolist(), "t": float(t[i]), "slack": float(slack[i])}
+
+        return slack / scale, witness, len(U)
+
+    return _fold_blocks(f"sqc(gamma={gamma})", SQC_TOL, seed, n_triples, 2 * d + 1, block)
 
 
 def estimate_modulus(
@@ -119,22 +159,24 @@ def estimate_modulus(
     """
     K = h.domain if K is None else K
     d = K.dim
-    U = _unit_block(seed, n_triples, 2 * d + 1)
-    X = _map_to_set(K, U[:, :d], radius)
-    Y = _map_to_set(K, U[:, d : 2 * d], radius)
-    t = (np.arange(n_triples) % 64 + np.clip(U[:, 2 * d], 1e-9, 1 - 1e-9)) / 64.0
-    d2 = np.sum((X - Y) ** 2, axis=-1)
-    valid = d2 > 0
-    if not np.any(valid):
+    worst, valid_rows = np.inf, 0
+    for start, U in _unit_blocks(seed, n_triples, 2 * d + 1):
+        X = _map_to_set(K, U[:, :d], radius)
+        Y = _map_to_set(K, U[:, d : 2 * d], radius)
+        t = (np.arange(start, start + len(U)) % 64 + np.clip(U[:, 2 * d], 1e-9, 1 - 1e-9)) / 64.0
+        d2 = np.sum((X - Y) ** 2, axis=-1)
+        valid = d2 > 0
+        if not np.any(valid):
+            continue
+        mid = t[:, None] * X + (1.0 - t[:, None]) * Y
+        mx = np.maximum(h.value_many(X), h.value_many(Y))
+        hm = h.value_many(mid)
+        ratio = 2.0 * (mx[valid] - hm[valid]) / (t[valid] * (1.0 - t[valid]) * d2[valid])
+        worst = float(np.minimum(worst, np.min(ratio)))
+        valid_rows += int(np.sum(valid))
+    if valid_rows == 0:
         raise ValueError("all sampled pairs are degenerate (x = y)")
-    mid = t[:, None] * X + (1.0 - t[:, None]) * Y
-    mx = np.maximum(h.value_many(X), h.value_many(Y))
-    hm = h.value_many(mid)
-    ratio = 2.0 * (mx[valid] - hm[valid]) / (t[valid] * (1.0 - t[valid]) * d2[valid])
-    est = max(0.0, float(np.min(ratio)))
-    return CheckReport(
-        "modulus_estimate", True, int(np.sum(valid)), float(np.min(ratio)), [], est
-    )
+    return CheckReport("modulus_estimate", True, valid_rows, worst, [], max(0.0, worst))
 
 
 def check_supercoercive(
@@ -166,14 +208,8 @@ def check_supercoercive(
     prev = float(np.min(h.value_many(r_lo * D) / r_lo**2))
     margin = min(proxy - 0.5 * prev, proxy - 1e-12)
     i_bad = int(np.argmin(h.value_many(r_hi * D)))
-    return _report(
-        "supercoercive",
-        np.array([margin]),
-        0.0,
-        lambda i: {"x": (r_hi * D[i_bad]).tolist(), "ratio": proxy},
-        int(D.shape[0]),
-        estimate=proxy,
-    )
+    witness = lambda i: {"x": (r_hi * D[i_bad]).tolist(), "ratio": proxy}
+    return _Fold("supercoercive", 0.0).add(np.array([margin]), witness, D.shape[0]).report(proxy)
 
 
 def check_quadratic_growth(
@@ -195,14 +231,18 @@ def check_quadratic_growth(
     xbar = np.asarray(xbar, dtype=float)
     if not K.contains(xbar, tol=1e-8):
         raise ValueError("xbar is not in K")
-    X = _map_to_set(K, _unit_block(seed, n_samples, K.dim), radius)
     hb = h.value(xbar)
-    slack = h.value_many(X) - hb - (gamma / 8.0) * np.sum((X - xbar) ** 2, axis=-1)
 
-    def witness(i):
-        return {"x": X[i].tolist(), "slack": float(slack[i])}
+    def block(start, U):
+        X = _map_to_set(K, U, radius)
+        slack = h.value_many(X) - hb - (gamma / 8.0) * np.sum((X - xbar) ** 2, axis=-1)
 
-    return _report("quadratic_growth", slack, GROWTH_TOL, witness, n_samples)
+        def witness(i):
+            return {"x": X[i].tolist(), "slack": float(slack[i])}
+
+        return slack, witness, len(U)
+
+    return _fold_blocks("quadratic_growth", GROWTH_TOL, seed, n_samples, K.dim, block)
 
 
 def check_foc(
@@ -219,22 +259,24 @@ def check_foc(
     K = h.domain if K is None else K
     gamma = h.modulus if gamma is None else float(gamma)
     d = K.dim
-    U = _unit_block(seed, n_pairs, 2 * d)
-    X = _map_to_set(K, U[:, :d], radius)
-    Y = _map_to_set(K, U[:, d:], radius)
-    hx, hy = h.value_many(X), h.value_many(Y)
-    G = h.grad_many(Y)
-    lhs = np.einsum("ij,ij->i", G, Y - X)
-    rhs = (gamma / 2.0) * np.sum((X - Y) ** 2, axis=-1)
-    premise = hx <= hy
-    slack = np.where(premise, lhs - rhs, np.inf)
-    scale = 1.0 + np.abs(lhs) + np.abs(rhs)
-    margins = slack / scale
 
-    def witness(i):
-        return {"x": X[i].tolist(), "y": Y[i].tolist(), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+    def block(start, U):
+        X = _map_to_set(K, U[:, :d], radius)
+        Y = _map_to_set(K, U[:, d:], radius)
+        hx, hy = h.value_many(X), h.value_many(Y)
+        G = h.grad_many(Y)
+        lhs = np.einsum("ij,ij->i", G, Y - X)
+        rhs = (gamma / 2.0) * np.sum((X - Y) ** 2, axis=-1)
+        premise = hx <= hy
+        slack = np.where(premise, lhs - rhs, np.inf)
+        scale = 1.0 + np.abs(lhs) + np.abs(rhs)
 
-    return _report(f"first_order(gamma={gamma})", margins, SQC_TOL, witness, int(premise.sum()))
+        def witness(i):
+            return {"x": X[i].tolist(), "y": Y[i].tolist(), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+
+        return slack / scale, witness, np.count_nonzero(premise)
+
+    return _fold_blocks(f"first_order(gamma={gamma})", SQC_TOL, seed, n_pairs, 2 * d, block)
 
 
 def check_pl(
@@ -260,17 +302,21 @@ def check_pl(
             raise ValueError("xbar required")
         xbar = h.known_min[0]
     nu = gamma**2 / (2.0 * lip)
-    X = _map_to_set(K, _unit_block(seed, n_samples, K.dim), radius)
-    gn2 = np.sum(h.grad_many(X) ** 2, axis=-1)
-    gap = h.value_many(X) - h.value(np.asarray(xbar, dtype=float))
-    slack = gn2 - nu * gap
-    scale = 1.0 + np.abs(gn2) + np.abs(nu * gap)
-    margins = slack / scale
+    hb = h.value(np.asarray(xbar, dtype=float))
 
-    def witness(i):
-        return {"x": X[i].tolist(), "grad_sq": float(gn2[i]), "bound": float(nu * gap[i])}
+    def block(start, U):
+        X = _map_to_set(K, U, radius)
+        gn2 = np.sum(h.grad_many(X) ** 2, axis=-1)
+        gap = h.value_many(X) - hb
+        slack = gn2 - nu * gap
+        scale = 1.0 + np.abs(gn2) + np.abs(nu * gap)
 
-    return _report(f"pl(nu={nu:.6g})", margins, SQC_TOL, witness, n_samples)
+        def witness(i):
+            return {"x": X[i].tolist(), "grad_sq": float(gn2[i]), "bound": float(nu * gap[i])}
+
+        return slack / scale, witness, len(U)
+
+    return _fold_blocks(f"pl(nu={nu:.6g})", SQC_TOL, seed, n_samples, K.dim, block)
 
 
 @dataclass
@@ -309,23 +355,24 @@ def check_cfz_at(
         raise ValueError("check_cfz_at needs a positive declared modulus")
     e = -g / gn
     alpha = h.modulus / (2.0 * gn)
-    U = _unit_block(seed, n_samples, h.dim)
-    Y = xbar + (2.0 * U - 1.0) * rho
-    d = np.linalg.norm(Y - xbar, axis=-1)
-    keep = (
-        (d <= rho)
-        & h.domain.contains_many(Y, tol=1e-9)
-        & (h.value_many(Y) <= h.value(xbar) + 1e-12)
-    )
-    Y = Y[keep]
-    slack = (Y - xbar) @ e - alpha * np.sum((Y - xbar) ** 2, axis=-1)
-    scale = 1.0 + alpha * np.sum((Y - xbar) ** 2, axis=-1)
-    margins = slack / scale
+    level = h.value(xbar) + 1e-12
 
-    def witness(i):
-        return {"y": Y[i].tolist(), "slack": float(slack[i])}
+    def block(start, U):
+        Y = xbar + (2.0 * U - 1.0) * rho
+        d = np.linalg.norm(Y - xbar, axis=-1)
+        Y = Y[(d <= rho) & h.domain.contains_many(Y, tol=1e-9) & (h.value_many(Y) <= level)]
+        # einsum, not ``@``: a matrix-vector product may round a row by the
+        # size of its batch or where the batch sits in memory, which would
+        # break the prefix property
+        slack = np.einsum("ij,j->i", Y - xbar, e) - alpha * np.sum((Y - xbar) ** 2, axis=-1)
+        scale = 1.0 + alpha * np.sum((Y - xbar) ** 2, axis=-1)
 
-    rep = _report(f"cfz_at(alpha={alpha:.6g})", margins, SQC_TOL, witness, int(keep.sum()))
+        def witness(i):
+            return {"y": Y[i].tolist(), "slack": float(slack[i])}
+
+        return slack / scale, witness, len(Y)
+
+    rep = _fold_blocks(f"cfz_at(alpha={alpha:.6g})", SQC_TOL, seed, n_samples, h.dim, block)
     return CfzCertificate(e, alpha, False, rep)
 
 
@@ -355,29 +402,34 @@ def subdiff_member(
     gamma = h.modulus if gamma is None else float(gamma)
     xbar = np.asarray(xbar, dtype=float)
     z = np.asarray(z, dtype=float)
-    Y = _map_to_set(K, _unit_block(seed, n_samples, K.dim), radius)
     hb = h.value(xbar)
-    if sublevel_only:
-        Y = Y[h.value_many(Y) <= hb + 1e-12]
     t = np.linspace(0.0, 1.0, 21)  # includes both endpoints exactly
-    hy = h.value_many(Y)
-    lhs = np.maximum(hy, hb)[:, None]
-    dot = (Y - xbar) @ z
-    d2 = np.sum((Y - xbar) ** 2, axis=-1)
-    rhs = (
-        hb
-        + (t[None, :] / beta) * dot[:, None]
-        + 0.5 * t[None, :] * (gamma - t[None, :] / beta - t[None, :] * gamma) * d2[:, None]
-    )
-    slack = (lhs - rhs).ravel()
-    scale = (1.0 + np.abs(lhs - hb) + np.abs(rhs - hb)).ravel()
-    margins = slack / scale
     nt = t.shape[0]
 
-    def witness(i):
-        return {"y": Y[i // nt].tolist(), "t": float(t[i % nt]), "slack": float(slack[i])}
+    def block(start, U):
+        Y = _map_to_set(K, U, radius)
+        hy = h.value_many(Y)
+        if sublevel_only:
+            keep = hy <= hb + 1e-12
+            Y, hy = Y[keep], hy[keep]
+        lhs = np.maximum(hy, hb)[:, None]
+        dot = np.einsum("ij,j->i", Y - xbar, z)  # not ``@``, as in check_cfz_at
+        d2 = np.sum((Y - xbar) ** 2, axis=-1)
+        rhs = (
+            hb
+            + (t[None, :] / beta) * dot[:, None]
+            + 0.5 * t[None, :] * (gamma - t[None, :] / beta - t[None, :] * gamma) * d2[:, None]
+        )
+        slack = (lhs - rhs).ravel()
+        scale = (1.0 + np.abs(lhs - hb) + np.abs(rhs - hb)).ravel()
 
-    return _report(f"subdiff_member(beta={beta},gamma={gamma})", margins, SQC_TOL, witness, slack.size)
+        def witness(i):
+            return {"y": Y[i // nt].tolist(), "t": float(t[i % nt]), "slack": float(slack[i])}
+
+        return slack / scale, witness, slack.size
+
+    return _fold_blocks(f"subdiff_member(beta={beta},gamma={gamma})", SQC_TOL, seed, n_samples,
+                        K.dim, block)
 
 
 def estimate_eta(
@@ -394,16 +446,20 @@ def estimate_eta(
     """
     K = f.domain if K is None else K
     d = K.dim
-    U = _unit_block(seed, n_triples, 3 * d)
-    X = _map_to_set(K, U[:, :d], radius)
-    Y = _map_to_set(K, U[:, d : 2 * d], radius)
-    Z = _map_to_set(K, U[:, 2 * d :], radius)
-    fxz, fxy, fyz = f.fn(X, Z), f.fn(X, Y), f.fn(Y, Z)
-    num = fxz - fxy - fyz
-    den = np.sum((X - Y) ** 2, axis=-1) + np.sum((Y - Z) ** 2, axis=-1)
-    scale = 1.0 + np.maximum(np.abs(fxz), np.maximum(np.abs(fxy), np.abs(fyz)))
-    meaningful = (num > 1e-12 * scale) & (den > 1e-12)
-    est = float(np.max(num[meaningful] / den[meaningful])) if np.any(meaningful) else 0.0
+    est = None
+    for start, U in _unit_blocks(seed, n_triples, 3 * d):
+        X = _map_to_set(K, U[:, :d], radius)
+        Y = _map_to_set(K, U[:, d : 2 * d], radius)
+        Z = _map_to_set(K, U[:, 2 * d :], radius)
+        fxz, fxy, fyz = f.fn(X, Z), f.fn(X, Y), f.fn(Y, Z)
+        num = fxz - fxy - fyz
+        den = np.sum((X - Y) ** 2, axis=-1) + np.sum((Y - Z) ** 2, axis=-1)
+        scale = 1.0 + np.maximum(np.abs(fxz), np.maximum(np.abs(fxy), np.abs(fyz)))
+        meaningful = (num > 1e-12 * scale) & (den > 1e-12)
+        if np.any(meaningful):
+            top = np.max(num[meaningful] / den[meaningful])
+            est = float(top if est is None else np.maximum(est, top))
+    est = 0.0 if est is None else est
     return CheckReport("eta_estimate", True, n_triples, est, [], est)
 
 
@@ -416,14 +472,17 @@ def check_a0(
 ) -> CheckReport:
     """f(x, x) = 0 on sampled points, tolerance 1e-12."""
     K = f.domain if K is None else K
-    X = _map_to_set(K, _unit_block(seed, n_samples, K.dim), radius)
-    vals = f.fn(X, X)
-    margins = -np.abs(vals)
 
-    def witness(i):
-        return {"x": X[i].tolist(), "f_xx": float(vals[i])}
+    def block(start, U):
+        X = _map_to_set(K, U, radius)
+        vals = f.fn(X, X)
 
-    return _report("a0", margins, A0_TOL, witness, n_samples)
+        def witness(i):
+            return {"x": X[i].tolist(), "f_xx": float(vals[i])}
+
+        return -np.abs(vals), witness, len(U)
+
+    return _fold_blocks("a0", A0_TOL, seed, n_samples, K.dim, block)
 
 
 def check_pseudomonotone(
@@ -440,19 +499,22 @@ def check_pseudomonotone(
     """
     K = f.domain if K is None else K
     d = K.dim
-    U = _unit_block(seed, n_pairs, 2 * d)
-    X = _map_to_set(K, U[:, :d], radius)
-    Y = _map_to_set(K, U[:, d:], radius)
-    Y[::16] = X[::16]
-    fxy = f.fn(X, Y)
-    fyx = f.fn(Y, X)
-    premise = fxy >= 0.0
-    margins = np.where(premise, -fyx, np.inf)
 
-    def witness(i):
-        return {"x": X[i].tolist(), "y": Y[i].tolist(), "f_xy": float(fxy[i]), "f_yx": float(fyx[i])}
+    def block(start, U):
+        X = _map_to_set(K, U[:, :d], radius)
+        Y = _map_to_set(K, U[:, d:], radius)
+        diag = slice(-start % 16, None, 16)  # the rows whose global index is a multiple of 16
+        Y[diag] = X[diag]
+        fxy = f.fn(X, Y)
+        fyx = f.fn(Y, X)
+        premise = fxy >= 0.0
 
-    return _report("pseudomonotone", margins, PSEUDO_TOL, witness, int(premise.sum()))
+        def witness(i):
+            return {"x": X[i].tolist(), "y": Y[i].tolist(), "f_xy": float(fxy[i]), "f_yx": float(fyx[i])}
+
+        return np.where(premise, -fyx, np.inf), witness, np.count_nonzero(premise)
+
+    return _fold_blocks("pseudomonotone", PSEUDO_TOL, seed, n_pairs, 2 * d, block)
 
 
 def check_a4_sampled(
@@ -465,7 +527,7 @@ def check_a4_sampled(
 ) -> CheckReport:
     """Strong quasiconvexity of f(x, .) with the declared modulus, sampled over x."""
     K = f.domain if K is None else K
-    Xs = _map_to_set(K, _unit_block(seed + 101, n_x, K.dim), radius)
+    Xs = _map_to_set(K, rng_for(seed + 101).random((n_x, K.dim)), radius)
     worst = np.inf
     witnesses = []
     total = 0
@@ -515,4 +577,4 @@ def grad_check(h: Objective, points: np.ndarray) -> CheckReport:
     def witness(i):
         return {"x": P[i].tolist(), "rel_error": float(rels[i])}
 
-    return _report("grad_check", margins, 0.0, witness, P.shape[0], estimate=float(np.max(rels)))
+    return _Fold("grad_check", 0.0).add(margins, witness, P.shape[0]).report(float(np.max(rels)))

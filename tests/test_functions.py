@@ -243,9 +243,11 @@ def _glt_constants_reference(p, q, lo, hi, n):
     return max(gamma, 0.0), eta
 
 
-# every (p, q, box, n) that the tests, the README and the benchmark jobs build
+# every (p, q, box, n) that the tests, the README and the benchmark jobs build; then
+# a box where many pairs' V vertices in x fall outside [lo, hi], and one with lo < 0
 @pytest.mark.parametrize("p, q, lo, hi, n", [(2.0, 2.0, 0.0, 4.0, 1), (2.0, 2.0, 0.0, 4.0, 2),
-                                             (3.0, 1.5, 0.0, 4.0, 3)])
+                                             (3.0, 1.5, 0.0, 4.0, 3), (2.0, 5.0, 0.0, 10.0, 1),
+                                             (2.0, 2.0, -3.0, 1.5, 1)])
 def test_glt_constants_equal_the_per_pair_loop_bit_for_bit(p, q, lo, hi, n):
     from sqopt.functions import _glt_constants
 

@@ -1,9 +1,11 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from conftest import abs_on_box, cubic_mix, half_quad, indefinite_quad, linear_on
 from sqopt.functions import Objective, catalog, value_gap
-from sqopt.geometry import Ball, FullSpace, HalfspaceIntersection, box1d
+from sqopt.geometry import Ball, Box, FullSpace, HalfspaceIntersection, box1d, rng_for
 from sqopt import verify
 from sqopt.verify import CheckReport
 
@@ -348,3 +350,127 @@ def test_grad_check_negative_control():
                   grad=lambda X: np.stack([2.0 * X[..., 0] + 0.1], axis=-1))
     rep = verify.grad_check(h, np.array([[0.3], [0.5]]))
     assert not rep.passed and rep.witnesses
+
+
+# --- row blocks ---------------------------------------------------------------
+
+
+def _sq_norm(d: int) -> Objective:
+    """||x||^2 on [-1, 1]^d: smooth, modulus 2, minimizer 0."""
+    return Objective(name="sq_norm", dim=d, domain=Box(-np.ones(d), np.ones(d)), modulus=2.0,
+                     fn=lambda X: np.einsum("...i,...i->...", X, X), grad=lambda X: 2.0 * X,
+                     lip_grad=2.0, known_min=(np.zeros(d), 0.0))
+
+
+def _sampled_checks():
+    """(id, call(n)) for every check that reads its samples in blocks.
+
+    Several fail: sqc with an overstated gamma, whose witnesses come from
+    many blocks, and a0 of a shifted gap, whose violations all tie, so the
+    first rows must win.
+    """
+    from sqopt.equilibrium import EpProblem, check_minty
+    from sqopt.functions import Bifunction, glt_example
+
+    gw = catalog("gauss_well", c=1, d=1, delta=1)
+    pn3 = catalog("power_norm", n=3, halfwidth=1.0)
+    sq2 = _sq_norm(2)
+    line = linear_on(0.0, 10.0, 0.5)
+    glt = glt_example(2, 2)
+    shifted = Bifunction(name="shifted", dim=1, domain=gw.domain,
+                         fn=lambda X, Y: gw.fn(np.asarray(Y)) - gw.fn(np.asarray(X)) + 1.0,
+                         gamma=gw.modulus, eta=0.0)
+    return [
+        ("sqc", lambda n: verify.check_sqc_sampled(pn3, n_triples=n, seed=1)),
+        ("sqc_overstated", lambda n: verify.check_sqc_sampled(line, gamma=0.5, n_triples=n, seed=2)),
+        ("modulus", lambda n: verify.estimate_modulus(pn3, n_triples=n, seed=3)),
+        ("growth", lambda n: verify.check_quadratic_growth(sq2, gamma=20.0, n_samples=n, seed=4)),
+        ("foc", lambda n: verify.check_foc(gw, n_pairs=n, seed=5)),
+        ("pl", lambda n: verify.check_pl(sq2, n_samples=n, seed=6)),
+        ("cfz", lambda n: verify.check_cfz_at(sq2, np.array([0.5, 0.2]), 0.5, n_samples=n,
+                                              seed=7)),
+        ("cfz_fails", lambda n: verify.check_cfz_at(replace(sq2, modulus=50.0),
+                                                    np.array([0.5, 0.2]), 0.5, n_samples=n, seed=7)),
+        ("subdiff", lambda n: verify.subdiff_member(sq2, xbar=np.array([0.5, 0.2]),
+                                                    z=np.array([3.0, 0.0]), n_samples=n, seed=8)),
+        ("subdiff_sublevel", lambda n: verify.subdiff_member(
+            sq2, xbar=np.array([0.5, 0.2]), z=np.array([1.0, 0.4]), n_samples=n, seed=9,
+            sublevel_only=True)),
+        ("a0_ties", lambda n: verify.check_a0(shifted, n_samples=n, seed=10)),
+        ("pseudomonotone_fails", lambda n: verify.check_pseudomonotone(shifted, n_pairs=n,
+                                                                       seed=11)),
+        ("pseudomonotone", lambda n: verify.check_pseudomonotone(glt, n_pairs=n, seed=12)),
+        ("eta", lambda n: verify.estimate_eta(glt, n_triples=n, seed=13)),
+        ("a4", lambda n: verify.check_a4_sampled(glt, n_x=2, n_triples=n, seed=14)),
+        ("minty", lambda n: check_minty(EpProblem(glt), np.array([0.5]), n_samples=n, seed=15)),
+    ]
+
+
+@pytest.mark.parametrize("block", [verify.BLOCK_ROWS, 100])
+@pytest.mark.parametrize("name, call", _sampled_checks(), ids=lambda v: v if isinstance(v, str) else "")
+def test_blocked_check_equals_one_block(monkeypatch, block, name, call):
+    n = 2 * block + 37
+    monkeypatch.setattr(verify, "BLOCK_ROWS", block)
+    blocked = call(n)
+    monkeypatch.setattr(verify, "BLOCK_ROWS", n)
+    whole = call(n)
+    if isinstance(whole, verify.CfzCertificate):
+        assert np.array_equal(blocked.e, whole.e) and blocked.alpha == whole.alpha
+        blocked, whole = blocked.report, whole.report
+    assert asdict(blocked) == asdict(whole)
+    assert blocked.samples > 0
+    if name == "a0_ties":  # f(x, x) = 1 everywhere: the first rows are the witnesses
+        first = -1.0 + 2.0 * rng_for(10).random((verify.WITNESS_CAP, 1))
+        assert [w["x"] for w in whole.witnesses] == first.tolist()
+
+
+def test_overstated_sqc_witnesses_come_from_several_blocks(monkeypatch):
+    block = 100
+    n = 2 * block + 37
+    monkeypatch.setattr(verify, "BLOCK_ROWS", block)
+    h = linear_on(0.0, 10.0, 0.5)
+    rep = verify.check_sqc_sampled(h, gamma=0.5, n_triples=n, seed=2)
+    assert not rep.passed and len(rep.witnesses) == verify.WITNESS_CAP
+    X = 10.0 * rng_for(2).random((n, 3))[:, 0]
+    rows = [int(np.nonzero(X == w["x"][0])[0][0]) for w in rep.witnesses]
+    assert len({r // block for r in rows}) > 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cfz_and_subdiff_margins_are_a_prefix(monkeypatch, d):
+    # the first k rows of an n-row call get the margins of a k-row call.  A
+    # matrix-vector product (``@``) may round a row by where its array sits in
+    # memory; small k put the rows at other alignments than the n-row call
+    n = 20_000
+    monkeypatch.setattr(verify, "BLOCK_ROWS", n)
+    h = _sq_norm(d)
+    xbar = np.linspace(0.5, 0.1, d)
+    z = np.linspace(1.0, 0.3, d)
+    runs = {"cfz": lambda m: verify.check_cfz_at(h, xbar, 0.7, n_samples=m, seed=3),
+            "subdiff": lambda m: verify.subdiff_member(h, xbar=xbar, z=z, n_samples=m, seed=4)}
+    seen = []
+    real_add = verify._Fold.add
+    monkeypatch.setattr(verify._Fold, "add", lambda self, margins, *rest:
+                        seen.append(margins.copy()) or real_add(self, margins, *rest))
+    for name, run in runs.items():
+        seen.clear()
+        run(n)
+        (big,) = seen
+        for k in (*range(1, 41), 2_000):
+            seen.clear()
+            run(k)
+            small = seen[0] if seen else np.empty(0)
+            assert np.array_equal(big[: small.size], small), (name, k)
+
+
+def test_sqc_memory_is_flat_in_n():
+    import tracemalloc
+
+    h = catalog("power_norm", n=3, halfwidth=1.0)
+    peaks = []
+    for n in (50_000, 400_000):
+        tracemalloc.start()
+        verify.check_sqc_sampled(h, n_triples=n, seed=5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
