@@ -123,8 +123,8 @@ def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> flo
     ``x`` is one point, giving a float, or a batch of rows, giving an array.
     A batch is one global solve of a stack of problems, one per row, refined
     in lockstep; each entry equals the one-point call's value bit for bit.
-    The gradient path needs ``partial_grad_y``; without it compass search
-    runs.
+    The solve steps along ``partial_grad_y`` (a subgradient at kinks where
+    the bifunction is not ``smooth``); above one dimension it needs one.
     """
     cfg = cfg or GlobalSolveConfig()
     X = np.asarray(x, dtype=float)
@@ -228,8 +228,8 @@ def validate_eg(prob: EpProblem, p: EpParams, peg: bool = False, oracle=None) ->
     betas = _beta_probe(p)
     if any(b2 > b1 + 1e-12 for b1, b2 in zip(betas, betas[1:])):
         notes.append("beta schedule is not nonincreasing")
-    if oracle is None and prob.f.partial_grad_y is None:
-        raise ValueError("extragradient methods need a subgradient oracle")
+    if oracle is None and (prob.f.partial_grad_y is None or not prob.f.smooth):
+        raise ValueError("extragradient methods need a subgradient oracle or a smooth y-gradient")
     if p.steps.kind == "constant":
         notes.append("constant projection steps violate the square-summability condition")
     if peg:

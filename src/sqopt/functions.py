@@ -90,7 +90,9 @@ class Bifunction:
 
     ``fn(X, Y)`` and ``partial_grad_y(X, Y)`` take one x for a batch of y,
     or paired rows (row ``i`` of ``X`` with row ``i`` of ``Y``); a paired row
-    gets exactly the bits of the one-x call.  ``gamma``
+    gets exactly the bits of the one-x call.  A value gap copies ``smooth``
+    from its objective; the extragradient methods refuse a ``partial_grad_y``
+    that is not, while the global solver takes it.  ``gamma``
     is the declared per-x modulus of ``f(x, .)`` and ``eta`` the declared
     Lipschitz-type constant of the three-point condition.  ``y_parts(x)``
     returns ``(fy, gy)`` with ``fy`` equal to ``f(x, .)`` up to an additive
@@ -106,6 +108,7 @@ class Bifunction:
     eta: float
     partial_grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     y_parts: Callable[[np.ndarray], tuple] | None = None
+    smooth: bool = True
 
     def value(self, x, y) -> float:
         return float(self.fn(as_point(x, self.dim), as_point(y, self.dim)))
@@ -124,12 +127,17 @@ class Bifunction:
 
 @dataclass(frozen=True)
 class BregmanFunction:
-    """Bregman kernel phi with zone S and divergence D(x, y)."""
+    """Bregman kernel phi with zone S and divergence D(x, y).
+
+    ``grad_divergence(Y, X)`` is ``grad_phi(y) - grad_phi(x)`` for paired rows,
+    taken without cancellation: accurate relative to its size near y = x.
+    """
 
     name: str
     dim: int
     phi: Callable[[np.ndarray], np.ndarray]
     grad_phi: Callable[[np.ndarray], np.ndarray]
+    grad_divergence: Callable[[np.ndarray, np.ndarray], np.ndarray]
     zone_contains: Callable[[np.ndarray], np.ndarray]  # open zone S, strict
     closure_contains: Callable[[np.ndarray], np.ndarray]
 
@@ -480,7 +488,7 @@ def combine_linear(h: Objective, A, domain: FeasibleSet, n_check: int = 1000) ->
 
 
 def combine_max(hs: list[Objective]) -> Objective:
-    """Pointwise maximum; modulus is the minimum of the moduli."""
+    """Pointwise maximum; modulus is the minimum of the moduli; ``grad`` is the active piece's."""
     if not hs:
         raise ValueError("combine_max needs at least one objective")
     dim = hs[0].dim
@@ -498,14 +506,20 @@ def combine_max(hs: list[Objective]) -> Objective:
             out = np.maximum(out, f(X))
         return out
 
+    def grad(X):  # a subgradient where pieces cross: the first of equal values
+        G = np.stack([np.asarray(h.grad(X), dtype=float) for h in hs])
+        active = np.argmax(np.stack([f(X) for f in fns]), axis=0)
+        return np.take_along_axis(G, active[None, ..., None], axis=0)[0]
+
     return Objective(
         name="max(" + ",".join(h.name for h in hs) + ")",
         dim=dim,
         domain=dom,
         modulus=min(h.modulus for h in hs),
         fn=fn,
+        grad=grad if all(h.grad is not None for h in hs) else None,
         lower_semicontinuous=all(h.lower_semicontinuous for h in hs),
-        smooth=all(h.smooth for h in hs),
+        smooth=False,
     )
 
 
@@ -534,9 +548,7 @@ def value_gap(h: Objective) -> Bifunction:
     def y_parts(x):
         return h.fn, h.grad
 
-    pg = None
-    if h.differentiable:  # the y-gradient that EG_EP and PEG_EP step along
-        pg = lambda x, Y: _as_rows(h.grad, Y)
+    pg = None if h.grad is None else (lambda x, Y: _as_rows(h.grad, Y))
     return Bifunction(
         name=f"value_gap({h.name})",
         dim=h.dim,
@@ -546,6 +558,7 @@ def value_gap(h: Objective) -> Bifunction:
         eta=0.0,
         partial_grad_y=pg,
         y_parts=y_parts,
+        smooth=h.smooth,
     )
 
 
@@ -718,6 +731,7 @@ def bregman_catalog(name: str, dim: int = 1, shift: float = 0.0) -> BregmanFunct
             dim=dim,
             phi=lambda X: 0.5 * np.sum(np.asarray(X, dtype=float) ** 2, axis=-1),
             grad_phi=lambda X: np.asarray(X, dtype=float),
+            grad_divergence=lambda Y, X: Y - X,
             zone_contains=lambda X: np.ones(np.asarray(X).shape[:-1], dtype=bool),
             closure_contains=lambda X: np.ones(np.asarray(X).shape[:-1], dtype=bool),
         )
@@ -739,6 +753,7 @@ def bregman_catalog(name: str, dim: int = 1, shift: float = 0.0) -> BregmanFunct
             dim=dim,
             phi=phi,
             grad_phi=grad_phi,
+            grad_divergence=lambda Y, X: np.log1p((Y - X) / (X + s)),  # log((y + s) / (x + s))
             zone_contains=lambda X: np.all(np.asarray(X, dtype=float) + s > 0, axis=-1),
             closure_contains=lambda X: np.all(np.asarray(X, dtype=float) + s >= 0, axis=-1),
         )

@@ -21,23 +21,22 @@ better end is the point: exact to rounding at smooth roots and at kinks
 alike, with no polish.  ``local_tol`` plays no part in this search.  A
 minimum at an end of the samples where the derivative points out of them is
 that end, exactly.  Without a derivative, or without a sign change, a
-lockstep multisection on values closes the bracket to ``local_tol``.
+lockstep multisection on values closes the bracket to ``local_tol``, which
+keeps ``inv_gap`` (no attained minimum) at its sample minimum.
 
-Above one dimension every start is refined in lockstep by projected gradient
-(when a gradient exists, a subgradient at kinks included) or compass search
-(when not).  Projected-gradient rows take Barzilai-Borwein step lengths,
-capped at twice the last accepted step, under an Armijo test; a rejected
-step is halved.
+Above one dimension a gradient is required (a subgradient at kinks
+included), and every start is refined in lockstep by projected gradient.
+Its rows take Barzilai-Borwein step lengths, capped at twice the last
+accepted step, under an Armijo test; a rejected step is halved.
 
 After the search or refinement the near-ties (within 1e-8 of the best value)
 are grouped into clusters of points within 1e-7 of each other; each cluster
 is one minimizer, represented by its best-valued member, and the other
-members are dropped.  The representatives are polished, all in one batch:
-by Newton on the gradient above one dimension, by parabolic steps wherever
-there is no gradient.  The representatives that are still near-ties are all
-retained, since the proximity operator of a nonconvex function is
-set-valued, and the returned point is the lexicographically smallest of
-them, which keeps traces deterministic.
+members are dropped.  Above one dimension the representatives are polished
+by Newton on the gradient, all in one batch.  The representatives that are
+still near-ties are all retained, since the proximity operator of a
+nonconvex function is set-valued, and the returned point is the
+lexicographically smallest of them, which keeps traces deterministic.
 
 One solve handles a stack of problems that share the set and the
 ``GlobalSolveConfig``.  Problem ``p`` minimizes ``fn(c_p, .)`` for its own
@@ -192,9 +191,11 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
     lo, hi = K.bounding_box(cfg.search_radius)
     step_cap = 1e3 * (float(np.max(hi - lo)) + 1.0)
     gtol = np.sqrt(cfg.local_tol)  # on the gradient mapping move / step
-    rows, o, x, f = np.arange(X.shape[0]), own, X.copy(), F.copy()
-    step = np.full(X.shape[0], 0.25 * float(np.max(hi - lo)) + 1e-12)
-    g = grad(o, x)
+    g = grad(own, X)
+    # no finite gradient (a Bregman zone's boundary): not refined from, not accepted
+    rows = np.flatnonzero(np.all(np.isfinite(g), axis=1))
+    o, x, f, g = own[rows], X[rows], F[rows], g[rows]
+    step = np.full(rows.size, 0.25 * float(np.max(hi - lo)) + 1e-12)
     iters, n = np.zeros(X.shape[0], dtype=int), 0
     for n in range(1, cfg.max_local_iters + 1):
         if rows.size == 0:
@@ -204,6 +205,13 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
         FC = fn(o, C)
         move = C - x
         accept = FC <= f + ARMIJO_C * np.einsum("ij,ij->i", g, move)
+        acc = np.flatnonzero(accept)
+        if acc.size:
+            GC = grad(o[acc], C[acc])
+            if not np.isfinite(GC).all():
+                finite = np.isfinite(GC).all(axis=1)
+                accept[acc[~finite]] = False
+                acc, GC = acc[finite], GC[finite]
         rej = ~accept
         # converged (see above): the mapping guard keeps small-step rows far
         # from optimality alive, and a rejected move counts only if K clipped it
@@ -211,9 +219,7 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
         check = np.flatnonzero(done & rej)
         if check.size:
             done[check] = np.any(C[check] != T[check], axis=1)
-        acc = np.flatnonzero(accept)
         if acc.size:
-            GC = grad(o[acc], C[acc])
             s, y = move[acc], GC - g[acc]
             sy = np.einsum("ij,ij->i", s, y)
             bb = np.divide(np.einsum("ij,ij->i", s, s), sy,
@@ -227,43 +233,6 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
             keep = ~done
             rows, o, x, f, g, step = rows[keep], o[keep], x[keep], f[keep], g[keep], step[keep]
     X[rows], F[rows], iters[rows] = x, f, n
-    return X, F, iters
-
-
-def _refine_compass(fn, K, X, F, own, cfg):
-    """Lockstep compass (pattern) search; no gradient needed.
-
-    Rows, owners, the working set and the result as in ``_refine_pg``.
-    """
-    lo, hi = K.bounding_box(cfg.search_radius)
-    n = K.dim
-    eye = np.eye(n)
-    dirs = np.concatenate([eye, -eye], axis=0)  # (2n, n)
-    rows, x, f = np.arange(X.shape[0]), X.copy(), F.copy()
-    step = np.full(X.shape[0], 0.25 * float(np.max(hi - lo)) + 1e-12)
-    o = np.repeat(own, 2 * n)  # the owner of every candidate
-    iters, k = np.zeros(X.shape[0], dtype=int), 0
-    for k in range(1, cfg.max_local_iters * 4 + 1):
-        if rows.size == 0:
-            break
-        m = rows.size
-        cand = x[:, None, :] + step[:, None, None] * dirs[None, :, :]
-        cand = K.project_many(cand.reshape(m * 2 * n, n))
-        fc = fn(o, cand).reshape(m, 2 * n)
-        best = np.argmin(fc, axis=1)
-        fbest = fc[np.arange(m), best]
-        improved = fbest < f
-        x[improved] = cand.reshape(m, 2 * n, n)[improved, best[improved]]
-        f[improved] = fbest[improved]
-        stay = ~improved
-        step[stay] *= 0.5
-        done = stay & (step < cfg.local_tol)
-        if np.any(done):
-            X[rows[done]], F[rows[done]], iters[rows[done]] = x[done], f[done], k
-            keep = ~done
-            rows, x, f, step = rows[keep], x[keep], f[keep], step[keep]
-            o = o.reshape(m, 2 * n)[keep].ravel()
-    X[rows], F[rows], iters[rows] = x, f, k
     return X, F, iters
 
 
@@ -490,45 +459,6 @@ def _polish_newton(fn, grad, K, X, F, own):
     return np.where(keep[:, None], P, X), np.where(keep, FP, F)
 
 
-def _polish_parabolic(fn, K, X, F, own, rounds: int = 2, delta: float = 1e-5):
-    """Coordinate-wise parabolic vertex steps for derivative-free smooth minima.
-
-    Improves the sqrt(eps) comparison floor to ~1e-11 at smooth interior
-    minima; moves are only accepted when they do not increase the value (see
-    ``_no_worse``), so kink and boundary minima (already sharp from the
-    refine) are kept.  All rows are probed together, one coordinate at a time;
-    row ``i`` belongs to problem ``own[i]``, as in ``_refine_pg``.
-    """
-    X, F = X.copy(), F.copy()
-    r, n = X.shape
-    for _ in range(rounds):
-        for j in range(n):
-            d = delta * (1.0 + np.abs(X[:, j]))
-            probes = np.concatenate([X, X])
-            probes[:r, j] += d
-            probes[r:, j] -= d
-            # an axis that touches the boundary is left as refined
-            clipped = np.any(K.project_many(probes) != probes, axis=-1).reshape(2, r)
-            idx = np.nonzero(~np.any(clipped, axis=0))[0]
-            if idx.size == 0:
-                continue
-            fpm = fn(np.concatenate([own[idx], own[idx]]),
-                     np.concatenate([probes[idx], probes[r + idx]]))
-            fp, fm = fpm[: idx.size], fpm[idx.size :]
-            denom = fp - 2.0 * F[idx] + fm
-            ok = np.isfinite(denom) & (denom > 0)
-            idx, fp, fm, denom = idx[ok], fp[ok], fm[ok], denom[ok]
-            if idx.size == 0:
-                continue
-            cand = X[idx].copy()
-            cand[:, j] -= d[idx] * (fp - fm) / (2.0 * denom)
-            cand = K.project_many(cand)
-            fc = fn(own[idx], cand)
-            acc = _no_worse(fc, F[idx])
-            X[idx[acc]], F[idx[acc]] = cand[acc], fc[acc]
-    return X, F
-
-
 def _tie_representatives(X, F) -> np.ndarray:
     """One index per cluster of near-ties: the cluster's best-valued member.
 
@@ -565,14 +495,16 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
                      seed_centers: bool = False) -> list[ProxResult]:
     """Global minimizers over ``K`` of ``fn(c, .)``, one problem per center row ``c`` of ``C``.
 
-    ``raw_fn(Xc, Y)`` and ``raw_grad(Xc, Y)`` (or None) pair row ``i`` of
-    ``Y`` with center row ``i`` of ``Xc``; a single center row broadcasts
-    over all rows of ``Y``.  With ``seed_centers`` each problem's projected
-    center is an extra sample or start.  In one dimension the brackets go to
-    ``_search_1d``, above it the starts to ``_refine_pg`` or
-    ``_refine_compass``.  Returns one result per problem, each what that
-    problem gets when solved alone.
+    ``raw_fn(Xc, Y)`` and ``raw_grad(Xc, Y)`` (None only in one dimension)
+    pair row ``i`` of ``Y`` with center row ``i`` of ``Xc``; a single center
+    row broadcasts over all rows of ``Y``.  With ``seed_centers`` each
+    problem's projected center is an extra sample or start.  In one
+    dimension the brackets go to ``_search_1d``, above it the starts to
+    ``_refine_pg``.  Returns one result per problem, each what that problem
+    gets when solved alone.
     """
+    if raw_grad is None and K.dim > 1:
+        raise ValueError("a global solve above one dimension needs a gradient")
     stack = _Stack(raw_fn, raw_grad, C)
     grid = _seed_points(K, cfg)
     starts, values = [], []
@@ -594,10 +526,8 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
     X, F = np.concatenate(starts), np.concatenate(values)
     if K.dim == 1:
         X, F, iters = _search_1d(stack, stack.grad if raw_grad is not None else None, X, F, own, cfg)
-    elif raw_grad is not None:
-        X, F, iters = _refine_pg(stack.fn, stack.grad, K, X, F, own, cfg)
     else:
-        X, F, iters = _refine_compass(stack.fn, K, X, F, own, cfg)
+        X, F, iters = _refine_pg(stack.fn, stack.grad, K, X, F, own, cfg)
     refine_iters = np.zeros(C.shape[0], dtype=int)
     np.maximum.at(refine_iters, own, iters)
     # near-ties within DEDUPE_TOL are one minimizer: keep (and polish) only
@@ -608,9 +538,7 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
         reps.append(mine[_tie_representatives(X[mine], F[mine])])
     reps = np.concatenate(reps)
     X, F, own = X[reps], F[reps], own[reps]
-    if raw_grad is None:
-        X, F = _polish_parabolic(stack.fn, K, X, F, own)
-    elif K.dim > 1:  # a closed 1-D bracket needs no polish
+    if K.dim > 1:  # a closed 1-D bracket needs no polish
         X, F = _polish_newton(stack.fn, stack.grad, K, X, F, own)
     n_evals = n_seed + stack.counts
     return [_collect(X[own == p], F[own == p], int(n_evals[p]), int(refine_iters[p]))
@@ -647,6 +575,28 @@ def _prox_objective(base_fn, base_grad, beta: float):
     return fn, grad
 
 
+def _bregman_objective(h: Objective, phi: BregmanFunction, beta: float):
+    """Bregman subproblem ``h(y) + D(y, c) / beta``, +inf outside the zone closure.
+
+    Paired as in ``_prox_objective``.  Its gradient (with ``h.grad``) is -inf
+    on the boundary of the zone and NaN outside, where the value rejects the point.
+    """
+
+    def fn(Xc, Y):
+        Y = np.asarray(Y, dtype=float)
+        vals = h.value_many(Y) + phi.divergence_many(Y, Xc) / beta
+        return np.where(phi.closure_contains(Y), vals, np.inf)
+
+    grad = None
+    if h.grad is not None:
+
+        def grad(Xc, Y):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return h.grad_many(Y) + phi.grad_divergence(Y, Xc) / beta
+
+    return fn, grad
+
+
 def prox_many(base_fn, base_grad, K: FeasibleSet, beta: float, C,
               cfg: GlobalSolveConfig) -> list[ProxResult]:
     """Proximal steps from every center row of ``C`` in one stacked global solve.
@@ -676,13 +626,13 @@ def prox(h: Objective, K: FeasibleSet | None = None, beta: float = 1.0, x=None, 
 
     In one dimension the grid's brackets are closed by the derivative's sign
     change (``h.grad``, a subgradient at kinks for the entries that are not
-    smooth) until no float lies inside, or by values to ``cfg.local_tol``.
-    Above it, with ``h.grad`` the starts are refined by projected gradient.
-    A start stops at a move, accepted or clipped by K, of at most
+    smooth) until no float lies inside, or by values to ``cfg.local_tol``
+    where ``h`` has no ``grad`` or a bracket no sign change.  Above it
+    ``h.grad`` is required, and the starts are refined by projected
+    gradient.  A start stops at a move, accepted or clipped by K, of at most
     ``cfg.local_tol`` whose gradient mapping (the move over the step, the
     gradient where K does not clip) is at most ``sqrt(cfg.local_tol)``, or
-    when a rejected step falls below ``cfg.local_tol``.  Without a gradient
-    they are refined by compass search.
+    when a rejected step falls below ``cfg.local_tol``.
     """
     K = h.domain if K is None else K
     cfg = cfg or GlobalSolveConfig()
@@ -701,9 +651,9 @@ def bregman_prox(
 
     With the half-squared-norm kernel this routes through ``prox`` exactly,
     matching the collapse of the Bregman operator to the proximity operator.
-    Other kernels are minimized without a gradient (by values in one
-    dimension, compass search above it) with the divergence set to +inf
-    outside the zone closure.
+    Other kernels are minimized as ``prox`` minimizes, on ``_bregman_objective``
+    (points outside the zone closure are rejected by their value); without
+    ``h.grad`` only a one-dimensional ``h`` is accepted.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -714,13 +664,7 @@ def bregman_prox(
         raise ValueError("prox center must lie in the open zone of the kernel")
     if phi.name == "half_sq_norm":
         return prox(h, K, beta, x, cfg)
-
-    def fn(Xc, Y):
-        Y = np.asarray(Y, dtype=float)
-        vals = h.value_many(Y) + phi.divergence_many(Y, Xc) / beta
-        inside = phi.closure_contains(Y)
-        return np.where(inside, vals, np.inf)
-
-    res = _global_min_impl(fn, None, K, cfg, x[None, :], seed_centers=True)[0]
+    fn, grad = _bregman_objective(h, phi, float(beta))
+    res = _global_min_impl(fn, grad, K, cfg, x[None, :], seed_centers=True)[0]
     res.residual = float(np.linalg.norm(res.point - x))
     return res

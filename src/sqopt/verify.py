@@ -123,6 +123,12 @@ def check_sqc_sampled(
     """
     K = h.domain if K is None else K
     gamma = h.modulus if gamma is None else float(gamma)
+    block = _sqc_block(h.value_many, K, gamma, radius)
+    return _fold_blocks(f"sqc(gamma={gamma})", SQC_TOL, seed, n_triples, 2 * K.dim + 1, block)
+
+
+def _sqc_block(value_many, K: FeasibleSet, gamma: float, radius: float | None):
+    """The block function of ``check_sqc_sampled`` for the values ``value_many``."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     d = K.dim
@@ -132,7 +138,7 @@ def check_sqc_sampled(
         Y = _map_to_set(K, U[:, d : 2 * d], radius)
         t = (np.arange(start, start + len(U)) % 64 + U[:, 2 * d]) / 64.0
         mid = t[:, None] * Y + (1.0 - t[:, None]) * X
-        hx, hy, hm = h.value_many(X), h.value_many(Y), h.value_many(mid)
+        hx, hy, hm = value_many(X), value_many(Y), value_many(mid)
         mx = np.maximum(hx, hy)
         d2 = np.sum((X - Y) ** 2, axis=-1)
         slack = mx - t * (1.0 - t) * (gamma / 2.0) * d2 - hm
@@ -143,7 +149,7 @@ def check_sqc_sampled(
 
         return slack / scale, witness, len(U)
 
-    return _fold_blocks(f"sqc(gamma={gamma})", SQC_TOL, seed, n_triples, 2 * d + 1, block)
+    return block
 
 
 def estimate_modulus(
@@ -525,27 +531,21 @@ def check_a4_sampled(
     seed: int = 0,
     radius: float | None = None,
 ) -> CheckReport:
-    """Strong quasiconvexity of f(x, .) with the declared modulus, sampled over x."""
+    """Strong quasiconvexity of f(x, .) with the declared modulus, sampled over x.
+
+    Slice ``j`` is ``check_sqc_sampled`` of ``f(x_j, .)`` with seed ``seed + j``,
+    folded into one report in slice order; a witness keeps ``x_j`` as ``"x_slice"``.
+    """
     K = f.domain if K is None else K
     Xs = _map_to_set(K, rng_for(seed + 101).random((n_x, K.dim)), radius)
-    worst = np.inf
-    witnesses = []
-    total = 0
+    fold = _Fold("a4_sqc", SQC_TOL)
     for j, x in enumerate(Xs):
         fy, _ = f.y_objective(x)
-        slice_obj = Objective(
-            name=f"{f.name}|x{j}", dim=f.dim, domain=K, modulus=f.gamma, fn=fy
-        )
-        rep = check_sqc_sampled(
-            slice_obj, K, f.gamma, n_triples=n_triples, seed=seed + j, radius=radius
-        )
-        total += rep.samples
-        if rep.worst_margin < worst:
-            worst = rep.worst_margin
-        if not rep.passed:
-            witnesses.extend({"x": x.tolist(), **w} for w in rep.witnesses)
-    passed = worst >= -SQC_TOL
-    return CheckReport("a4_sqc", passed, total, worst, witnesses[:WITNESS_CAP])
+        block = _sqc_block(lambda Y: np.asarray(fy(Y), dtype=float), K, f.gamma, radius)
+        for start, U in _unit_blocks(seed + j, n_triples, 2 * K.dim + 1):
+            margins, witness_of, samples = block(start, U)
+            fold.add(margins, lambda i: {"x_slice": x.tolist(), **witness_of(i)}, samples)
+    return fold.report()
 
 
 def check_grad(h: Objective, K: FeasibleSet, n: int, seed: int,

@@ -64,14 +64,16 @@ def indefinite_quad() -> Objective:
 
 
 def abs_on_box(hw: float, gamma: float) -> Objective:
-    """|t| on [-hw, hw] (1d Euclidean norm) with declared modulus."""
+    """|t| on [-hw, hw] (1d Euclidean norm) with declared modulus; subgradient 0 at 0."""
     return Objective(
         name="abs1d",
         dim=1,
         domain=box1d(-hw, hw),
         modulus=gamma,
         fn=lambda X: np.abs(X[..., 0]),
+        grad=lambda X: np.sign(X[..., :1]),
         known_min=(np.zeros(1), 0.0),
+        smooth=False,
     )
 
 

@@ -262,6 +262,14 @@ def test_readme_key_tables_equal_the_registries():
     assert set(re.findall(r"`([^`]+)`", prox)) == set(config_keys(GlobalSolveConfig))
 
 
+def test_paper_module_rows_equal_the_readme_rows():
+    def rows(path):
+        return [line for line in path.read_text().splitlines() if line.startswith("| `sqopt.")]
+
+    readme = rows(README)
+    assert len(readme) == 9 and rows(README.parent / "PAPER.md") == readme
+
+
 def _describe(kind) -> str:
     """A declared kind as the README's field-kind table writes it."""
     bound = "" if kind.lo is None else f" {'>' if kind.strict else '>='} {kind.lo:g}"

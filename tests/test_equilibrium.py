@@ -297,7 +297,7 @@ def test_glt_all_proximal_solvers_agree():
 @pytest.mark.parametrize("prob, X, cfg", [
     (glt_problem(), np.array([[0.2], [0.381966], [1.7], [3.9], [0.381966]]), GLT_FAST),
     (EpProblem(glt_example(2, 2, n=2)), np.array([[0.5, 3.1], [2.2, 0.9], [1.0, 1.0]]), None),
-    (vg_problem(), np.array([[0.0, 0.0], [0.5, 0.5], [-0.8, 0.3]]), None),  # compass path
+    (vg_problem(), np.array([[0.0, 0.0], [0.5, 0.5], [-0.8, 0.3]]), None),  # y-subgradient
 ], ids=["glt1d", "glt2d", "value_gap"])
 def test_ep_residual_batch_equals_one_at_a_time(prob, X, cfg):
     # a batch is one lockstep solve over a stack of centers; each entry is

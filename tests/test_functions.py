@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,34 @@ def test_combine_max():
         combine_max([g, catalog("euclid_norm", n=2, gamma=1.0)])
 
 
+def test_combine_max_grad_is_the_active_pieces_row_by_row():
+    g = catalog("gauss_well", c=1.0, d=1.0, delta=1.0)
+    # 1 - exp(-t^2) is the larger near 0, 0.8 t^2 near the ends of [-1, 1]
+    s = Objective(name="sq", dim=1, domain=g.domain, modulus=1.6,
+                  fn=lambda X: 0.8 * X[..., 0] ** 2, grad=lambda X: 1.6 * X[..., :1])
+    m = combine_max([g, s])
+    assert m.grad is not None and not m.smooth and not m.differentiable
+    X = _seeded_batch(g.domain, 200, seed=71)
+    G = m.grad_many(X)
+    assert _batch_equals_rows(m.grad, X)
+    active = g.value_many(X) >= s.value_many(X)  # the first piece on a tie
+    assert 0 < np.count_nonzero(active) < X.shape[0]
+    np.testing.assert_array_equal(G, np.where(active[:, None], g.grad_many(X), s.grad_many(X)))
+    # without a grad on every piece there is none
+    assert combine_max([g, dataclasses.replace(s, grad=None)]).grad is None
+
+
+def test_bregman_grad_divergence_is_the_gradient_difference():
+    cube = Box(-np.ones(3), np.ones(3))
+    Y, Xc = _seeded_batch(cube, 100, seed=72), _seeded_batch(cube, 100, seed=73)
+    for name, shift in (("neg_entropy", 1.5), ("half_sq_norm", 0.0)):
+        phi = bregman_catalog(name, dim=3, shift=shift)
+        G = phi.grad_divergence(Y, Xc)
+        np.testing.assert_allclose(G, phi.grad_phi(Y) - phi.grad_phi(Xc), rtol=0, atol=1e-15)
+        assert all(np.array_equal(phi.grad_divergence(Y[i], Xc[i]), G[i]) for i in range(100))
+        assert np.all(phi.grad_divergence(Xc, Xc) == 0.0)
+
+
 def test_value_gap_bifunction():
     h = catalog("gauss_well", c=1.0, d=1.0, delta=1.0)
     f = value_gap(h)
@@ -316,7 +346,7 @@ def _seeded_batch(K, m, seed):
 
 
 def bifunction_entries():
-    gaps = [value_gap(h) for h in all_catalog_entries() if h.differentiable]
+    gaps = [value_gap(h) for h in all_catalog_entries() if h.grad is not None]
     return gaps + [glt_example(2, 2), glt_example(2, 2, n=2), glt_example(3, 1.5, n=3)]
 
 

@@ -835,9 +835,9 @@ def test_cli_seed_is_a_verify_flag(tmp_path, capsys):
 # --- lockstep sweeps -------------------------------------------------------------
 
 LOCKSTEP_SWEEPS = {
-    # 2-D compass refine
+    # 2-D projected-gradient refine on a subgradient
     "power_norm_2d": (minimal_ppa_config(), [0.0, 0.1, 0.2], [0.8, 1.2]),
-    # 1-D projected-gradient refine, bounded by search_radius
+    # 1-D bracket search on the derivative, bounded by search_radius
     "sin_quad_1d": ({"schema_version": 1,
                      "problem": {"kind": "minimize",
                                  "objective": {"catalog": "sin_quad", "params": {}}},

@@ -1,4 +1,11 @@
+import contextlib
 import dataclasses
+import importlib.util
+import io
+import json
+import statistics
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +21,7 @@ from sqopt.prox import (
     prox_many,
     prox_point,
 )
-from sqopt import verify
+from sqopt import cli, verify
 
 FAST = GlobalSolveConfig(grid_density=4001, local_tol=1e-10)
 
@@ -182,6 +189,61 @@ def test_bregman_prox_neg_entropy_matches_grid_oracle():
     assert res.value <= v_star + 1e-8
 
 
+def test_bregman_subproblem_gradient_matches_central_differences():
+    P = _prox_mod()
+    cases = [(catalog("gauss_well"), bregman_catalog("neg_entropy", dim=1, shift=2.0), 0.5),
+             (catalog("euclid_norm", n=2, gamma=0.2), bregman_catalog("neg_entropy", dim=2, shift=4.0),
+              0.3)]
+    for key, (h, phi, beta) in enumerate(cases):
+        fn, grad = P._bregman_objective(h, phi, beta)
+        Y, Xc = _starts(h.domain, GlobalSolveConfig(), 40, key=140 + key), _starts(
+            h.domain, GlobalSolveConfig(), 40, key=150 + key)
+        Y = Y[np.linalg.norm(Y, axis=-1) > 0.1]  # off the kink of euclid_norm
+        Xc = Xc[: Y.shape[0]]
+        G, eps = grad(Xc, Y), 1e-6
+        for j in range(h.dim):
+            e = np.zeros(h.dim)
+            e[j] = eps
+            fd = (fn(Xc, Y + e) - fn(Xc, Y - e)) / (2.0 * eps)
+            np.testing.assert_allclose(G[:, j], fd, rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("x, beta, shift, lo", [([1.2, -0.7], 1.0, 4.0, None),
+                                                ([3.0, -2.0], 0.2, 4.0, None),
+                                                ([1.0, 0.3], 0.7, 0.0, 0.0)],
+                         ids=["at_the_kink", "interior", "box_on_the_zone_boundary"])
+def test_bregman_prox_neg_entropy_matches_2d_grid_oracle(x, beta, shift, lo):
+    # ||y|| with the entropy kernel shifted by `shift`, on its box [-w, w]^2,
+    # w = 3.54, or on [lo, 2]^2.  The first center's proximal point is the
+    # kink 0 (the divergence's gradient there is shorter than 1 / beta), the
+    # others' are interior.  On [0, 2]^2 the seeds on the zone's boundary have
+    # a -inf gradient; no inf or NaN may reach a step (warnings are errors)
+    h = catalog("euclid_norm", n=2, gamma=0.2)
+    K = h.domain if lo is None else Box(np.full(2, lo), np.full(2, 2.0))
+    phi = bregman_catalog("neg_entropy", dim=2, shift=shift)
+    x = np.array(x)
+
+    def sub(Y):
+        Z, Zx = Y + shift, x + shift
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = np.where(Z > 0, Z * np.log(Z / Zx), 0.0)
+        return np.linalg.norm(Y, axis=-1) + np.sum(ent - (Y - x), axis=-1) / beta
+
+    center, half = (K.lo + K.hi) / 2.0, (K.hi - K.lo) / 2.0
+    for _ in range(3):  # a dense grid, then two zooms about its minimum
+        axes = [np.linspace(max(c - r, l), min(c + r, u), 801)
+                for c, r, l, u in zip(center, half, K.lo, K.hi)]
+        Y = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        V = sub(Y)
+        center, v_star = Y[int(np.argmin(V))], float(np.min(V))
+        half = np.array([2.0 * (a[1] - a[0]) for a in axes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bregman_prox(h, K, phi, beta, x)
+    assert res.value <= v_star + 1e-12
+    assert np.linalg.norm(res.point - center) <= 2.0 * np.linalg.norm(half)
+
+
 def test_bregman_prox_zone_violation():
     h = abs_on_box(4.0, 0.25)
     phi = bregman_catalog("neg_entropy", dim=1)
@@ -269,7 +331,7 @@ def _refine_subproblems():
     glt = bifunction_catalog("glt_example", p=2.0, q=2.0, n=2)
     glt_fy, glt_gy = glt.y_objective(np.array([0.7, 1.9]))
     pn = catalog("power_norm", n=2, halfwidth=10.0)
-    pn_fn, _ = P._prox_objective(pn.value_many, None, 0.5)
+    pn_fn, pn_grad = P._prox_objective(pn.value_many, pn.grad_many, 0.5)
     return [
         ("sin_quad_prox", sq_fn, sq_grad, np.array([[2.4], [-1.3]]), sq.domain,
          GlobalSolveConfig(search_radius=6.0)),
@@ -277,24 +339,20 @@ def _refine_subproblems():
          np.array([[0.7, 1.9]]), glt.domain, GlobalSolveConfig()),
         ("glt2d_certificate", glt.fn, glt.partial_grad_y, np.array([[0.7, 1.9], [2.6, 0.4]]),
          glt.domain, GlobalSolveConfig()),
-        ("power_norm2_prox", pn_fn, None, np.array([[3.5, -4.2], [-0.3, 1.1]]), pn.domain,
+        ("power_norm2_prox", pn_fn, pn_grad, np.array([[3.5, -4.2], [-0.3, 1.1]]), pn.domain,
          GlobalSolveConfig()),
     ]
 
 
-def _refiners(P, case, C):
-    """Each applicable refiner as ``refine(X, own)`` on the stack with centers ``C``."""
+def _refiner(P, case, C):
+    """The projected-gradient refine as ``refine(X, own)`` on the stack with centers ``C``."""
     _, fn, grad, _, K, cfg = case
-
-    def compass(X, own):
-        stack = P._Stack(fn, grad, C)
-        return P._refine_compass(stack.fn, K, X, stack.fn(own, X), own, cfg)[:2]
 
     def pg(X, own):
         stack = P._Stack(fn, grad, C)
         return P._refine_pg(stack.fn, stack.grad, K, X, stack.fn(own, X), own, cfg)[:2]
 
-    return [compass] if grad is None else [compass, pg]
+    return pg
 
 
 def _starts(K, cfg, m, key):
@@ -311,11 +369,11 @@ def test_lockstep_refiners_rows_are_independent(case):
     C, K, cfg = case[3][:1], case[4], case[5]
     X = _starts(K, cfg, 12, key=97)
     own = np.zeros(X.shape[0], dtype=int)
-    for refine in _refiners(P, case, C):
-        XB, FB = refine(X.copy(), own)
-        for i in range(X.shape[0]):
-            xi, fi = refine(X[i : i + 1].copy(), own[i : i + 1])
-            assert np.array_equal(xi[0], XB[i]) and fi[0] == FB[i], i
+    refine = _refiner(P, case, C)
+    XB, FB = refine(X.copy(), own)
+    for i in range(X.shape[0]):
+        xi, fi = refine(X[i : i + 1].copy(), own[i : i + 1])
+        assert np.array_equal(xi[0], XB[i]) and fi[0] == FB[i], i
 
 
 @pytest.mark.parametrize("case", [c for c in _refine_subproblems() if len(c[3]) == 2],
@@ -328,20 +386,19 @@ def test_lockstep_refiners_stack_equals_each_problem_solo(case):
     C, K, cfg = case[3], case[4], case[5]
     X = np.concatenate([_starts(K, cfg, 9, key=98), _starts(K, cfg, 7, key=99)])
     own = np.repeat([0, 1], [9, 7])
-    for stacked, solo0, solo1 in zip(_refiners(P, case, C), _refiners(P, case, C[:1]),
-                                     _refiners(P, case, C[1:])):
-        XS, FS = stacked(X.copy(), own)
-        for p, solo in ((0, solo0), (1, solo1)):
-            mine = own == p
-            xp, fp = solo(X[mine].copy(), np.zeros(int(mine.sum()), dtype=int))
-            assert np.array_equal(xp, XS[mine]) and np.array_equal(fp, FS[mine]), p
+    XS, FS = _refiner(P, case, C)(X.copy(), own)
+    for p in (0, 1):
+        mine = own == p
+        xp, fp = _refiner(P, case, C[p : p + 1])(X[mine].copy(), np.zeros(int(mine.sum()), dtype=int))
+        assert np.array_equal(xp, XS[mine]) and np.array_equal(fp, FS[mine]), p
 
 
 def test_global_solve_stack_equals_each_problem_solo():
     # per-problem seeding (each center is an extra start), 1-D brackets and
-    # bracket search (by derivative: sin_quad's prox and glt_example's
-    # certificate; by values: BPPA's neg_entropy subproblem), tie
-    # representatives, polish, evaluation and batch counts
+    # bracket search (by derivative: sin_quad's prox, glt_example's
+    # certificate and BPPA's neg_entropy subproblem; by values: a kinked
+    # objective without a derivative), tie representatives, polish,
+    # evaluation and batch counts
     P = _prox_mod()
     cases = []
     for h, cfg in ((catalog("sin_quad"), GlobalSolveConfig(search_radius=6.0)),
@@ -351,14 +408,13 @@ def test_global_solve_stack_equals_each_problem_solo():
     glt = bifunction_catalog("glt_example", p=2.0, q=2.0)
     cases.append((glt.fn, glt.partial_grad_y, glt.domain, GlobalSolveConfig(grid_density=2001),
                   np.array([[0.2], [1.3], [3.6]]), False))
-    gw, phi = catalog("gauss_well"), bregman_catalog("neg_entropy", dim=1, shift=2.0)
-
-    def bregman(Xc, Y):  # bregman_prox's subproblem
-        return np.where(phi.closure_contains(Y),
-                        gw.value_many(Y) + phi.divergence_many(Y, Xc) / 0.5, np.inf)
-
-    cases.append((bregman, None, gw.domain, GlobalSolveConfig(), np.array([[-0.6], [0.1], [0.8]]),
+    gw = catalog("gauss_well")
+    fn, grad = P._bregman_objective(gw, bregman_catalog("neg_entropy", dim=1, shift=2.0), 0.5)
+    cases.append((fn, grad, gw.domain, GlobalSolveConfig(), np.array([[-0.6], [0.1], [0.8]]),
                   True))
+    fn, _ = P._prox_objective(lambda Y: np.abs(np.abs(Y[:, 0]) - 1.0), None, 0.7)
+    cases.append((fn, None, box1d(-2.0, 2.0), GlobalSolveConfig(),
+                  np.array([[-0.6], [0.0], [1.7]]), True))
     for fn, grad, K, cfg, C, seed_centers in cases:
         stacked = P._global_min_impl(fn, grad, K, cfg, C, seed_centers=seed_centers)
         for p, res in enumerate(stacked):
@@ -390,15 +446,13 @@ def test_n_evals_counts_every_row_the_objective_sees():
     h = catalog("power_norm", n=2, halfwidth=1.0)
     rows = []
     counted = dataclasses.replace(h, fn=lambda X: rows.append(len(X)) or h.fn(X))
-    # no gradient on either side: compass search, whose four stacked solves
-    # below evaluate over 2^15 rows in many fn batches
-    one = prox_point(counted.value_many, None, h.domain, 0.5, np.array([0.6, -0.8]),
-                     GlobalSolveConfig())
+    # the seeds, every refine batch and the polish, alone and in a stack of four
+    one = prox(counted, x=np.array([0.6, -0.8]), beta=0.5)
     assert one.n_evals == sum(rows)
     rows.clear()
     C = np.array([[0.6, -0.8], [0.1, 0.2], [-1.0, 1.0], [0.3, 0.9]])
-    many = prox_many(counted.value_many, None, h.domain, 0.5, C, GlobalSolveConfig())
-    assert sum(r.n_evals for r in many) == sum(rows) > 1 << 15
+    many = prox_many(counted.value_many, counted.grad_many, h.domain, 0.5, C, GlobalSolveConfig())
+    assert sum(r.n_evals for r in many) == sum(rows)
     assert many[0].n_evals == one.n_evals
 
 
@@ -526,3 +580,40 @@ def test_1d_brackets_every_local_minimum_up_to_n_starts():
         np.testing.assert_allclose(X3[:, 1], minima, atol=0.01)
         assert np.all((slope(X3[:, 0]) < 0) & (slope(X3[:, 2]) > 0))
         assert np.all(F3[:, 1] <= np.minimum(F3[:, 0], F3[:, 2]))
+
+
+# --- every benchmark solve has a gradient ------------------------------------------
+
+
+def test_every_benchmark_global_solve_gets_a_gradient(tmp_path, monkeypatch):
+    # the minimize and solve_ep job configs of one seed (``perfbench/jobs.py``,
+    # loaded read-only): every problem of every global solve steps along a
+    # gradient; BPPA's entropy subproblems and the value gap's certificate
+    # were solved without one
+    P = _prox_mod()
+    import sqopt.equilibrium as E
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("benchmark_jobs", root / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    solve, solves = P._global_min_impl, []
+
+    def recorded(raw_fn, raw_grad, K, cfg, C, seed_centers=False):
+        res = solve(raw_fn, raw_grad, K, cfg, C, seed_centers)
+        solves.extend((job_id, raw_grad is not None, r.refine_iters) for r in res)
+        return res
+
+    monkeypatch.setattr(P, "_global_min_impl", recorded)
+    monkeypatch.setattr(E, "_global_min_impl", recorded)
+    for job in jobs.make_jobs("minimize", 31) + jobs.make_jobs("solve_ep", 31):
+        job_id = job["id"]
+        path = tmp_path / f"{job_id}.json"
+        path.write_text(json.dumps(job["config"]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([job["command"], "--config", str(path), "--out", str(tmp_path / job_id)])
+        assert code == 0, job_id
+    assert len(solves) > 700
+    assert [job_id for job_id, has_grad, _ in solves if not has_grad] == []
+    bppa = [n for job_id, _, n in solves if job_id == "bppa_gauss_well"]
+    assert len(bppa) > 10 and statistics.median(bppa) <= 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import abs_on_box, cubic_mix, half_quad, indefinite_quad, linear_on
-from sqopt.functions import Objective, catalog, value_gap
+from sqopt.functions import Bifunction, Objective, catalog, value_gap
 from sqopt.geometry import Ball, Box, FullSpace, HalfspaceIntersection, box1d, rng_for
 from sqopt import verify
 from sqopt.verify import CheckReport
@@ -434,6 +434,36 @@ def test_overstated_sqc_witnesses_come_from_several_blocks(monkeypatch):
     X = 10.0 * rng_for(2).random((n, 3))[:, 0]
     rows = [int(np.nonzero(X == w["x"][0])[0][0]) for w in rep.witnesses]
     assert len({r // block for r in rows}) > 1
+
+
+def test_a4_witnesses_are_the_worst_of_all_slices_with_their_slice_point():
+    # f(x, y) = -(1 + 9x)(y - 1/2)^2 is concave in y, more steeply the larger
+    # x is: every slice fails, and its worst violations lie in the slices of
+    # large x, not in the first ones
+    f = Bifunction(name="concave", dim=1, domain=box1d(0.0, 1.0), gamma=1.0, eta=0.0,
+                   fn=lambda X, Y: -(1.0 + 9.0 * np.asarray(X)[..., 0])
+                   * (np.asarray(Y)[..., 0] - 0.5) ** 2)
+    rep = verify.check_a4_sampled(f, n_triples=500, seed=3)
+    Xs = verify._map_to_set(f.domain, rng_for(3 + 101).random((8, 1)), None)
+    slices = [verify.check_sqc_sampled(
+        Objective(name=f"slice{j}", dim=1, domain=f.domain, modulus=1.0,
+                  fn=lambda Y, x=x: f.fn(x, Y)), n_triples=500, seed=3 + j)
+        for j, x in enumerate(Xs)]
+    assert rep.samples == 8 * 500 and not rep.passed
+    assert rep.worst_margin == min(s.worst_margin for s in slices)
+
+    def margin(x, w):  # check_sqc_sampled's normalized margin of a witness
+        y0, y1, t = np.array(w["x"]), np.array(w["y"]), w["t"]
+        v = f.fn(x, np.stack([y0, y1, t * y1 + (1.0 - t) * y0]))
+        return w["slack"] / (1.0 + max(abs(max(v[0], v[1])), abs(v[2])))
+
+    # each slice's witnesses are its own worst; the report's are the worst of
+    # their union, ties to the earlier slice, each with its slice point
+    pool = sorted((margin(x, w), j, k, {"x_slice": x.tolist(), **w})
+                  for j, (x, s) in enumerate(zip(Xs, slices)) for k, w in enumerate(s.witnesses))
+    assert rep.witnesses == [w for *_, w in pool[: verify.WITNESS_CAP]]
+    worst = int(np.argmin([s.worst_margin for s in slices]))
+    assert worst > 0 and rep.witnesses[0]["x_slice"] == Xs[worst].tolist()
 
 
 @pytest.mark.parametrize("d", [2, 3])
