@@ -9,16 +9,16 @@ whose norm passes the discrete methods' ``DIVERGENCE_GUARD`` aborts the
 integration with ``FloatingPointError``.
 
 A step costs little beyond its arithmetic.  Each integration builds its field
-once; the field calls ``h.grad`` on the lone stage point, exactly as
-``Objective.grad_at`` does but without re-validating it (``x0``/``v0`` are
-validated once, at entry; a one-row batch could round differently where
-NumPy vectorizes a power).  The guard is one scalar test per step,
-``z.dot(z) <= DIVERGENCE_GUARD**2``, which a non-finite state fails, and so
-does any state whose norm ``sqrt(z.dot(z))`` passes the guard; a state that
-fails it gets the exact finiteness and norm checks, so runs abort exactly
-where a full check at every step would.  A non-finite stage point makes the
-step's state non-finite, and the arithmetic's floating-point warnings are
-silenced: the guard reports such a state.
+once, and the state is carried as one row, so the field calls ``h.grad`` on
+a one-row batch, with the bits ``Objective.grad_at`` gives, but with no
+reshape or re-validation per call (``x0``/``v0`` are validated once, at
+entry).  The guard is one scalar test per step,
+``np.vdot(z, z) <= DIVERGENCE_GUARD**2``, which a non-finite state fails, and
+so does any state whose norm ``sqrt(np.vdot(z, z))`` passes the guard; a
+state that fails it gets the exact finiteness and norm checks, so runs abort
+exactly where a full check at every step would.  A non-finite stage point
+makes the step's state non-finite, and the arithmetic's floating-point
+warnings are silenced: the guard reports such a state.
 """
 
 from __future__ import annotations
@@ -57,16 +57,17 @@ def _check_state(z: np.ndarray, t) -> None:
 
 
 def _rk4(field, z0: np.ndarray, T: float, dt: float):
+    """States of the fixed-step RK4 run from the point ``z0``; ``field(t, z)`` takes one row."""
     if dt <= 0 or T < dt:
         raise ValueError("need dt > 0 and T >= dt")
     n_steps = int(round(T / dt))
     times = np.arange(n_steps + 1) * dt
     out = np.empty((n_steps + 1, z0.shape[0]))
     out[0] = z0
-    z = z0.copy()
+    z = z0[None]
     h2, h6 = 0.5 * dt, dt / 6.0
-    # np.linalg.norm(z) is sqrt(z.dot(z)), and sqrt is monotone, so a state
-    # passing this test passes the exact check; NaN and inf fail it
+    # np.linalg.norm(z) is sqrt(np.vdot(z, z)), and sqrt is monotone, so a
+    # state passing this test passes the exact check; NaN and inf fail it
     bound = DIVERGENCE_GUARD**2
     with np.errstate(all="ignore"):
         for i in range(n_steps):
@@ -77,7 +78,7 @@ def _rk4(field, z0: np.ndarray, T: float, dt: float):
             k3 = field(tm, z + h2 * k2)
             k4 = field(t + dt, z + dt * k3)
             z = z + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not z.dot(z) <= bound:
+            if not np.vdot(z, z) <= bound:
                 _check_state(z, t + dt)
             out[i + 1] = z
     return times, out
@@ -110,11 +111,8 @@ def integrate_ds2(h: Objective, damping: float, x0, v0, T: float, dt: float) -> 
     grad = h.grad
 
     def field_fn(t, z):
-        v = z[n:]
-        dz = np.empty(2 * n)
-        dz[:n] = v
-        dz[n:] = -damping * v - grad(z[:n])
-        return dz
+        v = z[:, n:]
+        return np.concatenate([v, -damping * v - grad(z[:, :n])], axis=1)
 
     times, Z = _rk4(field_fn, np.concatenate([x0, v0]), T, dt)
     states, vel = Z[:, :n], Z[:, n:]

@@ -255,7 +255,7 @@ def validate_reg_ep(prob: EpProblem, p: EpParams) -> list[str]:
 def _ep_recorder(prob: EpProblem, x0: np.ndarray) -> _Recorder:
     """Trace recorder against f(x0, x^k): zero at x0, negative past it."""
     ref = x0.copy()
-    return _Recorder(lambda x: float(prob.f.fn(ref, np.asarray(x, dtype=float))), x0)
+    return _Recorder(lambda x: prob.f.value(ref, x), x0)
 
 
 def start_rippa_ep(prob: EpProblem, p: EpParams, x0) -> Run:
@@ -368,7 +368,7 @@ def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> b
     """Strict-level-set condition: f(z, y) < f(z, x) implies w.(y - x) < 0."""
     from .verify import _map_to_set, _unit_blocks
 
-    fz_x = float(f.fn(z, x))
+    fz_x = f.value(z, x)
     for _, U in _unit_blocks(seed, n_samples, K.dim):
         Y = _map_to_set(K, U, radius)
         lower = Y[f.fn(np.broadcast_to(z, Y.shape), Y) < fz_x - 1e-12]
@@ -380,7 +380,8 @@ def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> b
 def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: bool) -> IterationTrace:
     f = prob.f
     notes = validate_eg(prob, p, peg=not normalized, oracle=oracle)
-    oracle = f.partial_grad_y if oracle is None else oracle
+    if oracle is None:
+        oracle = lambda z, x: f.partial_grad_y(z[None], x[None])[0]
     cfg = p.solve_cfg()
     x = as_point(x0, f.dim)
     rec = _ep_recorder(prob, x)
@@ -395,7 +396,7 @@ def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: boo
         target = (p.ls_alpha / (2.0 * beta_k)) * r * r
         for m in range(LINE_SEARCH_CAP + 1):
             z = (1.0 - p.ls_rho**m) * x + p.ls_rho**m * y
-            if float(f.fn(z, x)) - float(f.fn(z, y)) >= target:
+            if f.value(z, x) - f.value(z, y) >= target:
                 ls_counts.append(m)
                 break
         else:

@@ -3,8 +3,13 @@
 Every entry declares the modulus it is certified for on its domain.  Declared
 moduli are guaranteed lower bounds: either a published closed form or a frozen
 constant obtained from a dense-grid certification run (those constants sit
-strictly below the grid infimum).  All evaluation callables broadcast over a
-leading batch axis, i.e. they accept shape ``(n,)`` or ``(m, n)``.
+strictly below the grid infimum).
+
+One batch contract: the program calls every evaluation callable with rows,
+shape ``(m, n)``, and each row gets the bits it gets in a one-row batch.  A
+lone point is a one-row batch: ``Objective.value``, ``Objective.grad_at``,
+``Bifunction.value`` and ``BregmanFunction.divergence`` evaluate ``x[None]``
+and return row 0, so a point gets its row's bits wherever it is evaluated.
 
 ``power_norm``, ``euclid_norm`` and ``abs_shift`` have a kink at their
 minimizer; their ``grad`` is a subgradient there (0) and the gradient
@@ -44,7 +49,8 @@ class Objective:
     """An evaluable objective with a declared strong-quasiconvexity modulus.
 
     ``modulus`` is the declared modulus on ``domain`` (0 means merely
-    quasiconvex).  ``fn`` and ``grad`` broadcast over a leading batch axis.
+    quasiconvex).  ``fn`` and ``grad`` take rows ``(m, n)``; ``value`` and
+    ``grad_at`` evaluate one point as a one-row batch.
     ``known_min`` is ``(argmin, min_value)`` when the minimizer is known.
     A ``grad`` that is not ``smooth`` is the gradient away from kinks and a
     fixed subgradient on them; the global solver uses it, and everything
@@ -64,7 +70,7 @@ class Objective:
     smooth: bool = True
 
     def value(self, x) -> float:
-        return float(self.fn(as_point(x, self.dim)))
+        return float(self.value_many(as_point(x, self.dim)[None])[0])
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
@@ -74,9 +80,7 @@ class Objective:
         return self.grad is not None and self.smooth
 
     def grad_at(self, x) -> np.ndarray:
-        if self.grad is None:
-            raise ValueError(f"objective {self.name!r} has no gradient")
-        return np.asarray(self.grad(as_point(x, self.dim)), dtype=float)
+        return self.grad_many(as_point(x, self.dim)[None])[0]
 
     def grad_many(self, X: np.ndarray) -> np.ndarray:
         if self.grad is None:
@@ -88,9 +92,10 @@ class Objective:
 class Bifunction:
     """Equilibrium bifunction f(x, y), strongly quasiconvex in y on the domain.
 
-    ``fn(X, Y)`` and ``partial_grad_y(X, Y)`` take one x for a batch of y,
-    or paired rows (row ``i`` of ``X`` with row ``i`` of ``Y``); a paired row
-    gets exactly the bits of the one-x call.  A value gap copies ``smooth``
+    ``fn(X, Y)`` and ``partial_grad_y(X, Y)`` take paired rows (row ``i`` of
+    ``X`` with row ``i`` of ``Y``), or one row of ``X`` for every row of
+    ``Y``; a paired row gets exactly the bits of the one-row call.  ``value``
+    evaluates one pair as one-row batches.  A value gap copies ``smooth``
     from its objective; the extragradient methods refuse a ``partial_grad_y``
     that is not, while the global solver takes it.  ``gamma``
     is the declared per-x modulus of ``f(x, .)`` and ``eta`` the declared
@@ -111,13 +116,13 @@ class Bifunction:
     smooth: bool = True
 
     def value(self, x, y) -> float:
-        return float(self.fn(as_point(x, self.dim), as_point(y, self.dim)))
+        return float(self.fn(as_point(x, self.dim)[None], as_point(y, self.dim)[None])[0])
 
     def y_objective(self, x):
         """``(fy, gy)`` for the proximal subproblem in the second argument."""
         if self.y_parts is not None:
             return self.y_parts(np.asarray(x, dtype=float))
-        xa = np.asarray(x, dtype=float)
+        xa = np.asarray(x, dtype=float)[None]
         fy = lambda Y: self.fn(xa, Y)
         gy = None
         if self.partial_grad_y is not None:
@@ -129,8 +134,10 @@ class Bifunction:
 class BregmanFunction:
     """Bregman kernel phi with zone S and divergence D(x, y).
 
-    ``grad_divergence(Y, X)`` is ``grad_phi(y) - grad_phi(x)`` for paired rows,
-    taken without cancellation: accurate relative to its size near y = x.
+    ``phi`` and ``grad_phi`` take rows, and ``grad_divergence(Y, X)`` is
+    ``grad_phi(y) - grad_phi(x)`` for paired rows, taken without
+    cancellation: accurate relative to its size near y = x.  ``divergence``
+    evaluates one pair as one-row batches.
     """
 
     name: str
@@ -144,14 +151,14 @@ class BregmanFunction:
     def divergence_many(self, Y: np.ndarray, x: np.ndarray) -> np.ndarray:
         """D(y, x) = phi(y) - phi(x) - grad_phi(x) . (y - x), batched over y.
 
-        ``x`` is one point or one row per row of ``Y``.
+        ``x`` is one row per row of ``Y``, or one row for all of them.
         """
         Y = np.asarray(Y, dtype=float)
         x = np.asarray(x, dtype=float)
         return self.phi(Y) - self.phi(x) - np.einsum("...i,...i->...", Y - x, self.grad_phi(x))
 
     def divergence(self, x, y) -> float:
-        return float(self.divergence_many(np.asarray(x, dtype=float)[None, :], y)[0])
+        return float(self.divergence_many(as_point(x, self.dim)[None], as_point(y, self.dim)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +395,6 @@ def _quad_fractional(
         nv, dv = num(X), den(X)
         gn = np.einsum("...i,ij->...j", X, A) + a
         gd = np.einsum("...i,ij->...j", X, B) + b
-        # dv * dv, not dv**2: on a lone point dv is a NumPy scalar, whose power
-        # may round differently from the array square
         return (gn * dv[..., None] - nv[..., None] * gd) / (dv * dv)[..., None]
 
     return Objective(
@@ -528,27 +533,16 @@ def combine_max(hs: list[Objective]) -> Objective:
 # ---------------------------------------------------------------------------
 
 
-def _as_rows(fn, X):
-    """``fn`` on ``X`` evaluated as a batch of rows, also for a lone point.
-
-    A lone point then gets the bits its row gets in a batch: NumPy scalar
-    arithmetic (``np.float64 ** 0.25``) may round differently from the array
-    loops.
-    """
-    X = np.asarray(X, dtype=float)
-    return fn(X[None])[0] if X.ndim == 1 else fn(X)
-
-
 def value_gap(h: Objective) -> Bifunction:
     """f(x, y) = h(y) - h(x); the equilibrium problem collapses to minimizing h."""
 
     def fn(X, Y):
-        return _as_rows(h.fn, Y) - _as_rows(h.fn, X)
+        return h.fn(Y) - h.fn(X)
 
     def y_parts(x):
         return h.fn, h.grad
 
-    pg = None if h.grad is None else (lambda x, Y: _as_rows(h.grad, Y))
+    pg = None if h.grad is None else (lambda X, Y: h.grad(Y))
     return Bifunction(
         name=f"value_gap({h.name})",
         dim=h.dim,

@@ -290,7 +290,9 @@ class HalfspaceIntersection(FeasibleSet):
 
     def _project_many(self, X):
         A, b = self.normals, self.bounds
-        rows = np.nonzero(np.any(X @ A.T - b > 0, axis=1))[0]
+        # einsum, not ``X @ A.T``: a matrix product may round a row differently
+        # inside a batch than alone, and so pick a different set of rows
+        rows = np.nonzero(np.any(np.einsum("ij,kj->ik", X, A) - b > 0, axis=1))[0]
         out = X.copy()
         if rows.size == 0:
             return out

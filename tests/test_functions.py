@@ -1,10 +1,17 @@
+import contextlib
 import dataclasses
+import importlib.util
+import io
+import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import grid_min_1d
 from sqopt.functions import (
+    BREGMAN_NAMES,
     CATALOG_NAMES,
     Objective,
     bifunction_catalog,
@@ -416,14 +423,45 @@ def _paired_bifunction_entries():
 @pytest.mark.parametrize("f", _paired_bifunction_entries(), ids=lambda f: f.name)
 def test_bifunction_paired_rows_equal_one_x_calls(f):
     # fn(X, Y) and partial_grad_y(X, Y) pair row i of X with row i of Y; each
-    # row gets exactly the bits of the call with x = X[i] alone
+    # row gets exactly the bits of the call with the one row X[i] for all of Y
     X = _seeded_batch(f.domain, 40, seed=64)
     Y = _seeded_batch(f.domain, 40, seed=65)
     V = f.fn(X, Y)
-    assert all(f.fn(X[i], Y)[i] == V[i] for i in range(X.shape[0]))
+    assert all(f.fn(X[i : i + 1], Y)[i] == V[i] for i in range(X.shape[0]))
     if f.partial_grad_y is not None:
         G = f.partial_grad_y(X, Y)
-        assert all(np.array_equal(f.partial_grad_y(X[i], Y)[i], G[i]) for i in range(X.shape[0]))
+        assert all(np.array_equal(f.partial_grad_y(X[i : i + 1], Y)[i], G[i]) for i in range(X.shape[0]))
+
+
+def _lone_point_cases():
+    """``(id, lone, batch, args)``: each lone-point entry point, its batch form and rows."""
+    cases = []
+    for h in all_catalog_entries():
+        X = _seeded_batch(h.domain, 2000, seed=74)
+        cases.append((f"{h.name} value", h.value, h.value_many, (X,)))
+        if h.grad is not None:
+            cases.append((f"{h.name} grad_at", h.grad_at, h.grad_many, (X,)))
+    gaps = [value_gap(h) for h in all_catalog_entries()]
+    for f in gaps + [glt_example(2, 2), glt_example(2, 2, n=2), glt_example(3, 1.5, n=3)]:
+        args = (_seeded_batch(f.domain, 2000, seed=75), _seeded_batch(f.domain, 2000, seed=76))
+        cases.append((f"{f.name} value", f.value, f.fn, args))
+    cube = Box(-np.ones(3), np.ones(3))
+    for name in BREGMAN_NAMES:
+        phi = bregman_catalog(name, dim=3, shift=1.5)
+        args = (_seeded_batch(cube, 2000, seed=77), _seeded_batch(cube, 2000, seed=78))
+        cases.append((f"{phi.name} divergence", phi.divergence, phi.divergence_many, args))
+    return cases
+
+
+@pytest.mark.parametrize("case", _lone_point_cases(), ids=lambda case: case[0])
+def test_lone_point_entry_points_equal_their_batch_rows_bit_for_bit(case):
+    # a lone point is a one-row batch; evaluated as a NumPy scalar, root_quartic
+    # and power_norm rounded some points differently alone
+    _, lone, batch, args = case
+    alone = np.array([lone(*(A[i] for A in args)) for i in range(args[0].shape[0])])
+    rows = np.asarray(batch(*args), dtype=float)
+    assert alone.shape == rows.shape
+    assert np.count_nonzero(alone.view(np.int64) != rows.view(np.int64)) == 0
 
 
 def _quad_fractional_4d():
@@ -461,3 +499,56 @@ def test_einsum_sites_batch_equal_row_by_row():
         Xc = _seeded_batch(cube, 64, seed=70)
         D = phi.divergence_many(Y, Xc)
         assert all(phi.divergence_many(Y[i], Xc[i]) == D[i] for i in range(Y.shape[0]))
+
+
+def test_benchmark_jobs_call_catalog_callables_with_rows_only(tmp_path, monkeypatch):
+    # every job config of the three workloads of one seed (``perfbench/jobs.py``,
+    # loaded read-only); at seed 31 they made 33,238 lone-point calls, 32,000
+    # of them from the RK4 field of the dynamics job
+    from sqopt import cli, harness
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("benchmark_jobs", root / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    lone = Counter()
+
+    def rec(kind, fn):  # fn, counting each call with an argument that is not rows
+        if fn is None:
+            return None
+
+        def recorded(*args):
+            lone[kind] += any(np.ndim(a) != 2 for a in args)
+            return fn(*args)
+
+        return recorded
+
+    def objective(h):
+        return dataclasses.replace(h, fn=rec("fn", h.fn), grad=rec("grad", h.grad))
+
+    def bifunction(f):
+        def y_parts(x):  # a lone center, for callables that take rows
+            fy, gy = f.y_parts(x)
+            return rec("y_parts fn", fy), rec("y_parts grad", gy)
+
+        return dataclasses.replace(f, fn=rec("bifunction fn", f.fn),
+                                   partial_grad_y=rec("partial_grad_y", f.partial_grad_y),
+                                   y_parts=y_parts if f.y_parts else None)
+
+    def bregman(phi):
+        return dataclasses.replace(phi, phi=rec("phi", phi.phi), grad_phi=rec("grad_phi", phi.grad_phi),
+                                   grad_divergence=rec("grad_divergence", phi.grad_divergence))
+
+    for name, wrap in (("catalog", objective), ("bifunction_catalog", bifunction),
+                       ("bregman_catalog", bregman)):
+        build = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, build=build, wrap=wrap, **kw: wrap(build(*a, **kw)))
+    every_job = [job for workload in jobs.WORKLOADS for job in jobs.make_jobs(workload, 31)]
+    assert len(every_job) == 38
+    for job in every_job:
+        path = tmp_path / f"{job['id']}.json"
+        path.write_text(json.dumps(job["config"]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([job["command"], "--config", str(path), "--out", str(tmp_path / job["id"])])
+        assert code == 0, job["id"]
+    assert sum(lone.values()) == 0, dict(lone)

@@ -178,6 +178,17 @@ def test_lockstep_dykstra_equals_row_by_row():
     assert np.max(np.abs(P[1000:1200] - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("key", range(5))
+def test_projected_points_reproject_alike_in_a_batch_and_alone(key):
+    # the violation test ``X @ A.T - b > 0`` picked different rows for 372 of
+    # these 15,000 points on the boundary inside the batch than alone
+    rng = np.random.Generator(np.random.Philox(key=90 + key))
+    for d in (2, 3, 4):
+        K = HalfspaceIntersection(rng.standard_normal((2 * d, d)), rng.random(2 * d) + 0.5)
+        P = K.project_many(rng.standard_normal((1000, d)))
+        assert np.array_equal(K.project_many(P), np.stack([K.project(p) for p in P]))
+
+
 def test_single_halfspace_batch_equals_row_by_row():
     K = HalfspaceIntersection(np.array([[3.0, 4.0]]), np.array([1.0]))
     X = 3.0 * (2.0 * np.random.Generator(np.random.Philox(key=73)).random((500, 2)) - 1.0)

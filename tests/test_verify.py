@@ -344,6 +344,39 @@ def test_grad_check_sin_quad_origin():
     assert rep.passed and rep.estimate <= 1e-8
 
 
+def _grad_check_loop(h, P):
+    """The relative errors of the per-point, per-coordinate loop grad_check ran."""
+    rels = []
+    for x in P:
+        step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        fd = np.empty_like(x)
+        for j in range(x.shape[0]):
+            e = np.zeros_like(x)
+            e[j] = step
+            fd[j] = (h.value(x + e) - h.value(x - e)) / (2.0 * step)
+        g = h.grad_at(x)
+        rels.append(float(np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(g))))
+    return np.array(rels)
+
+
+@pytest.mark.parametrize("h", [catalog("gauss_well"), catalog("root_quartic", k=1.0, c=2.0),
+                               catalog("power_norm", n=2), catalog("euclid_norm", n=3)],
+                         ids=lambda h: h.name.split("(")[0])
+def test_grad_check_batch_equals_the_per_point_loop(h):
+    # in 1-D each point's error is the loop's bit for bit; above it the norms
+    # are row sums, not dot products, and a step one ulp off moves a
+    # difference quotient by about eps |h| / step, well below 1e-9
+    P = h.domain.sample(seed=79, m=300)
+    ref = _grad_check_loop(h, P)
+    rep = verify.grad_check(h, P)
+    rels = np.array([verify.grad_check(h, P[i : i + 1]).estimate for i in range(P.shape[0])])
+    assert rep.passed == (ref.max() <= verify.GRAD_RTOL) and rep.estimate == rels.max()
+    if h.dim == 1:
+        assert np.array_equal(rels, ref)
+    else:
+        np.testing.assert_allclose(rels, ref, rtol=0.0, atol=1e-9)
+
+
 def test_grad_check_negative_control():
     h = Objective(name="wrong", dim=1, domain=box1d(-1, 1), modulus=0.0,
                   fn=lambda X: X[..., 0] ** 2,
