@@ -100,7 +100,7 @@ def main(argv=None) -> int:
             print(strict_json(info))
             return EXIT_OK
         if args.command == "sweep":
-            table = sweep_compare(cfg, args.out, workers=args.workers)
+            table = sweep_compare(cfg, args.out)
             print(strict_json(table))
             return EXIT_OK
     except SchemaError as e:

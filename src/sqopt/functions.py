@@ -273,10 +273,8 @@ def _inv_gap() -> Objective:
 
     def fn(X):
         t = X[..., 0]
-        out = np.zeros_like(t)
         pos = t > 0
-        out = np.where(pos, np.divide(-1.0, t, out=np.zeros_like(t), where=pos), 0.0)
-        return out
+        return np.where(pos, np.divide(-1.0, t, out=np.zeros_like(t), where=pos), 0.0)
 
     return Objective(
         name="inv_gap",

@@ -433,7 +433,7 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
 _SWEEP_KINDS = {"alphas": Kind("numbers"), "rhos": Kind("numbers")}
 
 
-def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
+def sweep_compare(cfg: dict, out_dir) -> dict:
     """(alpha, rho) grid for the relaxed-inertial solver vs. the plain baseline.
 
     Rows come out in grid order (alpha outer, rho inner) with the baseline
@@ -447,7 +447,7 @@ def sweep_compare(cfg: dict, out_dir, workers: int = 1) -> dict:
     alone.  Equilibrium cells' requests have no key and are solved one at a
     time.  A cell that raises ValueError or RuntimeError becomes an error
     row; any other exception ends the sweep after the rows before it are
-    written.  ``workers`` is accepted and ignored.
+    written.
     """
     validate_config(cfg, {"algorithm", "sweep"})
     grid = read(_SWEEP_KINDS, require(cfg, "sweep", "config"), "config.sweep")

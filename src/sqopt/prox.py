@@ -18,11 +18,11 @@ per batch, kink or not, and closes fast about a smooth root (Brent 1973,
 *Algorithms for Minimization without Derivatives*, on safeguarded zero
 finding).  A bracket is closed when no float lies inside it, and its
 better end is the point: exact to rounding at smooth roots and at kinks
-alike, with no polish.  ``local_tol`` plays no part in this search.  A
-minimum at an end of the samples where the derivative points out of them is
-that end, exactly.  Without a derivative, or without a sign change, a
-lockstep multisection on values closes the bracket to ``local_tol``, which
-keeps ``inv_gap`` (no attained minimum) at its sample minimum.
+alike.  ``local_tol`` plays no part in this search.  A minimum at an end of
+the samples where the derivative points out of them is that end, exactly.
+Without a derivative, or without a sign change, a lockstep multisection on
+values closes the bracket to ``local_tol``, which keeps ``inv_gap`` (no
+attained minimum) at its sample minimum.
 
 Above one dimension a gradient is required (a subgradient at kinks
 included), and every start is refined in lockstep by projected gradient.
@@ -32,11 +32,11 @@ accepted step, under an Armijo test; a rejected step is halved.
 After the search or refinement the near-ties (within 1e-8 of the best value)
 are grouped into clusters of points within 1e-7 of each other; each cluster
 is one minimizer, represented by its best-valued member, and the other
-members are dropped.  Above one dimension the representatives are polished
-by Newton on the gradient, all in one batch.  The representatives that are
-still near-ties are all retained, since the proximity operator of a
-nonconvex function is set-valued, and the returned point is the
-lexicographically smallest of them, which keeps traces deterministic.
+members are dropped.  The representatives are all retained, since the
+proximity operator of a nonconvex function is set-valued, and the returned
+point is the lexicographically smallest of them, which keeps traces
+deterministic.  No step follows the search or refinement: each point is
+returned as the search or the refine left it.
 
 One solve handles a stack of problems that share the set and the
 ``GlobalSolveConfig``.  Problem ``p`` minimizes ``fn(c_p, .)`` for its own
@@ -45,12 +45,12 @@ certificate ``min_y f(x, y)``.  The callables are paired, ``fn(Xc, Y)`` and
 ``grad(Xc, Y)`` evaluating row ``i`` of ``Y`` against center row ``i`` of
 ``Xc``, and give each row the bits it gets alone.  Seeding, the brackets
 or starts, the near-tie clusters and the result are per problem; the refine
-or bracket search and the polish run the rows of all problems together, in
-one batch per step.  They keep a working set: the active rows are compacted
-together with their state and owning problem, and a row is written back
-once, when it retires.  ``ProxResult.refine_iters`` counts the batches of
-the refine or bracket search that held a row of the problem.  ``prox``,
-``prox_point``, ``bregman_prox`` and ``global_min`` are the one-center case.
+or bracket search runs the rows of all problems together, in one batch per
+step.  It keeps a working set: the active rows are compacted together with
+their state and owning problem, and a row is written back once, when it
+retires.  ``ProxResult.refine_iters`` counts the batches of the refine or
+bracket search that held a row of the problem.  ``prox``, ``prox_point``,
+``bregman_prox`` and ``global_min`` are the one-center case.
 """
 
 from __future__ import annotations
@@ -407,58 +407,6 @@ def _search_1d(stack, grad, X3, F3, own, cfg):
     return M[:, None], FM, iters
 
 
-def _no_worse(F_new, F):
-    """True where ``F_new`` exceeds ``F`` by at most one ulp.
-
-    Values one ulp apart are ties at the floating-point floor, and a
-    best-valued representative often sits on a favourably rounded one; a
-    strict comparison would reject polish steps that move it closer to the
-    minimizer.
-    """
-    return F_new <= F + np.spacing(np.abs(F))
-
-
-def _polish_newton(fn, grad, K, X, F, own):
-    """Gradient-root polish along the steepest direction, above one dimension.
-
-    Value comparisons bottom out at sqrt(machine eps); driving the gradient
-    to zero instead reaches machine precision at interior minima.  Rows step
-    in lockstep; a row stops as soon as its step is clipped by the constraint
-    or its gradient norm grows.  A polished row replaces its start only if
-    its value does not increase (see ``_no_worse``).  Row ``i`` belongs to
-    problem ``own[i]``, as in ``_refine_pg``.
-    """
-    P = X.copy()
-    G = grad(own, P)
-    gn = _norms(G)
-    idx = np.arange(P.shape[0])  # rows still stepping
-    for _ in range(30):
-        idx = idx[gn[idx] > 1e-15 * (1.0 + _norms(P[idx]))]
-        if idx.size == 0:
-            break
-        D = -G[idx] / gn[idx, None]
-        eps = 1e-7 * (1.0 + _norms(P[idx]))
-        curv = np.einsum("ij,ij->i", grad(own[idx], P[idx] + eps[:, None] * D) - G[idx], D) / eps
-        ok = np.isfinite(curv) & (curv > 0)
-        idx, D, curv = idx[ok], D[ok], curv[ok]
-        target = P[idx] + (gn[idx] / curv)[:, None] * D
-        cand = K.project_many(target)
-        # a clipped step means the constraint became active: keep the
-        # comparison-phase point
-        ok = np.all(cand == target, axis=-1)
-        idx, cand = idx[ok], cand[ok]
-        if idx.size == 0:
-            break
-        G_new = grad(own[idx], cand)
-        gn_new = _norms(G_new)
-        ok = np.isfinite(gn_new) & (gn_new < gn[idx])
-        idx = idx[ok]
-        P[idx], G[idx], gn[idx] = cand[ok], G_new[ok], gn_new[ok]
-    FP = fn(own, P)
-    keep = _no_worse(FP, F)
-    return np.where(keep[:, None], P, X), np.where(keep, FP, F)
-
-
 def _tie_representatives(X, F) -> np.ndarray:
     """One index per cluster of near-ties: the cluster's best-valued member.
 
@@ -498,10 +446,11 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
     ``raw_fn(Xc, Y)`` and ``raw_grad(Xc, Y)`` (None only in one dimension)
     pair row ``i`` of ``Y`` with center row ``i`` of ``Xc``; a single center
     row broadcasts over all rows of ``Y``.  With ``seed_centers`` each
-    problem's projected center is an extra sample or start.  In one
-    dimension the brackets go to ``_search_1d``, above it the starts to
-    ``_refine_pg``.  Returns one result per problem, each what that problem
-    gets when solved alone.
+    problem's projected center is an extra sample or start.  Every solve is
+    one pipeline: the seeds; in one dimension the brackets go to
+    ``_search_1d``, above it the starts to ``_refine_pg``; then ``_collect``
+    clusters each problem's points, its one clustering pass.  Returns one
+    result per problem, each what that problem gets when solved alone.
     """
     if raw_grad is None and K.dim > 1:
         raise ValueError("a global solve above one dimension needs a gradient")
@@ -530,16 +479,6 @@ def _global_min_impl(raw_fn, raw_grad, K: FeasibleSet, cfg: GlobalSolveConfig, C
         X, F, iters = _refine_pg(stack.fn, stack.grad, K, X, F, own, cfg)
     refine_iters = np.zeros(C.shape[0], dtype=int)
     np.maximum.at(refine_iters, own, iters)
-    # near-ties within DEDUPE_TOL are one minimizer: keep (and polish) only
-    # each cluster's representative, so no unpolished point can be returned
-    reps = []
-    for p in range(C.shape[0]):
-        mine = np.flatnonzero(own == p)
-        reps.append(mine[_tie_representatives(X[mine], F[mine])])
-    reps = np.concatenate(reps)
-    X, F, own = X[reps], F[reps], own[reps]
-    if K.dim > 1:  # a closed 1-D bracket needs no polish
-        X, F = _polish_newton(stack.fn, stack.grad, K, X, F, own)
     n_evals = n_seed + stack.counts
     return [_collect(X[own == p], F[own == p], int(n_evals[p]), int(refine_iters[p]))
             for p in range(C.shape[0])]

@@ -210,10 +210,11 @@ def check_supercoercive(
         raise ValueError("no ray of the tested radii stays in the domain: check inapplicable")
     D = D[ok]
     r_hi, r_lo = radii[-1], radii[-2]
-    proxy = float(np.min(h.value_many(r_hi * D) / r_hi**2))
+    v_hi = h.value_many(r_hi * D)
+    proxy = float(np.min(v_hi / r_hi**2))
     prev = float(np.min(h.value_many(r_lo * D) / r_lo**2))
     margin = min(proxy - 0.5 * prev, proxy - 1e-12)
-    i_bad = int(np.argmin(h.value_many(r_hi * D)))
+    i_bad = int(np.argmin(v_hi))
     witness = lambda i: {"x": (r_hi * D[i_bad]).tolist(), "ratio": proxy}
     return _Fold("supercoercive", 0.0).add(np.array([margin]), witness, D.shape[0]).report(proxy)
 

@@ -222,10 +222,12 @@ def test_sweep_3x3_deterministic(tmp_path):
 
 
 def test_sweep_workers_do_not_change_result(tmp_path):
-    cfg = sweep_config([0.0, 0.1], [1.0])
-    a = sweep_compare(cfg, tmp_path / "w1", workers=1)
-    b = sweep_compare(cfg, tmp_path / "w2", workers=3)
-    assert a == b
+    # the CLI accepts --workers and runs the cells in lockstep whatever its value
+    path = write_cfg(tmp_path, sweep_config([0.0, 0.1], [1.0]))
+    for w in ("1", "3"):
+        out = str(tmp_path / f"w{w}")
+        assert cli_main(["sweep", "--config", path, "--out", out, "--workers", w]) == EXIT_OK
+    assert (tmp_path / "w1" / "sweep.json").read_bytes() == (tmp_path / "w3" / "sweep.json").read_bytes()
 
 
 def test_sweep_on_ep_problem(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import half_quad
 from sqopt.functions import bregman_catalog, catalog
-from sqopt.geometry import box1d
+from sqopt.geometry import box1d, hyperplane
 from sqopt.minimize import (
     MinParams,
     ProxRequest,
@@ -101,6 +101,18 @@ def test_ppa_starting_at_minimizer_exact_fixed_point():
     assert tr.terminated_by == "exact_fixed_point"
     assert tr.final_residual == 0.0
     assert tr.iterations <= 1
+
+
+def test_ppa_on_an_affine_set_reaches_the_projected_minimizer():
+    # ||y||^(1/2) on the line y1 + y2 = 1 is least at its point nearest 0;
+    # the seeds cover the line within search_radius of the origin
+    h = catalog("power_norm", n=2, halfwidth=2.0)
+    K = hyperplane([1.0, 1.0], 1.0)
+    p = MinParams(c=Schedule.constant(0.5), search_radius=2.0)
+    tr = run_ppa(h, K, p, np.array([0.9, 0.1]))
+    assert tr.terminated_by == "residual"
+    assert np.all(K.contains_many(tr.iterates, tol=1e-12))
+    assert np.linalg.norm(tr.final_point - 0.5) <= 1e-6
 
 
 def test_rippa_unguarded_flag_on_box_with_inertia():

@@ -397,8 +397,8 @@ def test_global_solve_stack_equals_each_problem_solo():
     # per-problem seeding (each center is an extra start), 1-D brackets and
     # bracket search (by derivative: sin_quad's prox, glt_example's
     # certificate and BPPA's neg_entropy subproblem; by values: a kinked
-    # objective without a derivative), tie representatives, polish,
-    # evaluation and batch counts
+    # objective without a derivative), tie representatives, evaluation and
+    # batch counts
     P = _prox_mod()
     cases = []
     for h, cfg in ((catalog("sin_quad"), GlobalSolveConfig(search_radius=6.0)),
@@ -446,7 +446,7 @@ def test_n_evals_counts_every_row_the_objective_sees():
     h = catalog("power_norm", n=2, halfwidth=1.0)
     rows = []
     counted = dataclasses.replace(h, fn=lambda X: rows.append(len(X)) or h.fn(X))
-    # the seeds, every refine batch and the polish, alone and in a stack of four
+    # the seeds and every refine batch, alone and in a stack of four
     one = prox(counted, x=np.array([0.6, -0.8]), beta=0.5)
     assert one.n_evals == sum(rows)
     rows.clear()
