@@ -8,7 +8,7 @@ Exit codes:
   1  usage error, or config schema violation (including a hard parameter
      range a variant's validator rejects before the first iteration)
   2  iteration cap reached without convergence
-  3  guard abort during a run
+  3  guard abort (or an impossible allocation or float overflow) during a run
 Every nonzero exit writes one diagnostic line to stderr; a minimize or
 solve-ep run that ends at its cap or diverges still prints its summary on
 stdout.
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ValueError, RuntimeError, FloatingPointError) as e:
+    except (ValueError, RuntimeError, FloatingPointError, OverflowError, MemoryError) as e:
         print(f"aborted: {e}", file=sys.stderr)
         return EXIT_GUARD
     raise AssertionError("unreachable")

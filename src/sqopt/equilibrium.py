@@ -139,12 +139,12 @@ def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> flo
 def check_minty(prob: EpProblem, xbar, n_samples: int = 1000, seed: int = 0, tol: float = 1e-8,
                 radius: float | None = None) -> CheckReport:
     """Dual feasibility: sampled y satisfy f(y, xbar) <= tol at the solution."""
-    from .verify import _fold_blocks, _map_to_set
+    from .verify import _fold_blocks
 
     xbar = as_point(xbar, prob.f.dim)
 
     def block(start, U):
-        Y = _map_to_set(prob.K, U, radius)
+        Y = prob.K.from_unit(U, radius)
         vals = prob.f.fn(Y, xbar[None, :].repeat(len(Y), axis=0))
 
         def witness(i):
@@ -366,11 +366,11 @@ def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
 
 def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> bool:
     """Strict-level-set condition: f(z, y) < f(z, x) implies w.(y - x) < 0."""
-    from .verify import _map_to_set, _unit_blocks
+    from .verify import _unit_blocks
 
     fz_x = f.value(z, x)
     for _, U in _unit_blocks(seed, n_samples, K.dim):
-        Y = _map_to_set(K, U, radius)
+        Y = K.from_unit(U, radius)
         lower = Y[f.fn(np.broadcast_to(z, Y.shape), Y) < fz_x - 1e-12]
         if not np.all(np.einsum("ij,j->i", lower - x, w) < 1e-10):
             return False

@@ -199,6 +199,8 @@ def _abs_shift(a: float = 0.0, gamma: float = 1.0) -> Objective:
 
 def _euclid_norm(n: int = 2, gamma: float = 1.0, halfwidth: float | None = None) -> Objective:
     """Euclidean norm on a box inside the closed ball of radius 1/gamma."""
+    if n < 1:
+        raise ValueError("euclid_norm requires n >= 1")
     if gamma <= 0:
         raise ValueError("euclid_norm requires gamma > 0")
     n = int(n)
@@ -316,6 +318,8 @@ def _power_norm(n: int = 2, halfwidth: float = 1.0, alpha: float = 0.5) -> Objec
     circumscribed-ball radius; other exponents are declared merely
     quasiconvex (modulus 0).
     """
+    if n < 1:
+        raise ValueError("power_norm requires n >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("power_norm requires 0 < alpha < 1")
     n, w = int(n), float(halfwidth)
@@ -653,6 +657,8 @@ def glt_example(p: float = 2.0, q: float = 2.0, n: int = 1, K: FeasibleSet | Non
     ``g(u) = max(sqrt(||u||), ||u - q e||^2 - q)``.  Monotone, and strongly
     quasiconvex in ``y``; gamma and eta are deterministic sampled estimates.
     """
+    if n < 1:
+        raise ValueError("glt_example requires n >= 1")
     if p <= 1 or q <= 1:
         raise ValueError("glt_example requires p > 1 and q > 1")
     p, q, n = float(p), float(q), int(n)

@@ -3,8 +3,9 @@
 Every solver in the package works over one of the closed convex set kinds
 defined here.  Points are plain ``numpy`` float64 vectors of shape ``(n,)``;
 all set operations also accept batches of shape ``(m, n)`` through the
-``*_many`` variants.  Sampling uses the counter-based Philox generator so a
-given seed reproduces the same points on any platform.
+``*_many`` variants.  Every kind samples one way (``from_unit``: onto the
+bounding box, then projected) from counter-based Philox draws, so a given
+seed reproduces the same points on any platform.
 """
 
 from __future__ import annotations
@@ -81,19 +82,19 @@ class FeasibleSet:
         """Axis-aligned box enclosing the set (or its radius-truncated part)."""
         raise NotImplementedError
 
-    def sample(self, seed: int, m: int, radius: float | None = None) -> np.ndarray:
-        """Draw ``m`` approximately uniform points from the set, deterministically.
+    def from_unit(self, U: np.ndarray, radius: float | None = None) -> np.ndarray:
+        """Unit-cube rows mapped onto the bounding box, then projected into the set.
 
-        Unbounded kinds require ``radius``: the sampling region is then the
-        part of the set reachable within that coordinate range.
+        Unbounded kinds need ``radius``; box and full-space rows are ``lo + U (hi - lo)``.
         """
+        lo, hi = self.bounding_box(radius)
+        return self.project_many(lo + U * (hi - lo))
+
+    def sample(self, seed: int, m: int, radius: float | None = None) -> np.ndarray:
+        """``from_unit`` of ``m`` Philox rows of ``seed``: deterministic points of the set."""
         if m < 1:
             raise ValueError("m must be positive")
-        rng = rng_for(seed)
-        return self._sample(rng, m, radius)
-
-    def _sample(self, rng, m, radius):
-        raise NotImplementedError
+        return self.from_unit(rng_for(seed).random((m, self.dim)), radius)
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,6 @@ class FullSpace(FeasibleSet):
             raise ValueError("FullSpace is unbounded: a radius is required")
         r = float(radius)
         return -r * np.ones(self.dim), r * np.ones(self.dim)
-
-    def _sample(self, rng, m, radius):
-        lo, hi = self.bounding_box(radius)
-        return lo + rng.random((m, self.dim)) * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,6 @@ class Box(FeasibleSet):
 
     def bounding_box(self, radius=None):
         return self.lo.copy(), self.hi.copy()
-
-    def _sample(self, rng, m, radius):
-        return self.lo + rng.random((m, self.dim)) * (self.hi - self.lo)
 
 
 def box1d(lo: float, hi: float) -> Box:
@@ -190,13 +184,6 @@ class Ball(FeasibleSet):
 
     def bounding_box(self, radius=None):
         return self.center - self.radius, self.center + self.radius
-
-    def _sample(self, rng, m, radius):
-        # Uniform in the ball: normal direction, radius ~ r * U^(1/n).
-        d = rng.standard_normal((m, self.dim))
-        d /= np.linalg.norm(d, axis=-1, keepdims=True)
-        r = self.radius * rng.random(m) ** (1.0 / self.dim)
-        return self.center + d * r[:, None]
 
 
 @dataclass(frozen=True)
@@ -243,14 +230,6 @@ class AffineSubspace(FeasibleSet):
             raise ValueError("AffineSubspace is unbounded: a radius is required")
         half = float(radius) * np.linalg.norm(self.basis, axis=1)
         return self.offset - half, self.offset + half
-
-    def _sample(self, rng, m, radius):
-        if self.subspace_dim == 0:
-            return np.tile(self.offset, (m, 1))
-        if radius is None:
-            raise ValueError("AffineSubspace is unbounded: a radius is required")
-        coeff = (2.0 * rng.random((m, self.subspace_dim)) - 1.0) * float(radius)
-        return self.offset + coeff @ self.basis.T
 
 
 def hyperplane(normal, value: float) -> AffineSubspace:
@@ -321,9 +300,9 @@ class HalfspaceIntersection(FeasibleSet):
             out[rows[done]] = Y[done]
             rows, Y, increments = rows[~done], Y[~done], increments[~done]
             if rows.size == 0:
-                break
-        out[rows] = Y  # rows still moving at the sweep cap
-        return out
+                return out
+        raise ValueError(f"{rows.size} rows still move after {DYKSTRA_MAX_SWEEPS} Dykstra "
+                         "sweeps: the halfspace intersection may be empty")
 
     @property
     def is_bounded(self):
@@ -335,20 +314,6 @@ class HalfspaceIntersection(FeasibleSet):
             raise ValueError("HalfspaceIntersection needs a radius for bounding")
         r = float(radius)
         return -r * np.ones(self.dim), r * np.ones(self.dim)
-
-    def _sample(self, rng, m, radius):
-        lo, hi = self.bounding_box(radius)
-        out = np.empty((m, self.dim))
-        got = 0
-        for _ in range(400):
-            cand = lo + rng.random((4 * m, self.dim)) * (hi - lo)
-            ok = cand[np.all(cand @ self.normals.T <= self.bounds + 1e-12, axis=1)]
-            take = min(m - got, ok.shape[0])
-            out[got : got + take] = ok[:take]
-            got += take
-            if got == m:
-                return out
-        raise ValueError("rejection sampling failed; set may be empty within radius")
 
 
 def feasible_set_from_spec(spec: dict) -> FeasibleSet:

@@ -15,9 +15,11 @@ Sign convention: descent steps use ``-grad h`` everywhere.  Stopping replaces
 the exact equality tests of the underlying schemes by ``residual <= stop_tol``;
 an exactly zero residual still terminates as ``exact_fixed_point``.  Every
 runner here and in ``equilibrium`` supplies only its step: ``_drive`` owns the
-iteration loop, that stop test, the divergence guard and the termination label.
-The proximal point family (PPA, RIPPA, BPPA; PPA_EP, RIPPA_EP, IEPPA_EP) is one
-step, ``_run_proximal``, with its own proximal operator, inertia and relaxation.
+iteration loop, that stop test and the termination label.  The proximal point
+family (PPA, RIPPA, BPPA; PPA_EP, RIPPA_EP, IEPPA_EP) is one step,
+``_run_proximal``, with its own proximal operator, inertia and relaxation; GRAD,
+HEAVY_BALL and INERTIAL_GM are one step, ``_run_explicit``, which owns the
+divergence guard.
 
 A run is a generator: its step yields each proximal step it needs as a
 ``ProxRequest`` and is sent the ``ProxResult``.  ``_drive_many`` advances many
@@ -292,7 +294,7 @@ def _phase(phases):
     return item
 
 
-def _drive(rec: _Recorder, p, step, guard: bool = False):
+def _drive(rec: _Recorder, p, step):
     """The iteration loop of every runner; a run that returns how it ended.
 
     ``step(k)`` is a generator of two phases.  The first yields ``(r, at)``:
@@ -300,9 +302,7 @@ def _drive(rec: _Recorder, p, step, guard: bool = False):
     The run stops there when ``r == 0`` (``exact_fixed_point``) or
     ``r <= p.stop_tol`` (``residual``), and the second phase never runs.
     Otherwise the second yields ``(x, end)``: the next state (``None``: stay)
-    and, when the step itself ends the run, its label.  With ``guard`` a next
-    state that is non-finite or has norm above DIVERGENCE_GUARD ends the run
-    as ``diverged`` and is recorded clipped to the guard.  A step may yield
+    and, when the step itself ends the run, its label.  A step may yield
     ProxRequests before a phase; they are passed up to ``_drive_many``.
     """
     for k in range(p.max_iters):
@@ -311,9 +311,6 @@ def _drive(rec: _Recorder, p, step, guard: bool = False):
         end = "exact_fixed_point" if r == 0.0 else "residual" if r <= p.stop_tol else None
         if end is None:
             x, end = yield from _phase(phases)
-            if guard and (not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_GUARD):
-                x = np.nan_to_num(x, posinf=DIVERGENCE_GUARD, neginf=-DIVERGENCE_GUARD)
-                end = "diverged"
         if x is None:
             rec.mark(r)
         else:
@@ -553,13 +550,6 @@ def run_subgradient(
     return rec.done(_drive_one(_drive(rec, p, step)), not notes, notes)
 
 
-def _gradient_norm(rec: _Recorder, h: Objective, x) -> tuple[np.ndarray, float]:
-    """One counted gradient evaluation and its norm, the stopping residual."""
-    g = h.grad_at(x)
-    rec.prox_evals += 1
-    return g, float(np.linalg.norm(g))
-
-
 def _unconstrained_gradient_method(name: str, h: Objective, K: FeasibleSet):
     """A gradient method needs a smooth objective and runs on its whole domain."""
     if not h.differentiable:
@@ -577,22 +567,40 @@ def validate_gradient(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
     return [f"step bound {probe:.6g} >= min(gamma/L^2, 2/L) = {cap:.6g}"] if probe >= cap else []
 
 
-def run_gradient(h: Objective, p: MinParams, x0) -> IterationTrace:
-    """Explicit gradient descent with optional summable perturbations."""
-    notes = validate_gradient(h, h.domain, p)
+def _run_explicit(h: Objective, p: MinParams, x0, x1, theta: float, step_at, psi=None):
+    """The explicit step of GRAD, HEAVY_BALL and INERTIAL_GM; ``(recorder, end)``.
+
+    ``x+ = (1 + theta) x - theta x_prev - t grad h(x)``, plus ``psi(k)`` when
+    given, with ``t = step_at(k)`` and ``x_prev`` from ``x1`` (None: ``x0``).
+    A next state that is non-finite or has norm above DIVERGENCE_GUARD ends
+    the run as ``diverged`` and is recorded clipped to the guard.
+    """
     x = as_point(x0, h.dim)
+    x_prev = x if x1 is None else as_point(x1, h.dim)
     rec = _Recorder(h.value, x)
 
     def step(k):
-        nonlocal x
-        g, nrm = _gradient_norm(rec, h, x)
-        yield nrm, None
-        x = x - p.steps.at(k) * g
-        if p.psi is not None:
-            x = x + np.asarray(p.psi(k), dtype=float)
-        yield x, None
+        nonlocal x, x_prev
+        t = step_at(k)
+        g = h.grad_at(x)
+        rec.prox_evals += 1
+        yield float(np.linalg.norm(g)), None
+        x_prev, x = x, (1.0 + theta) * x - theta * x_prev - t * g
+        if psi is not None:
+            x = x + np.asarray(psi(k), dtype=float)
+        if np.all(np.isfinite(x)) and np.linalg.norm(x) <= DIVERGENCE_GUARD:
+            yield x, None
+        else:
+            yield np.nan_to_num(x, posinf=DIVERGENCE_GUARD, neginf=-DIVERGENCE_GUARD), "diverged"
 
-    return rec.done(_drive_one(_drive(rec, p, step, guard=True)), not notes, notes)
+    return rec, _drive_one(_drive(rec, p, step))
+
+
+def run_gradient(h: Objective, p: MinParams, x0) -> IterationTrace:
+    """Explicit gradient descent with optional summable perturbations."""
+    notes = validate_gradient(h, h.domain, p)
+    rec, end = _run_explicit(h, p, x0, None, 0.0, p.steps.at, p.psi)
+    return rec.done(end, not notes, notes)
 
 
 def validate_heavy_ball(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
@@ -610,20 +618,10 @@ def validate_heavy_ball(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]
 
 
 def run_heavy_ball(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
-    """Heavy-ball iteration ``x+ = x + theta (x - x_prev) - eta^2 grad h(x)``."""
+    """Heavy-ball iteration ``x+ = (1 + theta) x - theta x_prev - eta^2 grad h(x)``."""
     notes = validate_heavy_ball(h, h.domain, p)
-    x = as_point(x0, h.dim)
-    x_prev = x if x1 is None else as_point(x1, h.dim)
-    rec = _Recorder(h.value, x)
-
-    def step(k):
-        nonlocal x, x_prev
-        g, nrm = _gradient_norm(rec, h, x)
-        yield nrm, None
-        x_prev, x = x, x + p.theta * (x - x_prev) - p.hb_eta**2 * g
-        yield x, None
-
-    return rec.done(_drive_one(_drive(rec, p, step, guard=True)), not notes, notes)
+    rec, end = _run_explicit(h, p, x0, x1, p.theta, lambda k: p.hb_eta**2)
+    return rec.done(end, not notes, notes)
 
 
 def validate_inertial_gm(h: Objective, K: FeasibleSet, p: MinParams) -> list[str]:
@@ -640,23 +638,15 @@ def run_inertial_gm(h: Objective, p: MinParams, x0, x1=None) -> IterationTrace:
     terminates the run with ``terminated_by='diverged'``.
     """
     notes = validate_inertial_gm(h, h.domain, p)
-    x = as_point(x0, h.dim)
-    x_prev = x if x1 is None else as_point(x1, h.dim)
-    rec = _Recorder(h.value, x)
-    max_norm = float(np.linalg.norm(x))
 
-    def step(k):
-        nonlocal x, x_prev, max_norm
+    def step_at(k):
         a_k = p.steps.at(k)
         if a_k < p.eta_min:
             raise ValueError(f"step {a_k} at k={k} fell below eta_min={p.eta_min}")
-        g, nrm = _gradient_norm(rec, h, x)
-        yield nrm, None
-        x_prev, x = x, 2.0 * x - x_prev - a_k * g
-        max_norm = max(max_norm, float(np.linalg.norm(x)))
-        yield x, None
+        return a_k
 
-    end = _drive_one(_drive(rec, p, step, guard=True))
+    rec, end = _run_explicit(h, p, x0, x1, 1.0, step_at)
     if end == "diverged":
         notes.append("divergence guard fired: boundedness hypothesis failed empirically")
+    max_norm = max(float(np.linalg.norm(x)) for x in rec.states)
     return rec.done(end, not notes, notes, extra={"max_norm": max_norm})

@@ -9,8 +9,9 @@ its tolerance.
 A check reads its samples as one row-major uniform stream per call, in
 consecutive blocks of ``BLOCK_ROWS`` rows, and folds each block into its
 report (worst margin, witnesses, sample count, estimate) before it reads the
-next.  Its memory therefore does not grow with ``n``.  Every row is computed
-as it would be alone (the batch contract), and grids that run over the
+next; ``FeasibleSet.from_unit`` maps the rows into the set, as ``sample`` does.
+Its memory therefore does not grow with ``n``.  Every row is computed as it
+would be alone (the batch contract), and grids that run over the
 samples (the t strata, the diagonal pairs) use global row indices, so the
 report does not depend on the block size, and the samples of a smaller ``n``
 are a prefix of those of any larger ``n`` (estimates are monotone under
@@ -101,13 +102,6 @@ def _fold_blocks(prop, tol, seed, n, width, block) -> CheckReport:
     return fold.report()
 
 
-def _map_to_set(K: FeasibleSet, U: np.ndarray, radius: float | None) -> np.ndarray:
-    """Map unit-cube rows into K: affine map onto its bounding box, then project."""
-    lo, hi = K.bounding_box(radius)
-    X = lo + U * (hi - lo)
-    return K.project_many(X)
-
-
 def check_sqc_sampled(
     h: Objective,
     K: FeasibleSet | None = None,
@@ -134,8 +128,8 @@ def _sqc_block(value_many, K: FeasibleSet, gamma: float, radius: float | None):
     d = K.dim
 
     def block(start, U):
-        X = _map_to_set(K, U[:, :d], radius)
-        Y = _map_to_set(K, U[:, d : 2 * d], radius)
+        X = K.from_unit(U[:, :d], radius)
+        Y = K.from_unit(U[:, d : 2 * d], radius)
         t = (np.arange(start, start + len(U)) % 64 + U[:, 2 * d]) / 64.0
         mid = t[:, None] * Y + (1.0 - t[:, None]) * X
         hx, hy, hm = value_many(X), value_many(Y), value_many(mid)
@@ -167,8 +161,8 @@ def estimate_modulus(
     d = K.dim
     worst, valid_rows = np.inf, 0
     for start, U in _unit_blocks(seed, n_triples, 2 * d + 1):
-        X = _map_to_set(K, U[:, :d], radius)
-        Y = _map_to_set(K, U[:, d : 2 * d], radius)
+        X = K.from_unit(U[:, :d], radius)
+        Y = K.from_unit(U[:, d : 2 * d], radius)
         t = (np.arange(start, start + len(U)) % 64 + np.clip(U[:, 2 * d], 1e-9, 1 - 1e-9)) / 64.0
         d2 = np.sum((X - Y) ** 2, axis=-1)
         valid = d2 > 0
@@ -210,9 +204,10 @@ def check_supercoercive(
         raise ValueError("no ray of the tested radii stays in the domain: check inapplicable")
     D = D[ok]
     r_hi, r_lo = radii[-1], radii[-2]
+    sq_hi, sq_lo = r_hi**2, r_lo**2  # squared first: an overflow raises before h warns
     v_hi = h.value_many(r_hi * D)
-    proxy = float(np.min(v_hi / r_hi**2))
-    prev = float(np.min(h.value_many(r_lo * D) / r_lo**2))
+    proxy = float(np.min(v_hi / sq_hi))
+    prev = float(np.min(h.value_many(r_lo * D) / sq_lo))
     margin = min(proxy - 0.5 * prev, proxy - 1e-12)
     i_bad = int(np.argmin(v_hi))
     witness = lambda i: {"x": (r_hi * D[i_bad]).tolist(), "ratio": proxy}
@@ -241,7 +236,7 @@ def check_quadratic_growth(
     hb = h.value(xbar)
 
     def block(start, U):
-        X = _map_to_set(K, U, radius)
+        X = K.from_unit(U, radius)
         slack = h.value_many(X) - hb - (gamma / 8.0) * np.sum((X - xbar) ** 2, axis=-1)
 
         def witness(i):
@@ -268,8 +263,8 @@ def check_foc(
     d = K.dim
 
     def block(start, U):
-        X = _map_to_set(K, U[:, :d], radius)
-        Y = _map_to_set(K, U[:, d:], radius)
+        X = K.from_unit(U[:, :d], radius)
+        Y = K.from_unit(U[:, d:], radius)
         hx, hy = h.value_many(X), h.value_many(Y)
         G = h.grad_many(Y)
         lhs = np.einsum("ij,ij->i", G, Y - X)
@@ -312,7 +307,7 @@ def check_pl(
     hb = h.value(np.asarray(xbar, dtype=float))
 
     def block(start, U):
-        X = _map_to_set(K, U, radius)
+        X = K.from_unit(U, radius)
         gn2 = np.sum(h.grad_many(X) ** 2, axis=-1)
         gap = h.value_many(X) - hb
         slack = gn2 - nu * gap
@@ -414,7 +409,7 @@ def subdiff_member(
     nt = t.shape[0]
 
     def block(start, U):
-        Y = _map_to_set(K, U, radius)
+        Y = K.from_unit(U, radius)
         hy = h.value_many(Y)
         if sublevel_only:
             keep = hy <= hb + 1e-12
@@ -455,9 +450,9 @@ def estimate_eta(
     d = K.dim
     est = None
     for start, U in _unit_blocks(seed, n_triples, 3 * d):
-        X = _map_to_set(K, U[:, :d], radius)
-        Y = _map_to_set(K, U[:, d : 2 * d], radius)
-        Z = _map_to_set(K, U[:, 2 * d :], radius)
+        X = K.from_unit(U[:, :d], radius)
+        Y = K.from_unit(U[:, d : 2 * d], radius)
+        Z = K.from_unit(U[:, 2 * d :], radius)
         fxz, fxy, fyz = f.fn(X, Z), f.fn(X, Y), f.fn(Y, Z)
         num = fxz - fxy - fyz
         den = np.sum((X - Y) ** 2, axis=-1) + np.sum((Y - Z) ** 2, axis=-1)
@@ -481,7 +476,7 @@ def check_a0(
     K = f.domain if K is None else K
 
     def block(start, U):
-        X = _map_to_set(K, U, radius)
+        X = K.from_unit(U, radius)
         vals = f.fn(X, X)
 
         def witness(i):
@@ -508,8 +503,8 @@ def check_pseudomonotone(
     d = K.dim
 
     def block(start, U):
-        X = _map_to_set(K, U[:, :d], radius)
-        Y = _map_to_set(K, U[:, d:], radius)
+        X = K.from_unit(U[:, :d], radius)
+        Y = K.from_unit(U[:, d:], radius)
         diag = slice(-start % 16, None, 16)  # the rows whose global index is a multiple of 16
         Y[diag] = X[diag]
         fxy = f.fn(X, Y)
@@ -538,7 +533,7 @@ def check_a4_sampled(
     folded into one report in slice order; a witness keeps ``x_j`` as ``"x_slice"``.
     """
     K = f.domain if K is None else K
-    Xs = _map_to_set(K, rng_for(seed + 101).random((n_x, K.dim)), radius)
+    Xs = K.sample(seed + 101, n_x, radius)
     fold = _Fold("a4_sqc", SQC_TOL)
     for j, x in enumerate(Xs):
         fy, _ = f.y_objective(x)

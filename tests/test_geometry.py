@@ -10,6 +10,7 @@ from sqopt.geometry import (
     box1d,
     feasible_set_from_spec,
     hyperplane,
+    rng_for,
 )
 
 ALL_SETS = [
@@ -116,6 +117,22 @@ def test_ball_sampling_monte_carlo_mean():
     assert np.linalg.norm(S.mean(axis=0)) < 0.05
 
 
+@pytest.mark.parametrize("K", ALL_SETS, ids=lambda K: K.kind)
+def test_sample_is_the_unit_map_of_the_philox_draws(K):
+    U = rng_for(17).random((200, K.dim))
+    S = K.sample(seed=17, m=200, radius=3.0)
+    assert np.array_equal(S, K.from_unit(U, 3.0))
+    assert np.all(K.contains_many(S, tol=1e-10))
+
+
+@pytest.mark.parametrize("K", [ALL_SETS[0], FullSpace(2)], ids=lambda K: K.kind)
+def test_box_and_full_space_samples_are_the_draws_scaled_bit_for_bit(K):
+    # the projection leaves them as drawn
+    lo, hi = K.bounding_box(3.0)
+    U = rng_for(17).random((200, K.dim))
+    assert np.array_equal(K.sample(seed=17, m=200, radius=3.0), lo + U * (hi - lo))
+
+
 def test_unbounded_sampling_requires_radius():
     with pytest.raises(ValueError, match="radius"):
         FullSpace(2).sample(seed=0, m=5)
@@ -166,11 +183,13 @@ def test_lockstep_dykstra_equals_row_by_row():
     A = np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 2.0]])
     b = np.array([-0.5, -0.2, -1.0, 4.0])
     K = HalfspaceIntersection(A, b)
-    inside = K.sample(seed=71, m=1000, radius=6.0)
+    inside = np.array([4.0, 2.0]) * np.random.Generator(np.random.Philox(key=71)).random(
+        (8000, 2))
+    inside = inside[np.all(inside @ A.T <= b, axis=1)][:1000]
     outside = 6.0 * (2.0 * np.random.Generator(np.random.Philox(key=72)).random((4000, 2)) - 1.0)
     outside = outside[np.any(outside @ A.T > b, axis=1)][:1000]
     X = np.concatenate([inside, outside])
-    assert outside.shape[0] == 1000
+    assert inside.shape[0] == outside.shape[0] == 1000
     P = K.project_many(X)
     assert np.array_equal(P, np.stack([K.project(x) for x in X]))
     assert np.array_equal(P[:1000], inside)

@@ -488,6 +488,70 @@ def test_cli_every_variant_at_zero_iterations_hits_the_cap(tmp_path, variant):
     assert len((tmp_path / "o" / "trace.csv").read_text().splitlines()) == 2  # header + x0
 
 
+_EMPTY_SET = {"kind": "halfspaces", "normals": [[1.0, 0.0], [-1.0, 0.0]], "bounds": [-1.0, -1.0]}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("verify", {"verify": {"checks": [{"check": "sqc", "n": 50, "radius": 3.0}]}}),
+    ("minimize", {"algorithm": {"variant": "PPA", "x0": [0.5, 0.5], "max_iters": 5,
+                                "search_radius": 3.0}}),
+], ids=["verify", "minimize"])
+def test_cli_empty_halfspace_intersection_is_guard_abort(tmp_path, capsys, command, section):
+    # x <= -1 and x >= 1: Dykstra ran all its sweeps and returned points 2.0
+    # outside the set, so verify exited 0 with witnesses at infeasible points
+    cfg = {"schema_version": 1, **section,
+           "problem": {"kind": "minimize", "set": _EMPTY_SET,
+                       "objective": {"catalog": "power_norm", "params": {"n": 2}}}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: ") and "may be empty" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+_SIN_QUAD = {"kind": "minimize", "objective": {"catalog": "sin_quad", "params": {}}}
+
+
+# each ended in a traceback with exit 1; the sizes are at least 2**50
+# elements, beyond any 64-bit address space, so no allocation can succeed
+@pytest.mark.parametrize("command, cfg", [
+    ("minimize", variant_config("PPA", prox={"grid_density": 2**50})),
+    ("dynamics", {"schema_version": 1, "problem": _SIN_QUAD,
+                  "dynamics": {"system": "ds1", "x0": [2.0], "T": float(2**51), "dt": 1.0}}),
+    ("verify", {"schema_version": 1, "problem": _SIN_QUAD,
+                "verify": {"checks": [{"check": "supercoercive", "radii": [1e300, 1e308]}]}}),
+], ids=["grid_density", "dynamics_steps", "supercoercive_radii"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds one line
+def test_cli_impossible_allocation_or_float_overflow_is_guard_abort(tmp_path, capsys, command,
+                                                                      cfg):
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: ") and len(err.strip().splitlines()) == 1
+
+
+# power_norm and glt_example failed on a zero-size reduction, euclid_norm on a
+# negative dimension, after RuntimeWarnings on stderr
+@pytest.mark.parametrize("command, problem, name", [
+    ("minimize", {"kind": "minimize", "objective": {"catalog": "power_norm", "params": {"n": 0}}},
+     "objective"),
+    ("minimize", {"kind": "minimize",
+                  "objective": {"catalog": "euclid_norm", "params": {"n": -1}}}, "objective"),
+    ("solve-ep", {"kind": "ep", "bifunction": {"catalog": "glt_example", "params": {"n": 0}}},
+     "bifunction"),
+], ids=["power_norm", "euclid_norm", "glt_example"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds one line
+def test_cli_catalog_dimension_below_one_is_schema_error(tmp_path, capsys, command, problem,
+                                                          name):
+    variant = "PPA" if command == "minimize" else "PPA_EP"
+    cfg = {**variant_config(variant), "problem": problem}
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    catalog_name = problem[name]["catalog"]
+    assert capsys.readouterr().err == (
+        f"schema error: problem.{name}: {catalog_name} requires n >= 1\n")
+
+
 # one hard-range violation per variant whose validator rejects some config;
 # each of these but RIPPA's exited 3 as a guard abort before.  PPA, BPPA, GRAD
 # and REG_EP reject only a nonpositive schedule, which Schedule itself now

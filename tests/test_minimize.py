@@ -315,6 +315,31 @@ def test_heavy_ball_sin_quad():
     assert abs(tr.final_point[0]) <= 1e-6
 
 
+# --- the explicit step ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant, theta", [("GRAD", 0.0), ("HEAVY_BALL", 0.5),
+                                            ("INERTIAL_GM", 1.0)])
+def test_explicit_methods_are_one_recurrence_bit_for_bit(variant, theta):
+    # x+ = (1 + theta) x - theta x_prev - t grad h(x); heavy ball was written
+    # x + theta (x - x_prev) - t grad h(x), which rounds differently
+    h = catalog("sin_quad")
+    x0, x1, t = np.array([2.0]), np.array([1.9]), 0.3**2
+    p = MinParams(variant=variant, steps=Schedule.constant(t), theta=theta, hb_eta=0.3,
+                  eta_min=0.01, max_iters=300)
+    if variant == "GRAD":
+        tr, x_prev = run_gradient(h, p, x0), x0
+    else:
+        run = run_heavy_ball if variant == "HEAVY_BALL" else run_inertial_gm
+        tr, x_prev = run(h, p, x0, x1), x1
+    x, expect = x0, [x0]
+    for _ in range(tr.iterations):
+        x, x_prev = (1.0 + theta) * x - theta * x_prev - t * h.grad_at(x), x
+        expect.append(x)
+    assert tr.iterations > 20
+    assert np.array_equal(tr.iterates, np.stack(expect))
+
+
 # --- inertial method --------------------------------------------------------------
 
 

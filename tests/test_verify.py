@@ -477,7 +477,7 @@ def test_a4_witnesses_are_the_worst_of_all_slices_with_their_slice_point():
                    fn=lambda X, Y: -(1.0 + 9.0 * np.asarray(X)[..., 0])
                    * (np.asarray(Y)[..., 0] - 0.5) ** 2)
     rep = verify.check_a4_sampled(f, n_triples=500, seed=3)
-    Xs = verify._map_to_set(f.domain, rng_for(3 + 101).random((8, 1)), None)
+    Xs = f.domain.sample(3 + 101, 8)
     slices = [verify.check_sqc_sampled(
         Objective(name=f"slice{j}", dim=1, domain=f.domain, modulus=1.0,
                   fn=lambda Y, x=x: f.fn(x, Y)), n_triples=500, seed=3 + j)
