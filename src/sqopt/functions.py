@@ -31,19 +31,6 @@ from .geometry import BLOCK_ROWS, Box, FeasibleSet, FullSpace, as_point, box1d, 
 SIN_QUAD_MODULUS = 0.6965  # grid infimum 2 + 6*min(sin u / u) = 0.696598...
 NEG_QUAD_MODULUS = 2.0  # exact infimum of the defining ratio on [0, 1]
 
-CATALOG_NAMES = (
-    "abs_shift",
-    "euclid_norm",
-    "neg_quad",
-    "gauss_well",
-    "sin_quad",
-    "inv_gap",
-    "root_quartic",
-    "power_norm",
-    "quad_fractional",
-)
-
-
 @dataclass(frozen=True)
 class Objective:
     """An evaluable objective with a declared strong-quasiconvexity modulus.
@@ -420,6 +407,7 @@ _BUILDERS = {
     "power_norm": _power_norm,
     "quad_fractional": _quad_fractional,
 }
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def catalog(name: str, **params) -> Objective:
@@ -571,91 +559,66 @@ def _glt_g_grad(U: np.ndarray, q: float) -> np.ndarray:
     return np.where(on_sqrt, U / (2.0 * _nonzero(nrm) ** 1.5), 2.0 * (U - q))
 
 
+def _glt_ratios(p, q, lo, hi, y1, y2, t) -> np.ndarray:
+    """Strong-quasiconvexity ratios of f(x, .) at (y1, y2, t), each least over x in [lo, hi]^n.
+
+    Up to a constant f(x, .) is y -> a(y) + x.y with a = p g, so with
+    m = t y1 + (1-t) y2 the ratio's numerator is
+    max(a1 - am + (1-t) s, a2 - am - t s), with x only in s = x.(y1 - y2).
+    Its pieces rise and fall in s, so it is least at s = a2 - a1 clipped to
+    the range of s over the box.  ``t`` is one per pair, or a column of t's
+    for every pair; pairs closer than 1e-6 are left out.
+    """
+    a1, a2 = p * _glt_g(y1, q), p * _glt_g(y2, q)
+    am = p * _glt_g(t[..., None] * y1 + (1 - t[..., None]) * y2, q)
+    u = y1 - y2
+    s = np.clip(a2 - a1, np.sum(np.minimum(lo * u, hi * u), axis=-1),
+                np.sum(np.maximum(lo * u, hi * u), axis=-1))
+    d2 = np.sum(u * u, axis=-1)
+    ratio = 2.0 * np.maximum(a1 - am + (1 - t) * s, a2 - am - t * s) / (t * (1 - t) * d2)
+    return ratio[..., d2 > 1e-12]
+
+
 @functools.lru_cache(maxsize=32)
 def _glt_constants(p: float, q: float, lo: float, hi: float, n: int) -> tuple[float, float]:
-    """Deterministic sampled estimates (gamma, eta) for the max/sqrt bifunction.
+    """(gamma, eta) for the max/sqrt bifunction on the box [lo, hi]^n.
 
-    gamma: dense-grid modulus of f(x, .) minimized over a grid of x, shaved by
-    a 10% safety factor so it stays a certified lower bound.  eta: sampled
-    three-point ratio maximum padded by 5%.  Ratios of many draws are formed
-    in row blocks of ``BLOCK_ROWS``; a minimum or maximum does not depend on
-    the blocks.
+    eta = 1/2 exactly: the g terms telescope out of the three-point
+    condition, leaving (x - y).(z - y) <= eta (||x - y||^2 + ||y - z||^2),
+    which Cauchy-Schwarz and AM-GM give with eta = 1/2, attained at x = z.
 
-    For n = 1 only two of the 17 grid x's are evaluated per pair.  For a pair
-    (y1, y2) and any t, the ratio's numerator is
-    ``max(pg1 + x y1, pg2 + x y2) - (pgm + x m)`` with ``m = t y1 + (1-t) y2``
-    between y1 and y2, so its two pieces have slopes ``(1-t)(y1 - y2)`` and
-    ``t(y2 - y1)`` of opposite signs: it is V-shaped in x, with its vertex
-    where the lines cross, at ``x* = (pg2 - pg1) / (y1 - y2)`` whatever t is.
-    Its minimum over the grid is then at one of the grid x's either side of
-    x* (an end of the grid when x* is outside [lo, hi]).
+    gamma is 0.9 times the least ``_glt_ratios`` value, floored at 0, over
+    the 101-point pair grid times 61 t's in 1-D and 40,000 Philox(11)
+    triples above, in blocks of at most ``BLOCK_ROWS`` ratios.  For n >= 2
+    on the default box [0, 4]^n, f(x, .) is not even quasiconvex (a point
+    between two y's can lie above both), so gamma is 0 and 2-D EP runs are
+    unguarded.
     """
     if n == 1:
-        xs = np.linspace(lo, hi, 17)
         ys = np.linspace(lo, hi, 101)
-        Y1, Y2 = np.meshgrid(ys, ys, indexing="ij")
-        Y1, Y2 = Y1.ravel(), Y2.ravel()
-        keep = Y1 != Y2
-        Y1, Y2 = Y1[keep], Y2[keep]
-        ts = np.linspace(0.01, 0.99, 61)
-        # g at the ends and the midpoints does not depend on x: evaluate it
-        # once, then form each (x, t) ratio with the operations, and so the
-        # bits, of evaluating it per pair; a minimum does not depend on order
-        pg1, pg2 = p * _glt_g(Y1[:, None], q), p * _glt_g(Y2[:, None], q)
-        k = np.clip(np.searchsorted(xs, (pg2 - pg1) / (Y1 - Y2)), 1, xs.size - 1)
-        sides = (xs[k - 1], xs[k])
-        mxs = [np.maximum(pg1 + x * Y1, pg2 + x * Y2) for x in sides]
-        best = np.inf
-        for t in ts:
-            mid_pt = t * Y1 + (1 - t) * Y2
-            pgm = p * _glt_g(mid_pt[:, None], q)
-            den = t * (1 - t) * (Y1 - Y2) ** 2
-            for x, mx in zip(sides, mxs):
-                ratio = 2.0 * (mx - (pgm + x * mid_pt)) / den
-                best = min(best, float(ratio.min()))
-        gamma = 0.90 * best
+        Y1, Y2 = (Y[Y != Y.T][:, None] for Y in np.meshgrid(ys, ys, indexing="ij"))
+        ts = np.linspace(0.01, 0.99, 61)[:, None]
+        rows = BLOCK_ROWS // ts.size
+        blocks = ((Y1[b : b + rows], Y2[b : b + rows], ts) for b in range(0, Y1.shape[0], rows))
     else:
         rng = rng_for(11)
         m = 40_000
-        X = lo + rng.random((m, n)) * (hi - lo)
-        Y1 = lo + rng.random((m, n)) * (hi - lo)
-        Y2 = lo + rng.random((m, n)) * (hi - lo)
-        t = rng.random((m, 1))
-        best = np.inf
-        for b in range(0, m, BLOCK_ROWS):
-            x, y1, y2, tb = (A[b : b + BLOCK_ROWS] for A in (X, Y1, Y2, t))
-            g1 = p * _glt_g(y1, q) + np.einsum("ij,ij->i", x, y1)
-            g2 = p * _glt_g(y2, q) + np.einsum("ij,ij->i", x, y2)
-            midp = tb * y1 + (1 - tb) * y2
-            mid = p * _glt_g(midp, q) + np.einsum("ij,ij->i", x, midp)
-            d2 = np.sum((y1 - y2) ** 2, axis=-1)
-            ok = d2 > 1e-12
-            ratio = 2.0 * (np.maximum(g1, g2) - mid)[ok] / (tb[ok, 0] * (1 - tb[ok, 0]) * d2[ok])
-            best = np.minimum(best, ratio.min(initial=np.inf))
-        gamma = 0.90 * float(best)
-    # eta from the coupling term x.(y - x); the g terms telescope out.
-    rng = rng_for(12)
-    m = 100_000
-    X = lo + rng.random((m, n)) * (hi - lo)
-    Y = lo + rng.random((m, n)) * (hi - lo)
-    Z = lo + rng.random((m, n)) * (hi - lo)
-    top = -np.inf
-    for b in range(0, m, BLOCK_ROWS):
-        x, y, z = (A[b : b + BLOCK_ROWS] for A in (X, Y, Z))
-        num = np.einsum("ij,ij->i", x - y, z - y)
-        den = np.sum((x - y) ** 2, axis=-1) + np.sum((y - z) ** 2, axis=-1)
-        ok = den > 1e-12
-        top = np.maximum(top, (num[ok] / den[ok]).max(initial=-np.inf))
-    eta = 1.05 * max(0.0, float(top))
-    return max(gamma, 0.0), eta
+        Y1, Y2 = (lo + rng.random((m, n)) * (hi - lo) for _ in range(2))
+        T = rng.random(m)
+        blocks = ((A[b : b + BLOCK_ROWS] for A in (Y1, Y2, T)) for b in range(0, m, BLOCK_ROWS))
+    best = min(float(_glt_ratios(p, q, lo, hi, *blk).min(initial=np.inf)) for blk in blocks)
+    return max(0.9 * best, 0.0), 0.5
 
 
 def glt_example(p: float = 2.0, q: float = 2.0, n: int = 1, K: FeasibleSet | None = None) -> Bifunction:
     """Max-of-sqrt-and-parabola bifunction with a quadratic coupling term.
 
     ``f(x, y) = p (g(y) - g(x)) + x . (y - x)`` with
-    ``g(u) = max(sqrt(||u||), ||u - q e||^2 - q)``.  Monotone, and strongly
-    quasiconvex in ``y``; gamma and eta are deterministic sampled estimates.
+    ``g(u) = max(sqrt(||u||), ||u - q e||^2 - q)``.  Monotone; on the
+    default 1-D box strongly quasiconvex in ``y``.  eta = 1/2 is exact, and
+    gamma is a deterministic sampled minimum, exact in x (see
+    ``_glt_constants``).  For n >= 2 on the default box f(x, .) is not
+    quasiconvex, so gamma = 0 and 2-D EP runs are unguarded.
     """
     if n < 1:
         raise ValueError("glt_example requires n >= 1")

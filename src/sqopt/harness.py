@@ -296,6 +296,7 @@ class RunSummary:
     problem: str
     algorithm: str
     guarded: bool
+    guard_notes: list[str]
     iterations: int
     prox_or_grad_evals: int
     final_value: float
@@ -412,6 +413,7 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
         problem=label,
         algorithm=params.variant,
         guarded=trace.guarded,
+        guard_notes=trace.guard_notes,
         iterations=trace.iterations,
         prox_or_grad_evals=trace.prox_evals,
         final_value=trace.final_value,

@@ -204,7 +204,9 @@ def check_supercoercive(
         raise ValueError("no ray of the tested radii stays in the domain: check inapplicable")
     D = D[ok]
     r_hi, r_lo = radii[-1], radii[-2]
-    sq_hi, sq_lo = r_hi**2, r_lo**2  # squared first: an overflow raises before h warns
+    if r_hi * r_hi == np.inf:  # checked first: an overflow raises before h warns
+        raise ValueError(f"supercoercive: the square of radius {r_hi:g} overflows")
+    sq_hi, sq_lo = r_hi**2, r_lo**2
     v_hi = h.value_many(r_hi * D)
     proxy = float(np.min(v_hi / sq_hi))
     prev = float(np.min(h.value_many(r_lo * D) / sq_lo))

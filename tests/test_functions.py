@@ -229,72 +229,88 @@ def test_value_gap_bifunction():
     assert fy is h.fn and gy is h.grad  # shared callables keep prox steps identical
 
 
-def _glt_constants_reference(p, q, lo, hi, n):
-    """``functions._glt_constants`` as it was with ``g`` evaluated per (x, t) pair."""
-    from sqopt.functions import _glt_g
+# every (p, q, box, n) that the tests, the README and the benchmark jobs build; then
+# a box where many pairs' x-minima fall outside [lo, hi], and one with lo < 0
+GLT_BOXES = [(2.0, 2.0, 0.0, 4.0, 1), (2.0, 2.0, 0.0, 4.0, 2), (3.0, 1.5, 0.0, 4.0, 3),
+             (2.0, 5.0, 0.0, 10.0, 1), (2.0, 2.0, -3.0, 1.5, 1)]
+
+
+@pytest.mark.parametrize("p, q, lo, hi, n", GLT_BOXES)
+def test_glt_ratio_is_the_least_over_a_dense_x_grid(p, q, lo, hi, n):
+    # a subset of the (y1, y2, t) samples of _glt_constants: grid pairs times
+    # every tenth t in 1-D, the first Philox(11) triples above
+    from sqopt.functions import _glt_constants, _glt_ratios
     from sqopt.geometry import rng_for
 
     if n == 1:
-        xs = np.linspace(lo, hi, 17)
-        ys = np.linspace(lo, hi, 101)
-        Y1, Y2 = np.meshgrid(ys, ys, indexing="ij")
-        Y1, Y2 = Y1.ravel(), Y2.ravel()
+        ys, ts = np.linspace(lo, hi, 101), np.linspace(0.01, 0.99, 61)
+        Y1, Y2, t = (A.ravel() for A in np.meshgrid(ys[::7], ys[3::11], ts[::10], indexing="ij"))
         keep = Y1 != Y2
-        Y1, Y2 = Y1[keep], Y2[keep]
-        ts = np.linspace(0.01, 0.99, 61)
-        best = np.inf
-        for x in xs:
-            g1 = p * _glt_g(Y1[:, None], q) + x * Y1
-            g2 = p * _glt_g(Y2[:, None], q) + x * Y2
-            mx = np.maximum(g1, g2)
-            for t in ts:
-                mid_pt = t * Y1 + (1 - t) * Y2
-                mid = p * _glt_g(mid_pt[:, None], q) + x * mid_pt
-                ratio = 2.0 * (mx - mid) / (t * (1 - t) * (Y1 - Y2) ** 2)
-                best = min(best, float(ratio.min()))
-        gamma = 0.90 * best
+        Y1, Y2, t = Y1[keep, None], Y2[keep, None], t[keep]
+        k = 4001
     else:
         rng = rng_for(11)
-        m = 40_000
-        X = lo + rng.random((m, n)) * (hi - lo)
-        Y1 = lo + rng.random((m, n)) * (hi - lo)
-        Y2 = lo + rng.random((m, n)) * (hi - lo)
-        t = rng.random((m, 1))
-        g1 = p * _glt_g(Y1, q) + np.einsum("ij,ij->i", X, Y1)
-        g2 = p * _glt_g(Y2, q) + np.einsum("ij,ij->i", X, Y2)
-        midp = t * Y1 + (1 - t) * Y2
-        mid = p * _glt_g(midp, q) + np.einsum("ij,ij->i", X, midp)
-        d2 = np.sum((Y1 - Y2) ** 2, axis=-1)
-        ok = d2 > 1e-12
-        ratio = 2.0 * (np.maximum(g1, g2) - mid)[ok] / (t[ok, 0] * (1 - t[ok, 0]) * d2[ok])
-        gamma = 0.90 * float(ratio.min())
-    rng = rng_for(12)
-    m = 100_000
-    X = lo + rng.random((m, n)) * (hi - lo)
-    Y = lo + rng.random((m, n)) * (hi - lo)
-    Z = lo + rng.random((m, n)) * (hi - lo)
-    num = np.einsum("ij,ij->i", X - Y, Z - Y)
-    den = np.sum((X - Y) ** 2, axis=-1) + np.sum((Y - Z) ** 2, axis=-1)
-    ok = den > 1e-12
-    eta = 1.05 * max(0.0, float(np.max(num[ok] / den[ok])))
-    return max(gamma, 0.0), eta
+        Y1, Y2 = (lo + rng.random((40_000, n)) * (hi - lo) for _ in range(2))
+        t = rng.random(40_000)
+        m = 60 if n == 2 else 25
+        Y1, Y2, t = Y1[:m], Y2[:m], t[:m]
+        k = 201 if n == 2 else 41
+    f = glt_example(p, q, n=n, K=Box(np.full(n, lo), np.full(n, hi)))
+    axis = np.linspace(lo, hi, k)
+    X = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    closed = _glt_ratios(p, q, lo, hi, Y1, Y2, t)
+    assert closed.shape == t.shape
+    u = Y1 - Y2
+    scale = 2.0 / (t * (1 - t) * np.sum(u * u, axis=-1))  # ratio per unit of numerator
+    brute = np.array([scale[i] * (np.maximum(f.fn(X, Y1[i]), f.fn(X, Y2[i]))
+                                  - f.fn(X, t[i] * Y1[i] + (1 - t[i]) * Y2[i])).min()
+                      for i in range(t.size)])
+    # the numerator is 1-Lipschitz in s = x.u, and some grid point lies within
+    # h/2 per axis of an x attaining the clipped s, so within h/2 ||u||_1 in s
+    h = (hi - lo) / (k - 1)
+    assert np.all(closed <= brute + 1e-11 * scale)
+    assert np.all(brute - closed <= (0.5 * h * np.sum(np.abs(u), axis=-1) + 1e-11) * scale)
+    assert _glt_constants(p, q, lo, hi, n)[0] <= max(0.9 * brute.min(), 0.0)
 
 
-# every (p, q, box, n) that the tests, the README and the benchmark jobs build; then
-# a box where many pairs' V vertices in x fall outside [lo, hi], and one with lo < 0
-@pytest.mark.parametrize("p, q, lo, hi, n", [(2.0, 2.0, 0.0, 4.0, 1), (2.0, 2.0, 0.0, 4.0, 2),
-                                             (3.0, 1.5, 0.0, 4.0, 3), (2.0, 5.0, 0.0, 10.0, 1),
-                                             (2.0, 2.0, -3.0, 1.5, 1)])
-def test_glt_constants_equal_the_per_pair_loop_bit_for_bit(p, q, lo, hi, n):
+def test_glt_constants_in_one_dimension_are_unchanged_and_eta_is_one_half():
     from sqopt.functions import _glt_constants
 
-    assert _glt_constants.__wrapped__(p, q, lo, hi, n) == _glt_constants_reference(p, q, lo, hi, n)
+    gammas = [_glt_constants(p, q, lo, hi, n)[0] for p, q, lo, hi, n in GLT_BOXES if n == 1]
+    assert gammas == [0.22784376788091046, 0.12155186417649394, 0.0]
+    for p, q, lo, hi, n in GLT_BOXES:
+        assert glt_example(p, q, n=n, K=Box(np.full(n, lo), np.full(n, hi))).eta == 0.5
+
+
+def test_glt_example_is_not_quasiconvex_in_y_in_two_dimensions():
+    # a point between two y's lies above both, so the 2-D modulus is 0
+    f = glt_example(2, 2, n=2)
+    assert f.gamma == 0.0
+    x = np.array([3.88813694, 0.11186306])
+    y1, y2, t = np.array([0.36199571, 2.09970456]), np.array([0.45577555, 1.63627617]), 0.47696546
+
+    def glt(x, y):  # f written out again, independently of the catalog
+        g = lambda u: max(np.sqrt(np.hypot(*u)), (u[0] - 2) ** 2 + (u[1] - 2) ** 2 - 2)
+        return 2 * (g(y) - g(x)) + float(np.dot(x, y - x))
+
+    ym = t * y1 + (1 - t) * y2
+    for fv in (f.value, glt):
+        assert fv(x, ym) - max(fv(x, y1), fv(x, y2)) > 2.6e-3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_glt_a5_holds_with_the_exact_eta(n):
+    from sqopt.equilibrium import EpProblem
+
+    for seed in (0, 1, 7, 31):
+        rep = EpProblem(glt_example(2, 2, n=n)).certify(seed=seed).reports["A5"]
+        assert rep.passed and rep.property == "a5(eta=0.5)", (n, seed)
 
 
 def test_glt_example_basics():
     f = glt_example(2, 2)
     assert f.value([1.0], [1.0]) == 0.0
-    assert f.gamma > 0.1 and 0.45 <= f.eta <= 0.6
+    assert f.gamma > 0.1 and f.eta == 0.5
     with pytest.raises(ValueError):
         glt_example(1, 2)
     rep = verify.check_a0(f, n_samples=300, seed=1)

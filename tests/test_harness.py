@@ -130,6 +130,17 @@ def test_run_from_config_ep(tmp_path):
     assert code == EXIT_OK
     header = paths["trace"].read_text().splitlines()[0]
     assert header == "k,value,residual,step_norm,cum_prox_evals,wall_ms,residual_ep,line_search_m"
+    loaded = json.loads(paths["summary"].read_text())
+    assert loaded["guarded"] and loaded["guard_notes"] == []
+    # an unguarded run's summary says why: f(x, .) of the 2-D glt_example is
+    # not quasiconvex, so gamma = 0 and no beta window exists
+    cfg = ep_config()
+    cfg["problem"]["bifunction"] = {"catalog": "glt_example", "params": {"p": 2, "q": 2, "n": 2}}
+    cfg["algorithm"].update(x0=[1.0, 2.0], beta={"kind": "constant", "value": 0.18}, max_iters=1)
+    summary, _, paths = run_from_config(cfg, tmp_path / "glt2d")
+    loaded = json.loads(paths["summary"].read_text())
+    assert not loaded["guarded"] and not summary.guarded
+    assert loaded["guard_notes"] == ["no admissible beta window for gamma=0, eta=0.5"]
 
 
 def test_trace_csv_byte_reproducible(tmp_path):
@@ -528,6 +539,16 @@ def test_cli_impossible_allocation_or_float_overflow_is_guard_abort(tmp_path, ca
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_GUARD
     err = capsys.readouterr().err
     assert err.startswith("aborted: ") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_supercoercive_overflow_names_the_check_and_the_radius(tmp_path, capsys):
+    # the line was Python's bare errno text, "(34, 'Numerical result out of range')"
+    cfg = {"schema_version": 1, "problem": _SIN_QUAD,
+           "verify": {"checks": [{"check": "supercoercive", "radii": [1e300, 1e308]}]}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err == "aborted: supercoercive: the square of radius 1e+308 overflows\n"
 
 
 # power_norm and glt_example failed on a zero-size reduction, euclid_norm on a
