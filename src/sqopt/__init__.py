@@ -1,10 +1,5 @@
 """sqopt: strongly quasiconvex minimization and equilibrium-problem toolkit."""
 
 from . import dynamics, equilibrium, functions, geometry, harness, minimize, prox, verify
-from .functions import Bifunction, BregmanFunction, Objective, bifunction_catalog, bregman_catalog, catalog
-from .geometry import AffineSubspace, Ball, Box, FeasibleSet, FullSpace, HalfspaceIntersection
-from .minimize import IterationTrace, MinParams, Schedule, default_rippa_params
-from .prox import GlobalSolveConfig, ProxResult, global_min, prox
-from .verify import CheckReport
 
 __version__ = "0.1.0"

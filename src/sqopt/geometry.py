@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Dykstra guarantee is 1e-10; the sweep stop is tighter so that re-projecting
-# a projected point moves it by less than the 1e-12 idempotence budget.
-DYKSTRA_TOL = 1e-13
-DYKSTRA_MAX_SWEEPS = 10_000
+# y, projected from x, meets a.y <= b once a.y - b <= FEAS_TOL (|a|_1 max_j(|x_j|+|y_j|) + |b|)
+FEAS_TOL = 1e-14
+ACTIVE_SET_MAX_STEPS = 10_000  # the solve is finite; this turns a cycling one into an error
 ORTHONORMAL_TOL = 1e-12
 # rows per block when many sampled rows are reduced to one number (the
 # sampled checks of ``verify``, glt_example's constants); no result depends on it
@@ -268,41 +267,47 @@ class HalfspaceIntersection(FeasibleSet):
         return self.normals.shape[1]
 
     def _project_many(self, X):
+        # Goldfarb and Idnani's dual active-set method with H = I: a row adds its most
+        # violated halfspace p along the part z of p's normal orthogonal to the row's
+        # active normals, first dropping each active halfspace whose multiplier would turn
+        # negative (a normal within sqrt(FEAS_TOL) radians of their span lies in it).  The
+        # at most dim active halfspaces sit in slots, an empty one an identity row of the
+        # Gram matrix.  A feasible row takes one refinement step onto its active planes.
+        # einsum and the stacked solve round a row alike in any batch.
         A, b = self.normals, self.bounds
-        # einsum, not ``X @ A.T``: a matrix product may round a row differently
-        # inside a batch than alone, and so pick a different set of rows
-        rows = np.nonzero(np.any(np.einsum("ij,kj->ik", X, A) - b > 0, axis=1))[0]
-        out = X.copy()
-        if rows.size == 0:
-            return out
-        if A.shape[0] == 1:
-            a = A[0]
-            excess = np.maximum(0.0, (np.einsum("ij,j->i", X[rows], a) - b[0]) / (a @ a))
-            out[rows] = X[rows] - excess[:, None] * a
-            return out
-        # Dykstra's algorithm: converges to the Euclidean projection onto the
-        # intersection, unlike plain alternating projection.  All violating
-        # rows sweep in lockstep, each with its own increments and its own
-        # stop, and leave the batch once their sweep shift is below tolerance.
-        Y = X[rows]
-        increments = np.zeros((rows.size, A.shape[0], X.shape[1]))
-        sq = np.einsum("ij,ij->i", A, A)
-        for _ in range(DYKSTRA_MAX_SWEEPS):
-            shift = np.zeros(rows.size)
-            for i in range(A.shape[0]):
-                W = Y + increments[:, i]
-                excess = np.maximum(0.0, (np.einsum("ij,j->i", W, A[i]) - b[i]) / sq[i])
-                Y_new = W - excess[:, None] * A[i]
-                increments[:, i] = W - Y_new
-                shift += np.linalg.norm(Y_new - Y, axis=-1)
-                Y = Y_new
-            done = shift <= DYKSTRA_TOL
-            out[rows[done]] = Y[done]
-            rows, Y, increments = rows[~done], Y[~done], increments[~done]
+        sq, l1 = np.einsum("ij,ij->i", A, A), np.abs(A).sum(axis=1)
+        out, rows, Y = X.copy(), np.arange(len(X)), X
+        act, u, p, up = np.full(X.shape, -1), np.zeros(X.shape), np.full(len(X), -1), np.zeros(len(X))
+        for _ in range(ACTIVE_SET_MAX_STEPS):
+            N = np.where((act >= 0)[..., None], A[act], 0.0)
+            G = np.einsum("rkj,rlj->rkl", N, N) + np.eye(self.dim) * (act < 0)[..., None]
+            S = np.einsum("ij,kj->ik", Y, A) - b
+            tol = FEAS_TOL * ((np.abs(Y) + np.abs(X[rows])).max(axis=1)[:, None] * l1 + np.abs(b))
+            done = (p < 0) & np.all(S <= tol, axis=1)
+            res = np.where(act >= 0, np.take_along_axis(S, act, 1), 0.0)[done]
+            w = np.linalg.solve(G[done], res[..., None])[..., 0]
+            out[rows[done]] = Y[done] - np.einsum("rk,rkj->rj", w, N[done])
+            p = np.where(p < 0, np.argmax((S - tol) / np.sqrt(sq), axis=1), p)
+            rows, Y, act, N, G, u, p, up, S = (v[~done] for v in (rows, Y, act, N, G, u, p, up, S))
             if rows.size == 0:
                 return out
-        raise ValueError(f"{rows.size} rows still move after {DYKSTRA_MAX_SWEEPS} Dykstra "
-                         "sweeps: the halfspace intersection may be empty")
+            i = np.arange(rows.size)
+            r = np.linalg.solve(G, np.einsum("rkj,rj->rk", N, A[p])[..., None])[..., 0]
+            z = A[p] - np.einsum("rk,rkj->rj", r, N)
+            zz = np.einsum("ij,ij->i", z, z)
+            spanned = (zz <= FEAS_TOL * sq[p]) | np.all(act >= 0, axis=1)
+            t1 = np.where(spanned, np.inf, S[i, p] / np.where(spanned, 1.0, zz))
+            ratio = np.where(r > 0, u / np.where(r > 0, r, 1.0), np.inf)
+            t = np.minimum(t1, ratio.min(axis=1))
+            if np.any(np.isinf(t)):  # p's normal is a nonpositive sum of active ones
+                raise ValueError("the halfspace intersection is empty")
+            full = t == t1
+            Y = Y - np.where(spanned, 0.0, t)[:, None] * z
+            u, up = u - t[:, None] * r, up + t
+            k = np.where(full, np.argmin(act >= 0, axis=1), np.argmin(ratio, axis=1))
+            act[i, k], u[i, k] = np.where(full, p, -1), np.where(full, up, 0.0)
+            p[full], up[full] = -1, 0.0
+        raise ValueError(f"{rows.size} rows unprojected after {ACTIVE_SET_MAX_STEPS} steps")
 
     @property
     def is_bounded(self):

@@ -181,7 +181,7 @@ def _refine_pg(fn, grad, K, X, F, own, cfg):
     K does not clip, the mapping is the gradient; at a constrained minimizer
     the gradient stays large and the projected move is (nearly) zero, and a
     clipped move there may be rejected only because the projection rounds,
-    as Dykstra's does at a polytope's vertex.
+    by up to an ulp at a polytope's vertex.
 
     The active rows form a working set: their points, values, gradients,
     steps and owners are compacted together and updated in place, and a row

@@ -325,12 +325,10 @@ def test_1d_glt_extragradient_and_certificate_solves_take_few_batches(tmp_path, 
     # the solve_ep benchmark's EG_EP and PEG_EP runs from fixed starts, with
     # their certificates; projected gradient took a median of 46-52 lockstep
     # iterations per solve, the bracket search takes at most 5
-    import importlib
-
     import sqopt.equilibrium as E
+    import sqopt.prox as P
     from sqopt.harness import run_from_config
 
-    P = importlib.import_module("sqopt.prox")
     solve, iters = P._global_min_impl, []
 
     def counted(*args, **kwargs):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +198,83 @@ def test_lockstep_dykstra_equals_row_by_row():
     assert np.array_equal(P[:1000], inside)
     ref = np.stack([_reference_dykstra(A, b, x) for x in outside[:200]])
     assert np.max(np.abs(P[1000:1200] - ref)) <= 1e-12
+
+
+def _reference_projection(A, b, x):
+    """The feasible point nearest x among x's projections onto the affine hulls of
+    up to dim of the halfspaces: the projection, found by enumeration."""
+    best = None
+    for k in range(A.shape[1] + 1):
+        for face in itertools.combinations(range(A.shape[0]), k):
+            F = A[list(face)]
+            if np.linalg.matrix_rank(F) < k:
+                continue
+            y = x - F.T @ np.linalg.solve(F @ F.T, F @ x - b[list(face)]) if k else x
+            if np.all(A @ y - b <= 1e-12) and (best is None
+                                               or np.linalg.norm(y - x) < np.linalg.norm(best - x)):
+                best = y
+    return best
+
+
+def test_projection_equals_the_affine_hull_reference():
+    rng = np.random.Generator(np.random.Philox(key=95))
+    cases = [(rng.standard_normal((2 * d, d)), rng.random(2 * d) + 0.5) for d in (2, 3, 4) * 3]
+    # three halfspaces through the vertex (1, 1)
+    cases.append((np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 2.0])))
+    # x + 2y <= 1 twice, at two scales, x + 2y <= 5/6 scaled by 3, x >= 0 and y >= 0
+    cases.append((np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, 0.0], [0.0, -1.0]]),
+                  np.array([1.0, 2.0, 2.5, 0.0, 0.0])))
+    for A, b in cases:
+        X = 3.0 * rng.standard_normal((40, A.shape[1]))
+        ref = np.stack([_reference_projection(A, b, x) for x in X])
+        assert np.max(np.abs(HalfspaceIntersection(A, b).project_many(X) - ref)) <= 1e-13
+
+
+_POLYTOPE = HalfspaceIntersection(np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 2.0]]),
+                                  np.array([-0.5, -0.2, -1.0, 4.0]))
+
+
+def test_reprojecting_projected_points_is_bit_identical():
+    X = 6.0 * (2.0 * np.random.Generator(np.random.Philox(key=96)).random((20_000, 2)) - 1.0)
+    P = _POLYTOPE.project_many(X)
+    assert np.array_equal(_POLYTOPE.project_many(P), P)
+
+
+def test_normal_cone_points_land_on_the_vertex():
+    # (0.5, 0.5) plus a nonnegative sum of the normals (-1, 0) and (-1, -1) of
+    # its two active halfspaces
+    W = np.random.Generator(np.random.Philox(key=97)).random((40_000, 2))
+    X = 0.5 - W @ np.array([[1.0, 0.0], [1.0, 1.0]])
+    X = X[np.linalg.norm(X, axis=1) <= 1.0]
+    assert X.shape[0] > 10_000
+    assert np.max(np.abs(_POLYTOPE.project_many(X) - 0.5)) <= 1.2e-16
+
+
+def test_many_halfspaces_project_feasibly_in_bounded_memory():
+    # 64 tangent halfspaces of the unit circle: a row keeps at most dim active
+    # normals, so memory is of order rows * (halfspaces + dim^2)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    A = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    K = HalfspaceIntersection(A, np.ones(64))
+    X = 4.0 * np.random.Generator(np.random.Philox(key=98)).standard_normal((1 << 14, 2))
+    tracemalloc.start()
+    try:
+        P = K.project_many(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(P @ A.T - 1.0) <= 1e-13
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0]),  # x <= -1 and x >= 1
+    ([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [-1.0, -1.0, 1.0]),  # x, y >= 1 and x + y <= 1
+], ids=["parallel", "triangle"])
+def test_empty_intersection_is_refused(A, b):
+    K = HalfspaceIntersection(np.array(A), np.array(b))
+    with pytest.raises(ValueError, match="halfspace intersection is empty"):
+        K.project_many(np.array([[0.3, 0.2], [5.0, -4.0]]))
 
 
 @pytest.mark.parametrize("key", range(5))

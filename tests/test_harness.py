@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqopt
 from sqopt.cli import main as cli_main
 from sqopt import minimize as mz
 from sqopt.harness import (
@@ -499,25 +504,43 @@ def test_cli_every_variant_at_zero_iterations_hits_the_cap(tmp_path, variant):
     assert len((tmp_path / "o" / "trace.csv").read_text().splitlines()) == 2  # header + x0
 
 
+# x <= -1 and x >= 1
 _EMPTY_SET = {"kind": "halfspaces", "normals": [[1.0, 0.0], [-1.0, 0.0]], "bounds": [-1.0, -1.0]}
+# x >= 1, y >= 1 and x + y <= 1
+_EMPTY_TRIANGLE = {"kind": "halfspaces", "normals": [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                   "bounds": [-1.0, -1.0, 1.0]}
+_VERIFY_SECTION = {"verify": {"checks": [{"check": "sqc", "n": 50, "radius": 3.0}]}}
 
 
-@pytest.mark.parametrize("command, section", [
-    ("verify", {"verify": {"checks": [{"check": "sqc", "n": 50, "radius": 3.0}]}}),
+def _empty_set_config(empty_set, section):
+    return {"schema_version": 1, **section,
+            "problem": {"kind": "minimize", "set": empty_set,
+                        "objective": {"catalog": "power_norm", "params": {"n": 2}}}}
+
+
+@pytest.mark.parametrize("command, section, empty_set", [
+    ("verify", _VERIFY_SECTION, _EMPTY_SET),
     ("minimize", {"algorithm": {"variant": "PPA", "x0": [0.5, 0.5], "max_iters": 5,
-                                "search_radius": 3.0}}),
-], ids=["verify", "minimize"])
-def test_cli_empty_halfspace_intersection_is_guard_abort(tmp_path, capsys, command, section):
-    # x <= -1 and x >= 1: Dykstra ran all its sweeps and returned points 2.0
-    # outside the set, so verify exited 0 with witnesses at infeasible points
-    cfg = {"schema_version": 1, **section,
-           "problem": {"kind": "minimize", "set": _EMPTY_SET,
-                       "objective": {"catalog": "power_norm", "params": {"n": 2}}}}
-    path = write_cfg(tmp_path, cfg)
+                                "search_radius": 3.0}}, _EMPTY_SET),
+    ("verify", _VERIFY_SECTION, _EMPTY_TRIANGLE),
+], ids=["verify", "minimize", "triangle"])
+def test_cli_empty_halfspace_intersection_is_guard_abort(tmp_path, capsys, command, section,
+                                                         empty_set):
+    # the projection proves each set empty, and the command refuses with one line
+    path = write_cfg(tmp_path, _empty_set_config(empty_set, section))
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_GUARD
     err = capsys.readouterr().err
-    assert err.startswith("aborted: ") and "may be empty" in err
-    assert len(err.strip().splitlines()) == 1
+    assert err == "aborted: the halfspace intersection is empty\n"
+
+
+def test_cli_module_run_refuses_an_empty_halfspace_intersection(tmp_path):
+    path = write_cfg(tmp_path, _empty_set_config(_EMPTY_TRIANGLE, _VERIFY_SECTION))
+    env = {**os.environ, "PYTHONPATH": str(Path(sqopt.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-m", "sqopt.cli", "verify", "--config", path,
+                          "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert res.returncode == EXIT_GUARD
+    assert res.stderr == "aborted: the halfspace intersection is empty\n"
 
 
 _SIN_QUAD = {"kind": "minimize", "objective": {"catalog": "sin_quad", "params": {}}}

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sqopt.prox as P
 from conftest import abs_on_box, grid_min_1d, half_quad
 from sqopt.functions import bifunction_catalog, bregman_catalog, catalog
 from sqopt.geometry import Box, HalfspaceIntersection, box1d
@@ -190,7 +191,6 @@ def test_bregman_prox_neg_entropy_matches_grid_oracle():
 
 
 def test_bregman_subproblem_gradient_matches_central_differences():
-    P = _prox_mod()
     cases = [(catalog("gauss_well"), bregman_catalog("neg_entropy", dim=1, shift=2.0), 0.5),
              (catalog("euclid_norm", n=2, gamma=0.2), bregman_catalog("neg_entropy", dim=2, shift=4.0),
               0.3)]
@@ -290,17 +290,10 @@ def test_tie_representative_is_best_valued_member():
 # --- lockstep refiners ----------------------------------------------------------
 
 
-def _prox_mod():
-    import importlib
-
-    return importlib.import_module("sqopt.prox")  # the package re-exports a function `prox`
-
-
 def test_refine_pg_root_quartic_prox_converges_fast():
     # curvature ~1.985 here: doubling after every accept and halving after
     # every reject cycled between an overshooting step 1 and a rejected step 2,
     # so all 17 rows ran to max_local_iters with |grad| up to 1.6e-2
-    P = _prox_mod()
     h = catalog("root_quartic", k=1.0, c=2.0)
     x = np.array([1.748224804581618])
     cfg = GlobalSolveConfig()
@@ -325,7 +318,6 @@ def test_refine_pg_root_quartic_prox_converges_fast():
 
 def _refine_subproblems():
     """(id, paired fn, paired grad, centers, K, cfg) of the refined subproblem kinds."""
-    P = _prox_mod()
     sq = catalog("sin_quad")
     sq_fn, sq_grad = P._prox_objective(sq.value_many, sq.grad_many, 0.8)
     glt = bifunction_catalog("glt_example", p=2.0, q=2.0, n=2)
@@ -365,7 +357,6 @@ def _starts(K, cfg, m, key):
 def test_lockstep_refiners_rows_are_independent(case):
     # per-row state (step, gradient, BB lengths, stop flags) never mixes rows:
     # a batch refines bit for bit as one call per row
-    P = _prox_mod()
     C, K, cfg = case[3][:1], case[4], case[5]
     X = _starts(K, cfg, 12, key=97)
     own = np.zeros(X.shape[0], dtype=int)
@@ -382,7 +373,6 @@ def test_lockstep_refiners_stack_equals_each_problem_solo(case):
     # two problems (two centers) refined in one working set: each problem's
     # rows end bit for bit where that problem alone takes them, although the
     # two retire at different iterations
-    P = _prox_mod()
     C, K, cfg = case[3], case[4], case[5]
     X = np.concatenate([_starts(K, cfg, 9, key=98), _starts(K, cfg, 7, key=99)])
     own = np.repeat([0, 1], [9, 7])
@@ -399,7 +389,6 @@ def test_global_solve_stack_equals_each_problem_solo():
     # certificate and BPPA's neg_entropy subproblem; by values: a kinked
     # objective without a derivative), tie representatives, evaluation and
     # batch counts
-    P = _prox_mod()
     cases = []
     for h, cfg in ((catalog("sin_quad"), GlobalSolveConfig(search_radius=6.0)),
                    (catalog("power_norm", n=2, halfwidth=10.0), GlobalSolveConfig())):
@@ -462,7 +451,7 @@ POLYTOPE = HalfspaceIntersection(np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0
 
 
 # (objective, set, solve config, center, the proximal point and how far from
-# it Dykstra's tolerance lets the result lie, a bound on the rows evaluated);
+# it the result may lie, a bound on the rows evaluated);
 # the seeds are 10,002, 82 and 26 rows, and each of the 17, 82 and 26 kept
 # starts may run 400 refine iterations
 @pytest.mark.parametrize("h, K, cfg, center, point, atol, max_evals", [
@@ -476,7 +465,7 @@ POLYTOPE = HalfspaceIntersection(np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0
 def test_refine_pg_rows_retire_at_a_constrained_minimizer(h, K, cfg, center, point, atol,
                                                           max_evals):
     # at a minimizer on the boundary the gradient stays large and the projected
-    # move is zero, or at a polytope's vertex within Dykstra's tolerance; a
+    # move is zero, or at a polytope's vertex within the projection's rounding; a
     # gradient test ran such rows to max_local_iters (16,803, 32,883 and 3,830
     # rows evaluated).  At the vertex the tiny clipped moves are often
     # rejected, so a mapping test on accepted moves alone still took 390 rows
@@ -502,7 +491,6 @@ def test_1d_prox_lands_exactly_on_a_kink(grid_density):
 def test_1d_glt_certificate_lands_on_its_kink():
     # for these x, min_y f(x, y) of glt_example lies on the max-kink
     # (3 - sqrt 5)/2 of g; projected gradient ended 1e-12 to 1e-10 from it
-    P = _prox_mod()
     f = bifunction_catalog("glt_example", p=2.0, q=2.0)
     kink = (3.0 - np.sqrt(5.0)) / 2.0
     for x in (0.1, 0.5, 1.3, 2.0, 3.0):
@@ -521,7 +509,6 @@ def test_1d_minimum_at_a_bound_is_the_bound_after_one_batch(center, bound):
 
 def _oracle_cases():
     """(id, paired fn, paired grad, K, cfg, 50 centers, extra starts?, the oracle's interval)."""
-    P = _prox_mod()
     rng = np.random.Generator(np.random.Philox(key=131))
     sq = catalog("sin_quad")
     fn, grad = P._prox_objective(sq.value_many, sq.grad_many, 0.8)
@@ -536,7 +523,6 @@ def _oracle_cases():
 def test_1d_solves_agree_with_a_million_point_grid(case):
     # the bracket search keeps the dense grid's globality: no worse a value
     # than 10^6 grid points, and a candidate within two of their spacings
-    P = _prox_mod()
     _, fn, grad, K, cfg, C, seed_centers, (lo, hi) = case
     T = np.linspace(lo, hi, 1_000_001)[:, None]
     for c, res in zip(C, P._global_min_impl(fn, grad, K, cfg, C, seed_centers=seed_centers)):
@@ -569,7 +555,6 @@ def test_1d_prox_points_are_roots_of_the_subproblem_derivative(name, kw, cfg, ce
 def test_1d_brackets_every_local_minimum_up_to_n_starts():
     # 0.1 t^2 - cos(2 pi t) on [-1.5, 1.5] has local minima near -1, 0 and 1,
     # the best at 0; the ends are local maxima
-    P = _prox_mod()
     K = box1d(-1.5, 1.5)
     fn = lambda X: 0.1 * X[:, 0] ** 2 - np.cos(2.0 * np.pi * X[:, 0])
     slope = lambda t: 0.2 * t + 2.0 * np.pi * np.sin(2.0 * np.pi * t)
@@ -590,7 +575,6 @@ def test_every_benchmark_global_solve_gets_a_gradient(tmp_path, monkeypatch):
     # loaded read-only): every problem of every global solve steps along a
     # gradient; BPPA's entropy subproblems and the value gap's certificate
     # were solved without one
-    P = _prox_mod()
     import sqopt.equilibrium as E
 
     root = Path(__file__).resolve().parents[1]
