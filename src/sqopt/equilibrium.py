@@ -1,6 +1,9 @@
 """Solvers for equilibrium problems with strongly quasiconvex bifunctions.
 
-Find ``x`` in K with ``f(x, y) >= 0`` for all ``y`` in K.  Six methods: the
+Find ``x`` in K with ``f(x, y) >= 0`` for all ``y`` in K: the problem is the
+pair ``(f, K)``, as a minimization problem is ``(h, K)``, so every runner is
+``run_*_ep(f, K, params, x0)`` and every validator ``validate_*(f, K, params)``
+(``verify.certify_ep(f, K)`` samples the assumptions).  Six methods: the
 relaxed-inertial proximal scheme, full-bifunction regularization with nested
 proximal solves, constant-inertia extrapolation (positive or negative), a
 two-step predictor-corrector, and two extragradient methods (normalized star
@@ -23,7 +26,7 @@ share a stack key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,13 +36,7 @@ from .geometry import FeasibleSet, as_point
 from .minimize import (IterationTrace, Run, _drive, _drive_one, _Recorder,
                        _relaxed_inertial_notes, _run_proximal, _RunParams)
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
-from .verify import (
-    CheckReport,
-    check_a0,
-    check_a4_sampled,
-    check_pseudomonotone,
-    estimate_eta,
-)
+from .verify import CheckReport, _fold_blocks, _unit_blocks
 
 LINE_SEARCH_CAP = 60  # 2^-60 underflow guard
 ORACLE_CHECK_SAMPLES = 32  # EG/PEG level-set spot check of each oracle output
@@ -57,40 +54,6 @@ class EpParams(_RunParams):
     epsilon: float = declared(Kind("number", 1e-3))  # two-step interval margin
     inner_max: int = declared(Kind("int", 1000, lo=1))  # nested solve iteration cap
     policy: str = declared(Kind("enum", "corrected", choices=("corrected", "strict")))
-
-
-@dataclass
-class EpProblem:
-    f: Bifunction
-    K: FeasibleSet | None = None
-    known_solution: np.ndarray | None = None
-    reports: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.K is None:
-            self.K = self.f.domain
-
-    def certify(self, seed: int = 0, radius: float | None = None) -> "EpProblem":
-        """Attach sampled assumption reports (A0, pseudomonotonicity, A4, A5)."""
-        f, K = self.f, self.K
-        self.reports["A0"] = check_a0(f, K, seed=seed, radius=radius)
-        self.reports["A2"] = check_pseudomonotone(f, K, seed=seed + 1, radius=radius)
-        self.reports["A4"] = check_a4_sampled(f, K, seed=seed + 2, radius=radius)
-        eta_rep = estimate_eta(f, K, seed=seed + 3, radius=radius)
-        ok = eta_rep.estimate <= f.eta + 1e-8
-        self.reports["A5"] = CheckReport(
-            property=f"a5(eta={f.eta})",
-            passed=ok,
-            samples=eta_rep.samples,
-            worst_margin=f.eta - eta_rep.estimate,
-            witnesses=[] if ok else [{"eta_hat": eta_rep.estimate}],
-            estimate=eta_rep.estimate,
-        )
-        return self
-
-    @property
-    def certified(self) -> bool:
-        return bool(self.reports) and all(r.passed for r in self.reports.values())
 
 
 def beta_window(gamma: float, eta: float, policy: str = "corrected") -> tuple[float, float] | None:
@@ -117,7 +80,8 @@ def _ep_prox(f: Bifunction, K: FeasibleSet, beta: float, center: np.ndarray, cfg
     return prox_point(fy, gy, K, beta, center, cfg)
 
 
-def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> float | np.ndarray:
+def ep_residual(f: Bifunction, K: FeasibleSet, x,
+                cfg: GlobalSolveConfig | None = None) -> float | np.ndarray:
     """Certificate residual ``min_y f(x, y)`` over K; near zero iff x solves the problem.
 
     ``x`` is one point, giving a float, or a batch of rows, giving an array.
@@ -129,30 +93,28 @@ def ep_residual(prob: EpProblem, x, cfg: GlobalSolveConfig | None = None) -> flo
     cfg = cfg or GlobalSolveConfig()
     X = np.asarray(x, dtype=float)
     one = X.ndim < 2
-    C = as_point(X, prob.f.dim)[None, :] if one else np.stack([as_point(r, prob.f.dim) for r in X])
-    fn = lambda Xc, Y: np.asarray(prob.f.fn(Xc, Y), dtype=float)
-    res = _global_min_impl(fn, prob.f.partial_grad_y, prob.K, cfg, C)
+    C = as_point(X, f.dim)[None, :] if one else np.stack([as_point(r, f.dim) for r in X])
+    fn = lambda Xc, Y: np.asarray(f.fn(Xc, Y), dtype=float)
+    res = _global_min_impl(fn, f.partial_grad_y, K, cfg, C)
     values = np.array([r.value for r in res])
     return float(values[0]) if one else values
 
 
-def check_minty(prob: EpProblem, xbar, n_samples: int = 1000, seed: int = 0, tol: float = 1e-8,
-                radius: float | None = None) -> CheckReport:
+def check_minty(f: Bifunction, K: FeasibleSet, xbar, n_samples: int = 1000, seed: int = 0,
+                tol: float = 1e-8, radius: float | None = None) -> CheckReport:
     """Dual feasibility: sampled y satisfy f(y, xbar) <= tol at the solution."""
-    from .verify import _fold_blocks
-
-    xbar = as_point(xbar, prob.f.dim)
+    xbar = as_point(xbar, f.dim)
 
     def block(start, U):
-        Y = prob.K.from_unit(U, radius)
-        vals = prob.f.fn(Y, xbar[None, :].repeat(len(Y), axis=0))
+        Y = K.from_unit(U, radius)
+        vals = f.fn(Y, xbar[None, :].repeat(len(Y), axis=0))
 
         def witness(i):
             return {"y": Y[i].tolist(), "f_y_xbar": float(vals[i])}
 
         return -vals, witness, len(Y)
 
-    return _fold_blocks("minty_dual", tol, seed, n_samples, prob.K.dim, block)
+    return _fold_blocks("minty_dual", tol, seed, n_samples, K.dim, block)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +122,9 @@ def check_minty(prob: EpProblem, xbar, n_samples: int = 1000, seed: int = 0, tol
 # ---------------------------------------------------------------------------
 
 
-def validate_rippa_ep(prob: EpProblem, p: EpParams) -> list[str]:
-    affine_notes = _relaxed_inertial_notes("RIPPA_EP", p, prob.K)
+def validate_rippa_ep(f: Bifunction, K: FeasibleSet, p: EpParams) -> list[str]:
+    affine_notes = _relaxed_inertial_notes("RIPPA_EP", p, K)
     notes = []
-    f = prob.f
     win = beta_window(f.gamma, f.eta, p.policy)
     betas = _beta_probe(p)
     if win is None:
@@ -177,10 +138,9 @@ def validate_rippa_ep(prob: EpProblem, p: EpParams) -> list[str]:
     return notes + affine_notes
 
 
-def validate_ieppa(prob: EpProblem, p: EpParams) -> list[str]:
+def validate_ieppa(f: Bifunction, K: FeasibleSet, p: EpParams) -> list[str]:
     if not -1.0 < p.alpha < 1.0:
         raise ValueError("IEPPA_EP requires alpha in (-1, 1)")
-    f = prob.f
     notes = []
     if f.gamma <= 12.0 * f.eta:
         notes.append(f"theorem window empty: gamma={f.gamma:.4g} <= 12 eta={12 * f.eta:.4g}")
@@ -200,8 +160,7 @@ def validate_ieppa(prob: EpProblem, p: EpParams) -> list[str]:
     return notes
 
 
-def validate_2ppa(prob: EpProblem, p: EpParams) -> list[str]:
-    f = prob.f
+def validate_2ppa(f: Bifunction, K: FeasibleSet, p: EpParams) -> list[str]:
     if not p.epsilon > 0:
         raise ValueError("TWO_PPA_EP requires epsilon > 0")
     lo = (-np.inf if f.gamma <= 8.0 * f.eta else 1.0 / (f.gamma - 8.0 * f.eta)) if f.eta > 0 else (
@@ -221,14 +180,15 @@ def validate_2ppa(prob: EpProblem, p: EpParams) -> list[str]:
     return notes
 
 
-def validate_eg(prob: EpProblem, p: EpParams, peg: bool = False, oracle=None) -> list[str]:
+def validate_eg(f: Bifunction, K: FeasibleSet, p: EpParams, peg: bool = False,
+                oracle=None) -> list[str]:
     if not 0.0 < p.ls_alpha < 1.0 or not 0.0 < p.ls_rho < 1.0:
         raise ValueError("line-search parameters must lie in (0, 1)")
     notes = []
     betas = _beta_probe(p)
     if any(b2 > b1 + 1e-12 for b1, b2 in zip(betas, betas[1:])):
         notes.append("beta schedule is not nonincreasing")
-    if oracle is None and (prob.f.partial_grad_y is None or not prob.f.smooth):
+    if oracle is None and (f.partial_grad_y is None or not f.smooth):
         raise ValueError("extragradient methods need a subgradient oracle or a smooth y-gradient")
     if p.steps.kind == "constant":
         notes.append("constant projection steps violate the square-summability condition")
@@ -239,11 +199,11 @@ def validate_eg(prob: EpProblem, p: EpParams, peg: bool = False, oracle=None) ->
     return notes
 
 
-def validate_peg(prob: EpProblem, p: EpParams) -> list[str]:
-    return validate_eg(prob, p, peg=True)
+def validate_peg(f: Bifunction, K: FeasibleSet, p: EpParams) -> list[str]:
+    return validate_eg(f, K, p, peg=True)
 
 
-def validate_reg_ep(prob: EpProblem, p: EpParams) -> list[str]:
+def validate_reg_ep(f: Bifunction, K: FeasibleSet, p: EpParams) -> list[str]:
     return []  # beta > 0 holds by construction of its Schedule
 
 
@@ -252,30 +212,30 @@ def validate_reg_ep(prob: EpProblem, p: EpParams) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _ep_recorder(prob: EpProblem, x0: np.ndarray) -> _Recorder:
+def _ep_recorder(f: Bifunction, x0: np.ndarray) -> _Recorder:
     """Trace recorder against f(x0, x^k): zero at x0, negative past it."""
     ref = x0.copy()
-    return _Recorder(lambda x: prob.f.value(ref, x), x0)
+    return _Recorder(lambda x: f.value(ref, x), x0)
 
 
-def start_rippa_ep(prob: EpProblem, p: EpParams, x0) -> Run:
+def start_rippa_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0) -> Run:
     """``run_rippa_ep`` as a run; its requests carry no StackKey (see ``minimize``)."""
-    notes = validate_rippa_ep(prob, p)
+    notes = validate_rippa_ep(f, K, p)
     cfg = p.solve_cfg()
-    rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
-    prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
+    rec = _ep_recorder(f, as_point(x0, f.dim))
+    prox_at = lambda k, y: _ep_prox(f, K, p.beta.at(k), y, cfg)
     return (yield from _run_proximal(rec, p, prox_at, notes, p.alpha, p.rho))
 
 
-def run_rippa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
+def run_rippa_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0) -> IterationTrace:
     """Relaxed-inertial proximal point method for the equilibrium problem."""
-    return _drive_one(start_rippa_ep(prob, p, x0))
+    return _drive_one(start_rippa_ep(f, K, p, x0))
 
 
-def run_ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
+def run_ppa_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0) -> IterationTrace:
     """Proximal point method: the alpha = 0, rho = 1 degeneracy of run_rippa_ep."""
     q = replace(p, variant="RIPPA_EP", alpha=0.0, rho_lo=1.0, rho_hi=1.0)
-    return run_rippa_ep(prob, q, x0)
+    return run_rippa_ep(f, K, q, x0)
 
 
 def _regularized_y_objective(f: Bifunction, xk: np.ndarray, beta_k: float, x) -> tuple:
@@ -293,7 +253,7 @@ def _regularized_y_objective(f: Bifunction, xk: np.ndarray, beta_k: float, x) ->
     return fy_k, gy_k
 
 
-def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
+def run_reg_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0) -> IterationTrace:
     """Regularized-bifunction method with nested proximal inner solves.
 
     Each outer step solves the equilibrium problem for
@@ -301,10 +261,10 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     iteration warm-started at ``x_k``, to tolerance
     ``max(stop_tol, 0.1 * previous outer residual)``.
     """
-    notes = validate_reg_ep(prob, p)
+    notes = validate_reg_ep(f, K, p)
     cfg = p.solve_cfg()
-    x = as_point(x0, prob.f.dim)
-    rec = _ep_recorder(prob, x)
+    x = as_point(x0, f.dim)
+    rec = _ep_recorder(f, x)
     prev_res = 1.0
 
     def step(k):
@@ -313,8 +273,8 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
         z = xk = x.copy()
         inner_tol = max(p.stop_tol, 0.1 * prev_res)
         for _ in range(p.inner_max):
-            fy, gy = _regularized_y_objective(prob.f, xk, beta_k, z)
-            z_next = rec.took(prox_point(fy, gy, prob.K, beta_k, z, cfg))
+            fy, gy = _regularized_y_objective(f, xk, beta_k, z)
+            z_next = rec.took(prox_point(fy, gy, K, beta_k, z, cfg))
             r_in = float(np.linalg.norm(z_next - z))
             z = z_next
             if r_in <= inner_tol:
@@ -333,30 +293,30 @@ def run_reg_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
     return rec.done(_drive_one(_drive(rec, p, step)), not notes, notes)
 
 
-def run_ieppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
+def run_ieppa_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0) -> IterationTrace:
     """Constant-inertia extrapolated proximal method (constant alpha, maybe negative; rho = 1)."""
-    notes = validate_ieppa(prob, p)
+    notes = validate_ieppa(f, K, p)
     cfg = p.solve_cfg()
-    rec = _ep_recorder(prob, as_point(x0, prob.f.dim))
-    prox_at = lambda k, y: _ep_prox(prob.f, prob.K, p.beta.at(k), y, cfg)
+    rec = _ep_recorder(f, as_point(x0, f.dim))
+    prox_at = lambda k, y: _ep_prox(f, K, p.beta.at(k), y, cfg)
     return _drive_one(_run_proximal(rec, p, prox_at, notes, p.alpha))
 
 
-def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
+def run_2ppa_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0) -> IterationTrace:
     """Two-step predictor-corrector proximal method (both steps centered at x)."""
-    notes = validate_2ppa(prob, p)
+    notes = validate_2ppa(f, K, p)
     cfg = p.solve_cfg()
-    x = as_point(x0, prob.f.dim)
-    rec = _ep_recorder(prob, x)
+    x = as_point(x0, f.dim)
+    rec = _ep_recorder(f, x)
     corr_gaps = []
 
     def step(k):
         nonlocal x
         beta_k = p.beta.at(k)
-        y = rec.took(_ep_prox(prob.f, prob.K, beta_k, x, cfg))
+        y = rec.took(_ep_prox(f, K, beta_k, x, cfg))
         yield float(np.linalg.norm(y - x)), y
-        fy, gy = prob.f.y_objective(y)
-        x = rec.took(prox_point(fy, gy, prob.K, beta_k, x, cfg))
+        fy, gy = f.y_objective(y)
+        x = rec.took(prox_point(fy, gy, K, beta_k, x, cfg))
         corr_gaps.append(float(np.linalg.norm(x - y)))
         yield x, None
 
@@ -366,8 +326,6 @@ def run_2ppa_ep(prob: EpProblem, p: EpParams, x0) -> IterationTrace:
 
 def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> bool:
     """Strict-level-set condition: f(z, y) < f(z, x) implies w.(y - x) < 0."""
-    from .verify import _unit_blocks
-
     fz_x = f.value(z, x)
     for _, U in _unit_blocks(seed, n_samples, K.dim):
         Y = K.from_unit(U, radius)
@@ -377,20 +335,20 @@ def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> b
     return True
 
 
-def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: bool) -> IterationTrace:
-    f = prob.f
-    notes = validate_eg(prob, p, peg=not normalized, oracle=oracle)
+def _run_extragradient(f: Bifunction, K: FeasibleSet, p: EpParams, x0, oracle,
+                       normalized: bool) -> IterationTrace:
+    notes = validate_eg(f, K, p, peg=not normalized, oracle=oracle)
     if oracle is None:
         oracle = lambda z, x: f.partial_grad_y(z[None], x[None])[0]
     cfg = p.solve_cfg()
     x = as_point(x0, f.dim)
-    rec = _ep_recorder(prob, x)
+    rec = _ep_recorder(f, x)
     ls_counts = []
 
     def step(k):
         nonlocal x
         beta_k = p.beta.at(k)
-        y = rec.took(_ep_prox(f, prob.K, beta_k, x, cfg))
+        y = rec.took(_ep_prox(f, K, beta_k, x, cfg))
         r = float(np.linalg.norm(y - x))
         yield r, y
         target = (p.ls_alpha / (2.0 * beta_k)) * r * r
@@ -406,7 +364,7 @@ def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: boo
             )
         w = np.asarray(oracle(z, x), dtype=float)
         if not _star_subgrad_check(
-            f, prob.K, z, x, w, ORACLE_CHECK_SAMPLES, seed=k, radius=p.search_radius
+            f, K, z, x, w, ORACLE_CHECK_SAMPLES, seed=k, radius=p.search_radius
         ):
             notes.append(f"subgradient oracle failed the level-set spot check at k={k}")
         wn = float(np.linalg.norm(w))
@@ -414,7 +372,7 @@ def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: boo
             yield z, "exact_fixed_point"  # stationary oracle output
             return
         t = p.steps.at(k)
-        x1 = prob.K.project(x - (t / wn) * w if normalized else x - t * w)
+        x1 = K.project(x - (t / wn) * w if normalized else x - t * w)
         if float(np.linalg.norm(x1 - x)) == 0.0:
             yield z, "exact_fixed_point"  # the projected step stands still
             return
@@ -425,14 +383,14 @@ def _run_extragradient(prob: EpProblem, p: EpParams, x0, oracle, normalized: boo
     return rec.done(end, not notes, notes, extra={"line_search_m": ls_counts})
 
 
-def run_eg_ep(prob: EpProblem, p: EpParams, x0, oracle=None) -> IterationTrace:
+def run_eg_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0, oracle=None) -> IterationTrace:
     """Extragradient method with backtracking and normalized projection step."""
-    return _run_extragradient(prob, p, x0, oracle, normalized=True)
+    return _run_extragradient(f, K, p, x0, oracle, normalized=True)
 
 
-def run_peg_ep(prob: EpProblem, p: EpParams, x0, oracle=None) -> IterationTrace:
+def run_peg_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0, oracle=None) -> IterationTrace:
     """Extragradient method with plain (unnormalized) projection step."""
-    return _run_extragradient(prob, p, x0, oracle, normalized=False)
+    return _run_extragradient(f, K, p, x0, oracle, normalized=False)
 
 
 EP_RUNNERS = {

@@ -130,7 +130,7 @@ _PROBLEM_KIND = Kind("enum", "minimize", choices=("minimize", "ep"))
 
 
 def build_problem(spec: dict, path: str = "problem"):
-    """Returns ("minimize", Objective, K) or ("ep", EpProblem, K)."""
+    """Returns ("minimize", Objective, K) or ("ep", Bifunction, K); K defaults to the domain."""
     check_keys(spec, {"kind", "objective", "bifunction", "set"}, path)
     kind = convert(_PROBLEM_KIND, spec.get("kind", "minimize"), path + ".kind")
     K = _build_set(spec["set"], path + ".set") if "set" in spec else None
@@ -143,7 +143,7 @@ def build_problem(spec: dict, path: str = "problem"):
         K = func.domain
     elif K.dim != func.dim:
         raise SchemaError(path + ".set", f"dimension {K.dim} differs from the problem's {func.dim}")
-    return kind, (func if kind == "minimize" else ep.EpProblem(func, K)), K
+    return kind, func, K
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +165,9 @@ class Variant:
     """One entry of the variant registry.
 
     ``keys``: the config keys the variant reads beyond ``_COMMON_KEYS``, the
-    only others it accepts.  ``validate(problem, K, params)`` returns guard
-    notes and raises ValueError on a hard invariant.  A runner,
+    only others it accepts.  ``problem`` is the objective or the bifunction,
+    ``K`` its set.  ``validate(problem, K, params)`` returns guard notes and
+    raises ValueError on a hard invariant.  A runner,
     ``run(problem, K, params, args)`` (``args``: the ``_RUN_KINDS`` values),
     is looked up when called, never at import, so a runner replaced on its
     module (or in ``EP_RUNNERS``) is the one that runs.  The swept variants
@@ -184,9 +185,8 @@ class Variant:
 
 
 def _ep(keys, validate, start=None) -> Variant:
-    return Variant("ep", keys | _SOLVES, lambda prob, K, p: validate(prob, p),
-                   lambda prob, K, p, a: ep.EP_RUNNERS[p.variant](prob, p, a["x0"]),
-                   start)
+    return Variant("ep", keys | _SOLVES, validate,
+                   lambda f, K, p, a: ep.EP_RUNNERS[p.variant](f, K, p, a["x0"]), start)
 
 
 VARIANTS = {
@@ -208,9 +208,9 @@ VARIANTS = {
     "INERTIAL_GM": Variant("minimize", {"steps", "eta_min", "x1"}, mz.validate_inertial_gm,
                            lambda h, K, p, a: mz.run_inertial_gm(h, p, a["x0"], a["x1"])),
     "RIPPA_EP": _ep({"beta", "alpha", "rho_lo", "rho_hi", "policy"}, ep.validate_rippa_ep,
-                    lambda prob, K, p, x0: ep.start_rippa_ep(prob, p, x0)),
+                    lambda f, K, p, x0: ep.start_rippa_ep(f, K, p, x0)),
     "PPA_EP": _ep({"beta", "policy"}, ep.validate_rippa_ep,
-                  lambda prob, K, p, x0: ep.start_rippa_ep(prob, p, x0)),
+                  lambda f, K, p, x0: ep.start_rippa_ep(f, K, p, x0)),
     "REG_EP": _ep({"beta", "inner_max"}, ep.validate_reg_ep),
     "IEPPA_EP": _ep({"beta", "alpha"}, ep.validate_ieppa),
     "TWO_PPA_EP": _ep({"beta", "epsilon"}, ep.validate_2ppa),
@@ -359,8 +359,8 @@ def _checked(kind: str, problem, K: FeasibleSet, spec: dict, path: str) -> tuple
     except SchemaError as e:
         raise SchemaError(f"{path}.{e.path}", e.message) from e
     _radius_rule(K, entry.keys, "search_radius", params.search_radius, path)
-    dim = problem.dim if kind == "minimize" else problem.f.dim
-    args = read(_RUN_KINDS, {key: v for key, v in spec.items() if key in _RUN_KINDS}, path, dim)
+    args = read(_RUN_KINDS, {key: v for key, v in spec.items() if key in _RUN_KINDS}, path,
+                problem.dim)
     try:
         entry.validate(problem, K, params)
     except ValueError as e:
@@ -387,30 +387,25 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
     algo = require(cfg, "algorithm", "config")
     paths = {"trace": out / "trace.csv", "summary": out / "summary.json"}
     trace, params = run_algorithm(kind, obj, K, algo)
-    if kind == "minimize":
-        known = obj.known_min[0] if obj.known_min else None
-        write_trace_csv(paths["trace"], trace)
-        label = obj.name
-    else:
-        known = obj.known_solution
+    residual_ep = None
+    if kind == "ep":
         # periodic certificate column: five evenly spaced states plus the last
         n = trace.iterates.shape[0]
         marks = sorted(set(np.linspace(0, n - 1, min(5, n)).astype(int)) | {n - 1})
         res_cfg = GlobalSolveConfig(grid_density=2001, search_radius=params.search_radius)
-        values = ep.ep_residual(obj, trace.iterates[marks], res_cfg)  # one solve for all marks
+        values = ep.ep_residual(obj, K, trace.iterates[marks], res_cfg)  # one solve for all marks
         residual_ep = {int(i): v for i, v in zip(marks, values)}
-        write_trace_csv(paths["trace"], trace, is_ep=True, residual_ep=residual_ep)
-        label = obj.f.name
-    if known is not None and not K.contains(known):
-        known = None  # a minimizer outside K is not a solution of this problem
+    write_trace_csv(paths["trace"], trace, is_ep=kind == "ep", residual_ep=residual_ep)
+    # a bifunction records no solution, and a minimizer outside K solves nothing here
+    known = obj.known_min[0] if kind == "minimize" and obj.known_min else None
     rate = dist = None
-    if known is not None:
+    if known is not None and K.contains(known):
         dist = float(np.linalg.norm(trace.final_point - np.asarray(known, dtype=float)))
         fit = fit_linear_rate(trace, known)
         if not fit.below_floor:
             rate = {"q": fit.q, "r_squared": fit.r_squared}
     summary = RunSummary(
-        problem=label,
+        problem=obj.name,
         algorithm=params.variant,
         guarded=trace.guarded,
         guard_notes=trace.guard_notes,
@@ -570,7 +565,6 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
     checks = require(cfg, "verify", "config")
     check_keys(checks, {"checks"}, "config.verify")
     kind, obj, K = build_problem(require(cfg, "problem", "config"))
-    target = obj if kind == "minimize" else obj.f
     seed = convert(_SEED, cfg.get("seed", 0), "config.seed")
     kinds = {**_CHECK_KINDS, "seed": replace(_SEED, default=seed),
              "check": Kind("enum", choices=tuple(CHECKS[kind]))}
@@ -582,11 +576,11 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
         path = f"config.verify.checks[{i}]"
         name = convert(kinds["check"], require(c, "check", path), path + ".check")
         keys = keys_read(CHECKS[kind][name])
-        args = read({key: kinds[key] for key in ("check", *keys)}, c, path, target.dim)
+        args = read({key: kinds[key] for key in ("check", *keys)}, c, path, obj.dim)
         del args["check"]
         _radius_rule(K, keys, "radius", args.get("radius"), path)
         runs.append((CHECKS[kind][name], args))
-    reports = [asdict(call(target, K, **args)) for call, args in runs]
+    reports = [asdict(call(obj, K, **args)) for call, args in runs]
     (out / "checks.json").write_text(strict_json(reports) + "\n")
     return reports
 

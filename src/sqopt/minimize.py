@@ -41,6 +41,7 @@ from typing import Callable, Generator
 
 import numpy as np
 
+from . import verify
 from .fields import RADIUS, Kind, Schedule, check_fields, declared
 from .functions import BregmanFunction, Objective, bregman_catalog
 from .geometry import AffineSubspace, FeasibleSet, FullSpace, as_point
@@ -504,8 +505,6 @@ def run_subgradient(
     spot-checked against the sublevel membership inequality every
     ``SPOTCHECK_EVERY`` iterations and the run aborts on a witnessed failure.
     """
-    from . import verify  # local import: verify depends on functions only
-
     K = h.domain if K is None else K
     notes = validate_subgradient(h, K, p, oracle)
     oracle = h.grad_at if oracle is None else oracle

@@ -546,6 +546,20 @@ def check_a4_sampled(
     return fold.report()
 
 
+def certify_ep(f: Bifunction, K: FeasibleSet | None = None, seed: int = 0,
+               radius: float | None = None) -> dict[str, CheckReport]:
+    """The sampled assumption reports of EP(f, K): A0, pseudomonotonicity (A2), A4 and A5."""
+    eta = estimate_eta(f, K, seed=seed + 3, radius=radius)
+    ok = eta.estimate <= f.eta + 1e-8
+    return {
+        "A0": check_a0(f, K, seed=seed, radius=radius),
+        "A2": check_pseudomonotone(f, K, seed=seed + 1, radius=radius),
+        "A4": check_a4_sampled(f, K, seed=seed + 2, radius=radius),
+        "A5": CheckReport(f"a5(eta={f.eta})", ok, eta.samples, f.eta - eta.estimate,
+                          [] if ok else [{"eta_hat": eta.estimate}], eta.estimate),
+    }
+
+
 def check_grad(h: Objective, K: FeasibleSet, n: int, seed: int,
                radius: float | None) -> CheckReport:
     """``grad_check`` of a differentiable objective at up to 100 sampled points of K."""

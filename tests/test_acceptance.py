@@ -231,30 +231,32 @@ def _sqrt_norm_grad(z, x):
 
 def _ep_suite_value_gap():
     h = catalog("power_norm", n=2, halfwidth=1.0)
-    prob = ep.EpProblem(value_gap(h))
+    f = value_gap(h)
+    K = f.domain
     beta = Schedule.constant(6.0)
     x0 = np.array([0.9, -0.7])
     eg = dict(beta=beta, steps=Schedule.inv_k(0.5), stop_tol=5e-4, max_iters=4000)
     runs = {
-        "RIPPA_EP": ep.run_rippa_ep(prob, ep.EpParams(beta=beta, stop_tol=1e-8), x0),
-        "REG_EP": ep.run_reg_ep(prob, ep.EpParams(beta=beta, stop_tol=1e-8), x0),
-        "IEPPA_EP": ep.run_ieppa_ep(prob, ep.EpParams(beta=beta, alpha=0.1,
+        "RIPPA_EP": ep.run_rippa_ep(f, K, ep.EpParams(beta=beta, stop_tol=1e-8), x0),
+        "REG_EP": ep.run_reg_ep(f, K, ep.EpParams(beta=beta, stop_tol=1e-8), x0),
+        "IEPPA_EP": ep.run_ieppa_ep(f, K, ep.EpParams(beta=beta, alpha=0.1,
                                                       stop_tol=1e-8), x0),
-        "TWO_PPA_EP": ep.run_2ppa_ep(prob, ep.EpParams(beta=beta, epsilon=0.05,
+        "TWO_PPA_EP": ep.run_2ppa_ep(f, K, ep.EpParams(beta=beta, epsilon=0.05,
                                                        stop_tol=1e-8), x0),
-        "EG_EP": ep.run_eg_ep(prob, ep.EpParams(**eg), x0, oracle=_sqrt_norm_grad),
-        "PEG_EP": ep.run_peg_ep(prob, ep.EpParams(**eg), x0, oracle=_sqrt_norm_grad),
+        "EG_EP": ep.run_eg_ep(f, K, ep.EpParams(**eg), x0, oracle=_sqrt_norm_grad),
+        "PEG_EP": ep.run_peg_ep(f, K, ep.EpParams(**eg), x0, oracle=_sqrt_norm_grad),
     }
     # grid oracle: dense argmin of h over the box (value-gap solution = argmin h)
-    lo, hi = prob.K.bounding_box()
+    lo, hi = K.bounding_box()
     ax = np.linspace(lo[0], hi[0], 201)
     G = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
     oracle = G[np.argmin(h.value_many(G))]
-    return prob, runs, oracle, {k: True for k in runs}
+    return (f, K), runs, oracle, {k: True for k in runs}
 
 
 def _ep_suite_glt():
-    prob = ep.EpProblem(glt_example(2, 2))
+    f = glt_example(2, 2)
+    K = f.domain
     cfg = GlobalSolveConfig(grid_density=2001)
     beta = Schedule.constant(0.18)
     x0 = np.array([3.5])
@@ -267,12 +269,12 @@ def _ep_suite_glt():
     peg = dict(beta=Schedule.constant(1.0), steps=Schedule.inv_k(0.8),
                stop_tol=5e-3, max_iters=4000, prox_cfg=cfg)
     runs = {
-        "RIPPA_EP": ep.run_rippa_ep(prob, ep.EpParams(**base), x0),
-        "REG_EP": ep.run_reg_ep(prob, ep.EpParams(**base), x0),
-        "IEPPA_EP": ep.run_ieppa_ep(prob, ep.EpParams(**base, alpha=0.1), x0),
-        "TWO_PPA_EP": ep.run_2ppa_ep(prob, ep.EpParams(**base, epsilon=0.01), x0),
-        "EG_EP": ep.run_eg_ep(prob, ep.EpParams(**eg), x0),
-        "PEG_EP": ep.run_peg_ep(prob, ep.EpParams(**peg), x0),
+        "RIPPA_EP": ep.run_rippa_ep(f, K, ep.EpParams(**base), x0),
+        "REG_EP": ep.run_reg_ep(f, K, ep.EpParams(**base), x0),
+        "IEPPA_EP": ep.run_ieppa_ep(f, K, ep.EpParams(**base, alpha=0.1), x0),
+        "TWO_PPA_EP": ep.run_2ppa_ep(f, K, ep.EpParams(**base, epsilon=0.01), x0),
+        "EG_EP": ep.run_eg_ep(f, K, ep.EpParams(**eg), x0),
+        "PEG_EP": ep.run_peg_ep(f, K, ep.EpParams(**peg), x0),
     }
     xs = np.linspace(0.0, 4.0, 2001)
     g = np.maximum(np.sqrt(xs), (xs - 2.0) ** 2 - 2.0)
@@ -282,7 +284,7 @@ def _ep_suite_glt():
     # (gamma < 12 eta), so those runs are expected to carry unguarded flags
     expected_guarded = {"RIPPA_EP": True, "REG_EP": True, "IEPPA_EP": False,
                         "TWO_PPA_EP": False, "EG_EP": True, "PEG_EP": True}
-    return prob, runs, oracle, expected_guarded
+    return (f, K), runs, oracle, expected_guarded
 
 
 def test_criterion_07_ep_suite_agreement():
@@ -296,10 +298,10 @@ def test_criterion_07_ep_suite_agreement():
             if dist > 1e-3:
                 failures.append(f"{label}/{name} dist {dist:.2e}")
                 continue
-            r = ep.ep_residual(prob, tr.final_point, res_cfg)
+            r = ep.ep_residual(*prob, tr.final_point, res_cfg)
             if r < -1e-4:
                 failures.append(f"{label}/{name} residual {r:.2e}")
-            minty = ep.check_minty(prob, tr.final_point, n_samples=1000, seed=7,
+            minty = ep.check_minty(*prob, tr.final_point, n_samples=1000, seed=7,
                                    tol=1e-2)
             if not minty.passed:
                 failures.append(f"{label}/{name} minty margin {minty.worst_margin:.2e}")
@@ -313,13 +315,14 @@ def test_criterion_07_ep_suite_agreement():
 
 def test_criterion_08_degeneracy_identities():
     h = catalog("power_norm", n=2, halfwidth=1.0)
-    prob = ep.EpProblem(value_gap(h))
+    f = value_gap(h)
+    K = f.domain
     x0 = np.array([0.9, -0.7])
     beta = Schedule.constant(6.0)
-    a = ep.run_ppa_ep(prob, ep.EpParams(beta=beta, stop_tol=1e-8), x0)
-    b = ep.run_rippa_ep(prob, ep.EpParams(beta=beta, alpha=0.0, rho_lo=1.0,
+    a = ep.run_ppa_ep(f, K, ep.EpParams(beta=beta, stop_tol=1e-8), x0)
+    b = ep.run_rippa_ep(f, K, ep.EpParams(beta=beta, alpha=0.0, rho_lo=1.0,
                                           rho_hi=1.0, stop_tol=1e-8), x0)
-    c = ep.run_ieppa_ep(prob, ep.EpParams(beta=beta, alpha=0.0, stop_tol=1e-8), x0)
+    c = ep.run_ieppa_ep(f, K, ep.EpParams(beta=beta, alpha=0.0, stop_tol=1e-8), x0)
     d = run_ppa(h, None, MinParams(c=beta, stop_tol=1e-8), x0)
     ok = (np.array_equal(a.iterates, b.iterates)
           and np.array_equal(a.iterates, c.iterates)

@@ -300,10 +300,10 @@ def test_glt_example_is_not_quasiconvex_in_y_in_two_dimensions():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_glt_a5_holds_with_the_exact_eta(n):
-    from sqopt.equilibrium import EpProblem
+    from sqopt.verify import certify_ep
 
     for seed in (0, 1, 7, 31):
-        rep = EpProblem(glt_example(2, 2, n=n)).certify(seed=seed).reports["A5"]
+        rep = certify_ep(glt_example(2, 2, n=n), seed=seed)["A5"]
         assert rep.passed and rep.property == "a5(eta=0.5)", (n, seed)
 
 

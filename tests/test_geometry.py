@@ -81,7 +81,7 @@ def test_single_halfspace_projection_analytic():
     assert np.allclose(K.project(x), x - np.array([3.0, 4.0]), atol=1e-12)
 
 
-def test_dykstra_matches_box():
+def test_active_set_projection_onto_a_cut_quadrant():
     # the positive quadrant cut at x+y <= 1, reachable as halfspaces
     K = HalfspaceIntersection(
         np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 1.0])
@@ -181,7 +181,7 @@ def _reference_dykstra(A, b, x):
     return y
 
 
-def test_lockstep_dykstra_equals_row_by_row():
+def test_lockstep_projection_equals_row_by_row_and_a_reference_dykstra():
     # x1 >= 0.5, x2 >= 0.2, x1 + x2 >= 1, x1 + 2 x2 <= 4
     A = np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 2.0]])
     b = np.array([-0.5, -0.2, -1.0, 4.0])

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -1169,3 +1170,23 @@ def test_distance_to_known_solution_is_null_when_the_known_minimizer_is_outside_
     cfg["problem"]["set"] = {"kind": "box", "lo": [-0.5], "hi": [1.0]}  # 0 is in this one
     summary, code, _ = run_from_config(cfg, tmp_path / "o")
     assert code == EXIT_OK and summary.distance_to_known_solution <= 1e-6
+
+
+@pytest.mark.parametrize("variant", sorted(v for v, e in VARIANTS.items() if e.kind == "ep"))
+def test_problem_set_reaches_every_ep_variant_and_its_certificate(tmp_path, capsys, variant):
+    # the value gap of gauss_well on [0.3, 1] is solved at 0.3; a run or a
+    # certificate on the bifunction's domain [-1, 1] would see the solution 0
+    # instead, where the certificate at 0.3 is h(0) - h(0.3), about -0.086
+    cfg = ep_config()
+    cfg["problem"]["set"] = BOX_0_3
+    cfg["algorithm"]["variant"] = variant
+    if variant in ("EG_EP", "PEG_EP"):
+        cfg["algorithm"].update(steps={"kind": "inv_k", "value": 0.8}, stop_tol=5e-3,
+                                max_iters=4000)
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["solve-ep", "--config", path, "--out", str(tmp_path / "e")]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["final_value"] == -0.4690731190482871  # h(0.3) - h(0.9)
+    assert summary["distance_to_known_solution"] is None
+    rows = list(csv.DictReader((tmp_path / "e" / "trace.csv").read_text().splitlines()))
+    assert float(rows[-1]["residual_ep"]) == 0.0

@@ -402,7 +402,7 @@ def _sampled_checks():
     many blocks, and a0 of a shifted gap, whose violations all tie, so the
     first rows must win.
     """
-    from sqopt.equilibrium import EpProblem, check_minty
+    from sqopt.equilibrium import check_minty
     from sqopt.functions import Bifunction, glt_example
 
     gw = catalog("gauss_well", c=1, d=1, delta=1)
@@ -435,7 +435,8 @@ def _sampled_checks():
         ("pseudomonotone", lambda n: verify.check_pseudomonotone(glt, n_pairs=n, seed=12)),
         ("eta", lambda n: verify.estimate_eta(glt, n_triples=n, seed=13)),
         ("a4", lambda n: verify.check_a4_sampled(glt, n_x=2, n_triples=n, seed=14)),
-        ("minty", lambda n: check_minty(EpProblem(glt), np.array([0.5]), n_samples=n, seed=15)),
+        ("minty", lambda n: check_minty(glt, glt.domain, np.array([0.5]), n_samples=n,
+                                        seed=15)),
     ]
 
 
