@@ -1,5 +1,7 @@
-"""sqopt: strongly quasiconvex minimization and equilibrium-problem toolkit."""
+"""sqopt: strongly quasiconvex minimization and equilibrium-problem toolkit.
 
-from . import dynamics, equilibrium, functions, geometry, harness, minimize, prox, verify
+The package root imports no module, so a command loads only what it runs;
+import each module by its full name (``import sqopt.prox``).
+"""
 
 __version__ = "0.1.0"

@@ -5,8 +5,10 @@ clean step-halving refinement studies matter more than adaptive efficiency at
 desk scale.  The first-order flow is ``du/dt = -grad h(u) + psi(t)`` and the
 second-order flows are ``u'' + a u' + grad h(u) = 0`` (viscous damping
 ``a >= 0``); descent signs throughout.  A state that turns non-finite or
-whose norm passes the discrete methods' ``DIVERGENCE_GUARD`` aborts the
-integration with ``FloatingPointError``.
+whose norm passes ``geometry.DIVERGENCE_GUARD``, the explicit methods'
+guard too, aborts the integration with ``FloatingPointError``.  The module
+imports only ``functions`` and ``geometry``, so a ``dynamics`` command
+loads no solver.
 
 A step costs little beyond its arithmetic.  Each integration builds its field
 once, and the state is carried as one row, so the field calls ``h.grad`` on
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import Objective
-from .geometry import as_point
-from .minimize import DIVERGENCE_GUARD
+from .geometry import DIVERGENCE_GUARD, as_point
 
 DISTANCE_FLOOR = 1e-14
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BLOCK_ROWS, Box, FeasibleSet, FullSpace, as_point, box1d, rng_for
+from .geometry import BLOCK_ROWS, Box, FeasibleSet, FullSpace, as_point, box1d
 
 # Frozen certified lower bounds (dense-grid runs; see package notes).
 SIN_QUAD_MODULUS = 0.6965  # grid infimum 2 + 6*min(sin u / u) = 0.696598...
@@ -587,25 +587,23 @@ def _glt_constants(p: float, q: float, lo: float, hi: float, n: int) -> tuple[fl
     condition, leaving (x - y).(z - y) <= eta (||x - y||^2 + ||y - z||^2),
     which Cauchy-Schwarz and AM-GM give with eta = 1/2, attained at x = z.
 
-    gamma is 0.9 times the least ``_glt_ratios`` value, floored at 0, over
-    the 101-point pair grid times 61 t's in 1-D and 40,000 Philox(11)
-    triples above, in blocks of at most ``BLOCK_ROWS`` ratios.  For n >= 2
-    on the default box [0, 4]^n, f(x, .) is not even quasiconvex (a point
-    between two y's can lie above both), so gamma is 0 and 2-D EP runs are
-    unguarded.
+    In 1-D gamma is 0.9 times the least ``_glt_ratios`` value, floored at
+    0, over the 101-point pair grid times 61 t's, in blocks of at most
+    ``BLOCK_ROWS`` ratios.  For n >= 2 gamma is what a proof gives.  With
+    delta the distance from q to [lo, hi] and M = max(|lo|, |hi|), every u
+    in the box has ||u - q e||^2 - q >= n delta^2 - q and
+    sqrt(||u||) <= (sqrt(n) M)^(1/2).  Where the first bound is at least
+    the second, g is the parabola on the whole box and f(x, .) has Hessian
+    2p I, so gamma = 2p; elsewhere gamma = 0.
     """
-    if n == 1:
-        ys = np.linspace(lo, hi, 101)
-        Y1, Y2 = (Y[Y != Y.T][:, None] for Y in np.meshgrid(ys, ys, indexing="ij"))
-        ts = np.linspace(0.01, 0.99, 61)[:, None]
-        rows = BLOCK_ROWS // ts.size
-        blocks = ((Y1[b : b + rows], Y2[b : b + rows], ts) for b in range(0, Y1.shape[0], rows))
-    else:
-        rng = rng_for(11)
-        m = 40_000
-        Y1, Y2 = (lo + rng.random((m, n)) * (hi - lo) for _ in range(2))
-        T = rng.random(m)
-        blocks = ((A[b : b + BLOCK_ROWS] for A in (Y1, Y2, T)) for b in range(0, m, BLOCK_ROWS))
+    if n >= 2:
+        delta, M = max(lo - q, q - hi, 0.0), max(abs(lo), abs(hi))
+        return (2.0 * p if n * delta**2 - q >= (n**0.5 * M) ** 0.5 else 0.0), 0.5
+    ys = np.linspace(lo, hi, 101)
+    Y1, Y2 = (Y[Y != Y.T][:, None] for Y in np.meshgrid(ys, ys, indexing="ij"))
+    ts = np.linspace(0.01, 0.99, 61)[:, None]
+    rows = BLOCK_ROWS // ts.size
+    blocks = ((Y1[b : b + rows], Y2[b : b + rows], ts) for b in range(0, Y1.shape[0], rows))
     best = min(float(_glt_ratios(p, q, lo, hi, *blk).min(initial=np.inf)) for blk in blocks)
     return max(0.9 * best, 0.0), 0.5
 
@@ -616,7 +614,7 @@ def glt_example(p: float = 2.0, q: float = 2.0, n: int = 1, K: FeasibleSet | Non
     ``f(x, y) = p (g(y) - g(x)) + x . (y - x)`` with
     ``g(u) = max(sqrt(||u||), ||u - q e||^2 - q)``.  Monotone; on the
     default 1-D box strongly quasiconvex in ``y``.  eta = 1/2 is exact, and
-    gamma is a deterministic sampled minimum, exact in x (see
+    gamma is a sampled minimum in 1-D and a proven bound above (see
     ``_glt_constants``).  For n >= 2 on the default box f(x, .) is not
     quasiconvex, so gamma = 0 and 2-D EP runs are unguarded.
     """

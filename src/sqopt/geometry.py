@@ -21,6 +21,8 @@ ORTHONORMAL_TOL = 1e-12
 # rows per block when many sampled rows are reduced to one number (the
 # sampled checks of ``verify``, glt_example's constants); no result depends on it
 BLOCK_ROWS = 1 << 14
+# the state norm past which an explicit method or a gradient flow diverges
+DIVERGENCE_GUARD = 1e6
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:

@@ -3,12 +3,15 @@
 Configs are JSON with a ``schema_version`` field; a key that nothing reads
 is rejected with a field-path diagnostic.  ``VARIANTS`` is the one table of
 algorithms and ``CHECKS`` the one table of ``verify`` checks; each entry
-gives its problem kind and the keys it reads.  Exit codes (used by the
-CLI): 0 when a run converged, 1 on a schema violation (a hard range that
-the variant's validator rejects before the first iteration included), 2 on
-hitting the iteration cap, 3 on a guard that fires during a run.  Trace
-CSVs are byte-reproducible: the ``wall_ms`` column is left empty on purpose
-(wall time lives in the summary JSON, the only nondeterministic output).
+gives its problem kind and the keys it reads.  The module imports only
+``fields``, ``functions`` and ``geometry`` at its top; each command imports
+the back end it runs and passes it to the entry's callables, so a command
+compiles only the modules it runs.  Exit codes (used by the CLI): 0 when a
+run converged, 1 on a schema violation (a hard range that the variant's
+validator rejects before the first iteration included), 2 on hitting the
+iteration cap, 3 on a guard that fires during a run.  Trace CSVs are
+byte-reproducible: the ``wall_ms`` column is left empty on purpose (wall
+time lives in the summary JSON, the only nondeterministic output).
 """
 
 from __future__ import annotations
@@ -18,20 +21,18 @@ import inspect
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import equilibrium as ep
-from . import minimize as mz
-from . import verify
-from .dynamics import integrate_ds1, integrate_ds2, loglinear_rate
 from .fields import (POINT, RADIUS, Kind, SchemaError, check_keys, check_object, config_keys,
                      convert, read, require)
 from .functions import (_BUILDERS, BREGMAN_NAMES, bifunction_catalog, bregman_catalog, catalog,
                         glt_example)
 from .geometry import FeasibleSet, feasible_set_from_spec
-from .prox import GlobalSolveConfig
+
+if TYPE_CHECKING:
+    from .minimize import IterationTrace
 
 SCHEMA_VERSION = 1
 
@@ -166,56 +167,58 @@ class Variant:
 
     ``keys``: the config keys the variant reads beyond ``_COMMON_KEYS``, the
     only others it accepts.  ``problem`` is the objective or the bifunction,
-    ``K`` its set.  ``validate(problem, K, params)`` returns guard notes and
-    raises ValueError on a hard invariant.  A runner,
-    ``run(problem, K, params, args)`` (``args``: the ``_RUN_KINDS`` values),
-    is looked up when called, never at import, so a runner replaced on its
-    module (or in ``EP_RUNNERS``) is the one that runs.  The swept variants
-    also have ``start(problem, K, params, x0)``: the same run, not yet
-    started, for ``minimize._drive_many``.  PPA and PPA_EP start the
-    relaxed-inertial run: their keys exclude ``alpha`` and the ``rho`` pair,
-    so their parameters already hold alpha = 0, rho = 1.
+    ``K`` its set, and ``back`` the back end of ``kind`` (the ``minimize`` or
+    ``equilibrium`` module), imported by the command.  ``validate`` names
+    the validator in ``back``, which returns guard notes and raises
+    ValueError on a hard invariant.  It and the runner,
+    ``run(back, problem, K, params, args)`` (``args``: the ``_RUN_KINDS``
+    values), are looked up when called, so one replaced on its module (or in
+    ``EP_RUNNERS``) is the one that runs.  The swept variants also have
+    ``start(back, problem, K, params, x0)``: the same run, not yet started,
+    for ``minimize._drive_many``.  PPA and PPA_EP start the relaxed-inertial
+    run: their keys exclude ``alpha`` and the ``rho`` pair, so their
+    parameters already hold alpha = 0, rho = 1.
     """
 
     kind: str
     keys: set
-    validate: Callable
+    validate: str
     run: Callable
     start: Callable | None = None
 
 
 def _ep(keys, validate, start=None) -> Variant:
     return Variant("ep", keys | _SOLVES, validate,
-                   lambda f, K, p, a: ep.EP_RUNNERS[p.variant](f, K, p, a["x0"]), start)
+                   lambda ep, f, K, p, a: ep.EP_RUNNERS[p.variant](f, K, p, a["x0"]), start)
 
 
 VARIANTS = {
-    "PPA": Variant("minimize", {"c"} | _SOLVES, mz.validate_rippa,
-                   lambda h, K, p, a: mz.run_ppa(h, K, p, a["x0"]),
-                   lambda h, K, p, x0: mz.start_rippa(h, K, p, x0)),
-    "RIPPA": Variant("minimize", {"c", "alpha", "rho_lo", "rho_hi"} | _SOLVES, mz.validate_rippa,
-                     lambda h, K, p, a: mz.run_rippa(h, K, p, a["x0"]),
-                     lambda h, K, p, x0: mz.start_rippa(h, K, p, x0)),
-    "BPPA": Variant("minimize", {"c", "bregman"} | _SOLVES, mz.validate_bppa,
-                    lambda h, K, p, a: mz.run_bppa(h, K, bregman_catalog(dim=h.dim, **a["bregman"]),
-                                                   p, a["x0"])),
-    "SUBGRAD": Variant("minimize", {"steps", "beta", "search_radius"}, mz.validate_subgradient,
-                       lambda h, K, p, a: mz.run_subgradient(h, K, p, a["x0"])),
-    "GRAD": Variant("minimize", {"steps"}, mz.validate_gradient,
-                    lambda h, K, p, a: mz.run_gradient(h, p, a["x0"])),
-    "HEAVY_BALL": Variant("minimize", {"theta", "hb_eta", "x1"}, mz.validate_heavy_ball,
-                          lambda h, K, p, a: mz.run_heavy_ball(h, p, a["x0"], a["x1"])),
-    "INERTIAL_GM": Variant("minimize", {"steps", "eta_min", "x1"}, mz.validate_inertial_gm,
-                           lambda h, K, p, a: mz.run_inertial_gm(h, p, a["x0"], a["x1"])),
-    "RIPPA_EP": _ep({"beta", "alpha", "rho_lo", "rho_hi", "policy"}, ep.validate_rippa_ep,
-                    lambda f, K, p, x0: ep.start_rippa_ep(f, K, p, x0)),
-    "PPA_EP": _ep({"beta", "policy"}, ep.validate_rippa_ep,
-                  lambda f, K, p, x0: ep.start_rippa_ep(f, K, p, x0)),
-    "REG_EP": _ep({"beta", "inner_max"}, ep.validate_reg_ep),
-    "IEPPA_EP": _ep({"beta", "alpha"}, ep.validate_ieppa),
-    "TWO_PPA_EP": _ep({"beta", "epsilon"}, ep.validate_2ppa),
-    "EG_EP": _ep({"beta", "ls_alpha", "ls_rho", "steps"}, ep.validate_eg),
-    "PEG_EP": _ep({"beta", "ls_alpha", "ls_rho", "steps"}, ep.validate_peg),
+    "PPA": Variant("minimize", {"c"} | _SOLVES, "validate_rippa",
+                   lambda mz, h, K, p, a: mz.run_ppa(h, K, p, a["x0"]),
+                   lambda mz, h, K, p, x0: mz.start_rippa(h, K, p, x0)),
+    "RIPPA": Variant("minimize", {"c", "alpha", "rho_lo", "rho_hi"} | _SOLVES, "validate_rippa",
+                     lambda mz, h, K, p, a: mz.run_rippa(h, K, p, a["x0"]),
+                     lambda mz, h, K, p, x0: mz.start_rippa(h, K, p, x0)),
+    "BPPA": Variant("minimize", {"c", "bregman"} | _SOLVES, "validate_bppa",
+                    lambda mz, h, K, p, a: mz.run_bppa(
+                        h, K, bregman_catalog(dim=h.dim, **a["bregman"]), p, a["x0"])),
+    "SUBGRAD": Variant("minimize", {"steps", "beta", "search_radius"}, "validate_subgradient",
+                       lambda mz, h, K, p, a: mz.run_subgradient(h, K, p, a["x0"])),
+    "GRAD": Variant("minimize", {"steps"}, "validate_gradient",
+                    lambda mz, h, K, p, a: mz.run_gradient(h, p, a["x0"])),
+    "HEAVY_BALL": Variant("minimize", {"theta", "hb_eta", "x1"}, "validate_heavy_ball",
+                          lambda mz, h, K, p, a: mz.run_heavy_ball(h, p, a["x0"], a["x1"])),
+    "INERTIAL_GM": Variant("minimize", {"steps", "eta_min", "x1"}, "validate_inertial_gm",
+                           lambda mz, h, K, p, a: mz.run_inertial_gm(h, p, a["x0"], a["x1"])),
+    "RIPPA_EP": _ep({"beta", "alpha", "rho_lo", "rho_hi", "policy"}, "validate_rippa_ep",
+                    lambda ep, f, K, p, x0: ep.start_rippa_ep(f, K, p, x0)),
+    "PPA_EP": _ep({"beta", "policy"}, "validate_rippa_ep",
+                  lambda ep, f, K, p, x0: ep.start_rippa_ep(f, K, p, x0)),
+    "REG_EP": _ep({"beta", "inner_max"}, "validate_reg_ep"),
+    "IEPPA_EP": _ep({"beta", "alpha"}, "validate_ieppa"),
+    "TWO_PPA_EP": _ep({"beta", "epsilon"}, "validate_2ppa"),
+    "EG_EP": _ep({"beta", "ls_alpha", "ls_rho", "steps"}, "validate_eg"),
+    "PEG_EP": _ep({"beta", "ls_alpha", "ls_rho", "steps"}, "validate_peg"),
 }
 
 # the relaxed-inertial variant a sweep of each problem kind runs, and its baseline
@@ -252,7 +255,7 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_trace_csv(path, trace: mz.IterationTrace, is_ep: bool = False, residual_ep: dict | None = None):
+def write_trace_csv(path, trace: IterationTrace, is_ep: bool = False, residual_ep: dict | None = None):
     """Fixed-header trace CSV; ``wall_ms`` stays empty so re-runs byte-match."""
     header = EP_TRACE_HEADER if is_ep else TRACE_HEADER
     ls = trace.extra.get("line_search_m", []) if is_ep else []
@@ -318,8 +321,9 @@ class LinearRateFit:
     below_floor: bool
 
 
-def fit_linear_rate(trace: mz.IterationTrace, target, window: float = 0.5) -> LinearRateFit:
+def fit_linear_rate(trace: IterationTrace, target, window: float = 0.5) -> LinearRateFit:
     """Per-iteration linear rate ``q = exp(slope of log distance)``."""
+    from .dynamics import loglinear_rate  # here, not at module top: only a run fits a rate
     target = np.asarray(target, dtype=float)
     d = np.linalg.norm(trace.iterates - target, axis=-1)
     fit = loglinear_rate(np.arange(d.shape[0], dtype=float), d, window=window)
@@ -328,7 +332,7 @@ def fit_linear_rate(trace: mz.IterationTrace, target, window: float = 0.5) -> Li
     return LinearRateFit(float(np.exp(fit.rate)), fit.r_squared, fit.n_points, False)
 
 
-def _exit_code_for(trace: mz.IterationTrace) -> int:
+def _exit_code_for(trace: IterationTrace) -> int:
     if trace.terminated_by in ("residual", "exact_fixed_point"):
         return EXIT_OK
     if trace.terminated_by == "max_iters":
@@ -343,16 +347,22 @@ def _radius_rule(K: FeasibleSet, keys, key: str, value, path: str):
 
 
 def _checked(kind: str, problem, K: FeasibleSet, spec: dict, path: str) -> tuple:
-    """``spec`` checked against its registry entry: ``(entry, params, args)``.
+    """``spec`` checked against its registry entry: ``(entry, back, params, args)``.
 
-    The parameter bag converts its own keys; ``args`` are the runner's.  A
-    hard invariant that the variant's validator rejects is a SchemaError.
+    ``back`` is the back end of ``kind``.  The parameter bag converts its own
+    keys; ``args`` are the runner's.  A hard invariant that the variant's
+    validator rejects is a SchemaError.
     """
     names = tuple(name for name, v in VARIANTS.items() if v.kind == kind)
     variant = convert(Kind("enum", choices=names), require(spec, "variant", path), path + ".variant")
     entry = VARIANTS[variant]
     check_keys(spec, _COMMON_KEYS | entry.keys, path)
-    cls = mz.MinParams if kind == "minimize" else ep.EpParams
+    if kind == "minimize":  # a back end is imported only by the commands that run it
+        from . import minimize as back
+        cls = back.MinParams
+    else:
+        from . import equilibrium as back
+        cls = back.EpParams
     keys = config_keys(cls)
     try:
         params = cls(variant=variant, **{keys[key]: v for key, v in spec.items() if key in keys})
@@ -362,10 +372,10 @@ def _checked(kind: str, problem, K: FeasibleSet, spec: dict, path: str) -> tuple
     args = read(_RUN_KINDS, {key: v for key, v in spec.items() if key in _RUN_KINDS}, path,
                 problem.dim)
     try:
-        entry.validate(problem, K, params)
+        getattr(back, entry.validate)(problem, K, params)
     except ValueError as e:
         raise SchemaError(path, str(e)) from e
-    return entry, params, args
+    return entry, back, params, args
 
 
 def run_algorithm(kind: str, problem, K: FeasibleSet, spec: dict, path: str = "algorithm"):
@@ -374,8 +384,8 @@ def run_algorithm(kind: str, problem, K: FeasibleSet, spec: dict, path: str = "a
     A hard invariant that the variant's validator rejects before the first
     iteration is a SchemaError; guards that fire during the run propagate.
     """
-    entry, params, args = _checked(kind, problem, K, spec, path)
-    return entry.run(problem, K, params, args), params
+    entry, back, params, args = _checked(kind, problem, K, spec, path)
+    return entry.run(back, problem, K, params, args), params
 
 
 def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
@@ -389,11 +399,13 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
     trace, params = run_algorithm(kind, obj, K, algo)
     residual_ep = None
     if kind == "ep":
+        from .equilibrium import ep_residual  # not at module top: only solve-ep certifies
+        from .prox import GlobalSolveConfig
         # periodic certificate column: five evenly spaced states plus the last
         n = trace.iterates.shape[0]
         marks = sorted(set(np.linspace(0, n - 1, min(5, n)).astype(int)) | {n - 1})
         res_cfg = GlobalSolveConfig(grid_density=2001, search_radius=params.search_radius)
-        values = ep.ep_residual(obj, K, trace.iterates[marks], res_cfg)  # one solve for all marks
+        values = ep_residual(obj, K, trace.iterates[marks], res_cfg)  # one solve for all marks
         residual_ep = {int(i): v for i, v in zip(marks, values)}
     write_trace_csv(paths["trace"], trace, is_ep=kind == "ep", residual_ep=residual_ep)
     # a bifunction records no solution, and a minimizer outside K solves nothing here
@@ -446,6 +458,7 @@ def sweep_compare(cfg: dict, out_dir) -> dict:
     row; any other exception ends the sweep after the rows before it are
     written.
     """
+    from . import minimize as mz  # not at module top: only a sweep drives many runs
     validate_config(cfg, {"algorithm", "sweep"})
     grid = read(_SWEEP_KINDS, require(cfg, "sweep", "config"), "config.sweep")
     out = Path(out_dir)
@@ -463,8 +476,8 @@ def sweep_compare(cfg: dict, out_dir) -> dict:
         spec["variant"] = variant
         if variant == relaxed:
             spec.update(alpha=alpha, rho_lo=rho, rho_hi=rho)
-        entry, params, args = _checked(kind, obj, K, spec, "algorithm")
-        return entry.start(obj, K, params, args["x0"])
+        entry, back, params, args = _checked(kind, obj, K, spec, "algorithm")
+        return entry.start(back, obj, K, params, args["x0"])
 
     cells = [(f"cell_{i}_{j}", a, r) for i, a in enumerate(grid["alphas"])
              for j, r in enumerate(grid["rhos"])]
@@ -517,35 +530,36 @@ def sweep_compare(cfg: dict, out_dir) -> dict:
 # verify / dynamics dispatch (CLI back ends)
 # ---------------------------------------------------------------------------
 
-# the checks of each problem kind: ``call(target, K, **values)`` on the objective or bifunction;
-# its keywords after K are the keys it reads, and it looks its verify function up when called
+# the checks of each problem kind: ``call(v, target, K, **values)`` on the objective or
+# bifunction, with ``v`` the verify module; its keywords after K are the keys it reads, and it
+# looks its verify function up when called
 CHECKS = {
     "minimize": {
-        "sqc": lambda h, K, gamma, n, seed, radius:
-            verify.check_sqc_sampled(h, K, gamma, n, seed, radius),
-        "modulus": lambda h, K, n, seed, radius: verify.estimate_modulus(h, K, n, seed, radius),
-        "supercoercive": lambda h, K, radii, seed: verify.check_supercoercive(h, radii, seed=seed),
-        "growth": lambda h, K, xbar, gamma, n, seed, radius:
-            verify.check_quadratic_growth(h, K, xbar, gamma, n, seed, radius),
-        "foc": lambda h, K, gamma, n, seed, radius: verify.check_foc(h, K, gamma, n, seed, radius),
-        "pl": lambda h, K, xbar, gamma, lip, n, seed, radius:
-            verify.check_pl(h, K, xbar, gamma, lip, n, seed, radius),
-        "subdiff": lambda h, K, xbar, z, beta, gamma, n, seed, radius:
-            verify.subdiff_member(h, K, xbar, z, beta, gamma, n, seed, radius),
-        "grad": lambda h, K, n, seed, radius: verify.check_grad(h, K, n, seed, radius),
+        "sqc": lambda v, h, K, gamma, n, seed, radius:
+            v.check_sqc_sampled(h, K, gamma, n, seed, radius),
+        "modulus": lambda v, h, K, n, seed, radius: v.estimate_modulus(h, K, n, seed, radius),
+        "supercoercive": lambda v, h, K, radii, seed: v.check_supercoercive(h, radii, seed=seed),
+        "growth": lambda v, h, K, xbar, gamma, n, seed, radius:
+            v.check_quadratic_growth(h, K, xbar, gamma, n, seed, radius),
+        "foc": lambda v, h, K, gamma, n, seed, radius: v.check_foc(h, K, gamma, n, seed, radius),
+        "pl": lambda v, h, K, xbar, gamma, lip, n, seed, radius:
+            v.check_pl(h, K, xbar, gamma, lip, n, seed, radius),
+        "subdiff": lambda v, h, K, xbar, z, beta, gamma, n, seed, radius:
+            v.subdiff_member(h, K, xbar, z, beta, gamma, n, seed, radius),
+        "grad": lambda v, h, K, n, seed, radius: v.check_grad(h, K, n, seed, radius),
     },
     "ep": {
-        "a0": lambda f, K, n, seed, radius: verify.check_a0(f, K, n, seed, radius),
-        "pseudomonotone": lambda f, K, n, seed, radius:
-            verify.check_pseudomonotone(f, K, n, seed, radius),
-        "a4": lambda f, K, seed, radius: verify.check_a4_sampled(f, K, seed=seed, radius=radius),
-        "eta": lambda f, K, n, seed, radius: verify.estimate_eta(f, K, n, seed, radius),
+        "a0": lambda v, f, K, n, seed, radius: v.check_a0(f, K, n, seed, radius),
+        "pseudomonotone": lambda v, f, K, n, seed, radius:
+            v.check_pseudomonotone(f, K, n, seed, radius),
+        "a4": lambda v, f, K, seed, radius: v.check_a4_sampled(f, K, seed=seed, radius=radius),
+        "eta": lambda v, f, K, n, seed, radius: v.estimate_eta(f, K, n, seed, radius),
     },
 }
 
 
 def keys_read(call: Callable) -> tuple:
-    return tuple(inspect.signature(call).parameters)[2:]
+    return tuple(inspect.signature(call).parameters)[3:]
 
 
 _SEED = Kind("int", 0, lo=0, hi=2**64 - 1)  # a Philox key, with room for the offsets verify adds
@@ -580,7 +594,8 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
         del args["check"]
         _radius_rule(K, keys, "radius", args.get("radius"), path)
         runs.append((CHECKS[kind][name], args))
-    reports = [asdict(call(obj, K, **args)) for call, args in runs]
+    from . import verify  # not at module top: only verify runs checks
+    reports = [asdict(call(verify, obj, K, **args)) for call, args in runs]
     (out / "checks.json").write_text(strict_json(reports) + "\n")
     return reports
 
@@ -605,6 +620,7 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
     if not T >= dt:
         raise SchemaError("config.dynamics.T", f"must be at least dt = {dt}, got {T}")
     x0, v0 = (np.zeros(h.dim) if d[key] is None else d[key] for key in ("x0", "v0"))
+    from .dynamics import integrate_ds1, integrate_ds2  # not at module top: only dynamics
     if d["system"] == "ds1":
         traj = integrate_ds1(h, None, x0, T, dt)
         speed = np.linalg.norm(h.grad_many(traj.states), axis=-1)

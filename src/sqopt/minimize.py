@@ -44,10 +44,9 @@ import numpy as np
 from . import verify
 from .fields import RADIUS, Kind, Schedule, check_fields, declared
 from .functions import BregmanFunction, Objective, bregman_catalog
-from .geometry import AffineSubspace, FeasibleSet, FullSpace, as_point
+from .geometry import DIVERGENCE_GUARD, AffineSubspace, FeasibleSet, FullSpace, as_point
 from .prox import GlobalSolveConfig, ProxResult, bregman_prox, prox, prox_many
 
-DIVERGENCE_GUARD = 1e6
 SPOTCHECK_EVERY = 100  # SUBGRAD checks its oracle's output at every this-many iterations
 
 

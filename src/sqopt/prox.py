@@ -55,6 +55,8 @@ bracket search that held a row of the problem.  ``prox``, ``prox_point``,
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +69,6 @@ VALUE_TIE_TOL = 1e-8
 DEDUPE_TOL = 1e-7
 ARMIJO_C = 1e-4
 _PROBES = 31  # equally spaced probes per 1-D bracket and batch: five bisections' worth
-
-_HALTON_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,10 @@ class ProxResult:
 
 
 def _halton(m: int, dim: int) -> np.ndarray:
+    """The first ``m`` Halton points in ``dim`` dimensions: column j in the j-th prime base."""
     out = np.empty((m, dim))
-    for j in range(dim):
-        b = _HALTON_PRIMES[j % len(_HALTON_PRIMES)]
+    primes = (b for b in itertools.count(2) if all(b % d for d in range(2, math.isqrt(b) + 1)))
+    for j, b in zip(range(dim), primes):
         seq = np.zeros(m)
         f = 1.0
         i = np.arange(1, m + 1)

@@ -165,7 +165,7 @@ def estimate_modulus(
         Y = K.from_unit(U[:, d : 2 * d], radius)
         t = (np.arange(start, start + len(U)) % 64 + np.clip(U[:, 2 * d], 1e-9, 1 - 1e-9)) / 64.0
         d2 = np.sum((X - Y) ** 2, axis=-1)
-        valid = d2 > 0
+        valid = d2 > 1e-12  # pairs closer than 1e-6 differ only by rounding
         if not np.any(valid):
             continue
         mid = t[:, None] * X + (1.0 - t[:, None]) * Y

@@ -1,12 +1,16 @@
 """Every config key is read: exact key sets per variant, per check and per set kind."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+import sqopt
 from conftest import declared_kinds
 from sqopt.cli import main as cli_main
 from sqopt.equilibrium import EpParams
@@ -360,3 +364,63 @@ def test_gradient_consumers_admit_the_differentiable_entries_only(tmp_path, caps
         if _refused_for_a_gradient(tmp_path, capsys, "dynamics", cfg):
             refused.add(f"flow {system}")
     assert refused == (NEEDS_GRADIENT if name in NOT_DIFFERENTIABLE else set())
+
+
+# --- what each command loads ----------------------------------------------------------
+# each runs in a fresh interpreter, so set-up compiles only the modules the work needs
+
+BACK_ENDS = {"sqopt.prox", "sqopt.minimize", "sqopt.equilibrium", "sqopt.verify", "sqopt.dynamics"}
+TRIANGLE = {"kind": "halfspaces", "normals": [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+            "bounds": [0.0, 0.0, 1.0]}
+
+
+def _fresh_python(*argv) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(sqopt.__file__).parents[1])}
+    res = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    return res
+
+
+def _cli_loads(tmp_path, command, cfg) -> set:
+    """The sqopt modules that ``python -m sqopt.cli`` imports to run ``cfg``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = _fresh_python("-X", "importtime", "-m", "sqopt.cli", command, "--config", str(path),
+                        "--out", str(tmp_path / "o"))
+    names = (line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+             if line.startswith("import time:"))
+    return {name for name in names if name.split(".")[0] == "sqopt"}
+
+
+def test_building_problems_loads_no_back_end():
+    specs = [{"kind": "minimize", "objective": {"catalog": name, "params": params}}
+             for name, params in ENTRIES.items()]
+    specs += [{"kind": "ep", "bifunction": {"catalog": "glt_example", "params": {"n": n}}}
+              for n in (1, 2)]
+    specs += [PROBLEMS["ep"], {"kind": "minimize", "objective": {"catalog": "power_norm",
+                                                                 "params": {"n": 2}},
+                               "set": TRIANGLE}]
+    code = ("import json, sys\nimport sqopt.harness\n"
+            f"for spec in json.loads({json.dumps(specs)!r}):\n"
+            "    sqopt.harness.build_problem(spec)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sqopt')))")
+    loaded = json.loads(_fresh_python("-c", code).stdout)
+    assert loaded == ["sqopt", "sqopt.fields", "sqopt.functions", "sqopt.geometry",
+                      "sqopt.harness"]
+
+
+@pytest.mark.parametrize("kind", ["minimize", "ep"])
+def test_verify_command_loads_no_solver(tmp_path, kind):
+    check = {"minimize": "sqc", "ep": "a0"}[kind]
+    cfg = {"schema_version": 1, "problem": PROBLEMS[kind],
+           "verify": {"checks": [{"check": check, "n": 50}]}}
+    loaded = _cli_loads(tmp_path, "verify", cfg)
+    assert "sqopt.verify" in loaded and not loaded & (BACK_ENDS - {"sqopt.verify"})
+
+
+def test_dynamics_command_loads_no_solver_and_no_verify(tmp_path):
+    cfg = {"schema_version": 1, "problem": PROBLEMS["minimize"],
+           "dynamics": {"system": "ds1", "x0": [0.5], "T": 0.02, "dt": 0.01}}
+    loaded = _cli_loads(tmp_path, "dynamics", cfg)
+    assert "sqopt.dynamics" in loaded and not loaded & (BACK_ENDS - {"sqopt.dynamics"})

@@ -237,8 +237,8 @@ GLT_BOXES = [(2.0, 2.0, 0.0, 4.0, 1), (2.0, 2.0, 0.0, 4.0, 2), (3.0, 1.5, 0.0, 4
 
 @pytest.mark.parametrize("p, q, lo, hi, n", GLT_BOXES)
 def test_glt_ratio_is_the_least_over_a_dense_x_grid(p, q, lo, hi, n):
-    # a subset of the (y1, y2, t) samples of _glt_constants: grid pairs times
-    # every tenth t in 1-D, the first Philox(11) triples above
+    # in 1-D a subset of the (y1, y2, t) samples of _glt_constants (grid
+    # pairs times every tenth t); above, the first Philox(11) triples
     from sqopt.functions import _glt_constants, _glt_ratios
     from sqopt.geometry import rng_for
 
@@ -280,6 +280,40 @@ def test_glt_constants_in_one_dimension_are_unchanged_and_eta_is_one_half():
     assert gammas == [0.22784376788091046, 0.12155186417649394, 0.0]
     for p, q, lo, hi, n in GLT_BOXES:
         assert glt_example(p, q, n=n, K=Box(np.full(n, lo), np.full(n, hi))).eta == 0.5
+
+
+def test_glt_gamma_above_one_dimension_is_2p_where_the_parabola_covers_the_box():
+    # n delta^2 - q = 16 >= (sqrt(2) 6)^(1/2) on [5, 6]^2: f(x, .) has Hessian 4 I there
+    lo, hi = 5.0, 6.0
+    f = glt_example(2, 2, n=2, K=Box(np.full(2, lo), np.full(2, hi)))
+    assert f.gamma == 4.0
+
+    def glt(X, y):  # f written out again, at every row x of X
+        g = lambda U: np.maximum(np.sqrt(np.hypot(U[..., 0], U[..., 1])),
+                                 (U[..., 0] - 2) ** 2 + (U[..., 1] - 2) ** 2 - 2)
+        return 2 * (g(y) - g(X)) + X @ y - np.sum(X * X, axis=-1)
+
+    # 200 triples, every other pair about 1e-2 apart, each least over a 201^2 grid of x
+    rng = np.random.default_rng(5)
+    Y1 = lo + rng.random((200, 2)) * (hi - lo)
+    step = rng.standard_normal((200, 2)) * np.where(np.arange(200) % 2, 1e-2, 0.5)[:, None]
+    Y2 = np.clip(Y1 + step, lo, hi)
+    t = rng.uniform(0.05, 0.95, 200)
+    axis = np.linspace(lo, hi, 201)
+    X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    least = min(2 * (np.maximum(glt(X, y1), glt(X, y2)) - glt(X, s * y1 + (1 - s) * y2)).min()
+                / (s * (1 - s) * np.sum((y1 - y2) ** 2)) for y1, y2, s in zip(Y1, Y2, t))
+    assert f.gamma <= least * (1 + 1e-9) and least < 4.01
+
+
+# the four boxes on which the sampled gamma of earlier versions (0.0648, 0.2748,
+# 0.0591, 0.4565) was above a ratio that a denser search found, and every n >= 2
+# box that the other tests build
+@pytest.mark.parametrize("p, q, lo, hi, n", [(2.0, 2.0, 1.0, 3.0, 2), (2.0, 2.0, 0.5, 1.5, 2),
+                                             (2.0, 2.0, 2.0, 4.0, 2), (2.0, 2.0, 0.0, 1.0, 2)]
+                         + [box for box in GLT_BOXES if box[-1] >= 2])
+def test_glt_gamma_above_one_dimension_is_0_unless_the_parabola_covers_the_box(p, q, lo, hi, n):
+    assert glt_example(p, q, n=n, K=Box(np.full(n, lo), np.full(n, hi))).gamma == 0.0
 
 
 def test_glt_example_is_not_quasiconvex_in_y_in_two_dimensions():

@@ -277,6 +277,25 @@ def test_power_norm_2d_prox_single_polished_candidate():
         assert np.linalg.norm(res.point - 0.5 * (lo + hi) * x / s) <= 1e-8
 
 
+def test_halton_columns_take_distinct_prime_bases():
+    # column j took the prime j % 6, so columns 0 and 6, and 1 and 7, were equal
+    X = P._halton(64, 8)
+    assert len({X[:, j].tobytes() for j in range(8)}) == 8
+
+    def halton(m, b):  # the radical inverse of 1..m in base b, as before
+        seq, f, work = np.zeros(m), 1.0, np.arange(1, m + 1)
+        while np.any(work > 0):
+            f /= b
+            seq += f * (work % b)
+            work //= b
+        return seq
+
+    for d in range(1, 7):
+        for m in (1, 64, 1000):
+            old = np.stack([halton(m, b) for b in (2, 3, 5, 7, 11, 13)[:d]], axis=1)
+            assert P._halton(m, d).tobytes() == old.tobytes()
+
+
 def test_tie_representative_is_best_valued_member():
     from sqopt.prox import _tie_representatives
 

@@ -99,6 +99,16 @@ def test_estimate_modulus_monotone_in_sample_size():
     assert large.estimate <= small.estimate + 1e-15
 
 
+# the benchmark's verify_polytope modulus checks whose vertex pairs, one ulp
+# apart, read 0.0 while every pair with d2 > 0 counted
+@pytest.mark.parametrize("seed", [2110381203, 183155252])
+def test_estimate_modulus_drops_pairs_that_differ_only_by_rounding(seed):
+    h = catalog("euclid_norm", n=2, gamma=0.2)
+    K = HalfspaceIntersection(np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 2.0]]),
+                              np.array([-0.5, -0.2, -1.0, 4.0]))
+    assert verify.estimate_modulus(h, K, 800, seed, 3.0).estimate > 0.5
+
+
 # --- supercoercivity --------------------------------------------------------
 
 
