@@ -48,12 +48,14 @@ def require(d: dict, key: str, path: str):
 class Kind:
     """What one field holds; a ``MISSING`` default makes the field required.
 
-    ``name`` is ``int``, ``number`` (finite), ``schedule``, ``point``, ``enum``,
-    ``numbers`` or ``object``.  ``lo`` bounds an int, a number or each entry of
-    ``numbers`` from below (``strict``: excluded), ``hi`` from above
-    (included); ``choices`` are an enum's names, ``at_least`` the least
-    length of ``numbers`` and ``of`` the dataclass, or dict of kinds, of an
-    object.
+    ``name`` is ``int``, ``number`` (finite), ``array`` (a finite number or
+    nested lists of them, shaped by whoever reads it), ``schedule``,
+    ``point``, ``enum``, ``numbers``, ``object`` or the name of a kind that
+    the function ``of(value, path)`` reads.  ``lo`` bounds an int, a number
+    or each entry of ``numbers`` from below (``strict``: excluded), ``hi``
+    from above (included); ``choices`` are an enum's names, ``at_least`` the
+    least length of ``numbers`` and ``of`` the dataclass, or dict of kinds,
+    of an object.
     """
 
     name: str
@@ -137,6 +139,10 @@ def convert(kind: Kind, value, path: str, dim: int | None = None):
         return _bounded(int(value), kind, path)
     if kind.name == "number":
         return _bounded(_finite(value, path), kind, path)
+    if kind.name == "array":
+        if isinstance(value, list):
+            return [convert(kind, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return _finite(value, path)
     if kind.name == "numbers":
         if not isinstance(value, list) or len(value) < kind.at_least:
             raise SchemaError(path, f"expected a list of at least {kind.at_least} numbers, "
@@ -156,6 +162,8 @@ def convert(kind: Kind, value, path: str, dim: int | None = None):
         return Schedule.from_spec(value, path)
     if isinstance(kind.of, dict):
         return read(kind.of, value, path, dim)
+    if not isinstance(kind.of, type):
+        return kind.of(value, path)
     if isinstance(value, kind.of):
         return value
     keys = config_keys(kind.of)

@@ -309,6 +309,8 @@ def _power_norm(n: int = 2, halfwidth: float = 1.0, alpha: float = 0.5) -> Objec
         raise ValueError("power_norm requires n >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("power_norm requires 0 < alpha < 1")
+    if not halfwidth > 0:
+        raise ValueError("power_norm requires halfwidth > 0")
     n, w = int(n), float(halfwidth)
     r = w * np.sqrt(n)
     modulus = 1.0 / (80.0**0.25 * r**1.5) if alpha == 0.5 else 0.0
@@ -328,9 +330,9 @@ def _power_norm(n: int = 2, halfwidth: float = 1.0, alpha: float = 0.5) -> Objec
     )
 
 
-def _quad_fractional(
-    A, a, alpha, B, b, beta, K: FeasibleSet, m: float, M: float, n_check: int = 1000
-) -> Objective:
+def _quad_fractional(A: np.ndarray, a: np.ndarray, alpha: float, B: np.ndarray, b: np.ndarray,
+                     beta: float, K: FeasibleSet, m: float, M: float,
+                     n_check: int = 1000) -> Objective:
     """Quadratic-over-quadratic fractional objective with modulus lambda_min(A)/M.
 
     K is user-supplied; the constructor verifies m <= denominator <= M on

@@ -322,24 +322,3 @@ class HalfspaceIntersection(FeasibleSet):
         r = float(radius)
         return -r * np.ones(self.dim), r * np.ones(self.dim)
 
-
-def feasible_set_from_spec(spec: dict) -> FeasibleSet:
-    """Build a feasible set from its serialized description (harness schema)."""
-    kind = spec.get("kind")
-    if kind == "full_space":
-        return FullSpace(int(spec["dim"]))
-    if kind == "box":
-        return Box(np.asarray(spec["lo"], dtype=float), np.asarray(spec["hi"], dtype=float))
-    if kind == "ball":
-        return Ball(np.asarray(spec["center"], dtype=float), float(spec["radius"]))
-    if kind == "affine":
-        if "normal" in spec:
-            return hyperplane(np.asarray(spec["normal"], dtype=float), float(spec["value"]))
-        return AffineSubspace(
-            np.asarray(spec["basis"], dtype=float), np.asarray(spec["offset"], dtype=float)
-        )
-    if kind == "halfspaces":
-        return HalfspaceIntersection(
-            np.asarray(spec["normals"], dtype=float), np.asarray(spec["bounds"], dtype=float)
-        )
-    raise ValueError(f"unknown feasible set kind: {kind!r}")

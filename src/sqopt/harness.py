@@ -1,9 +1,11 @@
 """Run orchestration: config schema, dispatch, trace/summary emission, sweeps.
 
 Configs are JSON with a ``schema_version`` field; a key that nothing reads
-is rejected with a field-path diagnostic.  ``VARIANTS`` is the one table of
-algorithms and ``CHECKS`` the one table of ``verify`` checks; each entry
-gives its problem kind and the keys it reads.  The module imports only
+is rejected with a field-path diagnostic.  With ``fields`` it is the only
+module that reads config JSON.  ``SETS`` is the one table of set kinds,
+``VARIANTS`` the one table of algorithms and ``CHECKS`` the one table of
+``verify`` checks; each variant and check gives its problem kind and the
+keys it reads.  The module imports only
 ``fields``, ``functions`` and ``geometry`` at its top; each command imports
 the back end it runs and passes it to the entry's callables, so a command
 compiles only the modules it runs.  Exit codes (used by the CLI): 0 when a
@@ -19,7 +21,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -29,7 +31,8 @@ from .fields import (POINT, RADIUS, Kind, SchemaError, check_keys, check_object,
                      convert, read, require)
 from .functions import (_BUILDERS, BREGMAN_NAMES, bifunction_catalog, bregman_catalog, catalog,
                         glt_example)
-from .geometry import FeasibleSet, feasible_set_from_spec
+from .geometry import (AffineSubspace, Ball, Box, FeasibleSet, FullSpace, HalfspaceIntersection,
+                       hyperplane)
 
 if TYPE_CHECKING:
     from .minimize import IterationTrace
@@ -50,59 +53,51 @@ EP_TRACE_HEADER = TRACE_HEADER + ["residual_ep", "line_search_m"]
 # ---------------------------------------------------------------------------
 
 
-def _finite(value, path: str):
-    """Every number in the JSON value ``value`` must be finite."""
-    if isinstance(value, dict):
-        for key, v in value.items():
-            _finite(v, f"{path}.{key}")
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _finite(v, f"{path}[{i}]")
-    elif isinstance(value, float) and not np.isfinite(value):
-        raise SchemaError(path, f"expected a finite number, got {value}")
+_ARRAY = Kind("array")
+
+# each set kind's forms: a constructor and the kind of each of its keys.  An affine set
+# is a normal and a value or an orthonormal basis and an offset; a spec takes the first
+# form whose first key it gives, else the last
+SETS = {"full_space": ((FullSpace, {"dim": Kind("int")}),),
+        "box": ((Box, {"lo": _ARRAY, "hi": _ARRAY}),),
+        "ball": ((Ball, {"center": _ARRAY, "radius": Kind("number")}),),
+        "affine": ((hyperplane, {"normal": _ARRAY, "value": Kind("number")}),
+                   (AffineSubspace, {"basis": _ARRAY, "offset": _ARRAY})),
+        "halfspaces": ((HalfspaceIntersection, {"normals": _ARRAY, "bounds": _ARRAY}),)}
 
 
-# the keys of each set kind; an affine set is given by a normal or by a basis
-_SET_KEYS = {"full_space": {"dim"}, "box": {"lo", "hi"}, "ball": {"center", "radius"},
-             "affine": {"normal", "value"}, "halfspaces": {"normals", "bounds"}}
-
-
-def _build_set(spec, path: str) -> FeasibleSet:
-    """A feasible set from its spec; every defect of the spec is a SchemaError at ``path``."""
-    check_object(spec, path)
-    _finite(spec, path)
-    if "dim" in spec:  # the one integer of a set spec
-        convert(Kind("int"), spec["dim"], f"{path}.dim")
-    kind = spec.get("kind")
-    if isinstance(kind, str) and kind in _SET_KEYS:
-        keys = {"basis", "offset"} if kind == "affine" and "normal" not in spec else _SET_KEYS[kind]
-        check_keys(spec, {"kind"} | keys, path)
+def _made(path: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it rejects is a SchemaError at ``path``."""
     try:
-        return feasible_set_from_spec(spec)
-    except KeyError as e:
-        raise SchemaError(path, f"missing required key {e.args[0]!r}") from e
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as e:
         raise SchemaError(path, str(e)) from e
 
 
-def _catalog_params(spec: dict, path: str, make) -> dict:
-    """A copy of ``spec["params"]``, an object whose numbers are finite, checked against ``make``.
+def _build_set(spec, path: str) -> FeasibleSet:
+    """The feasible set of the spec ``spec``, its keys read by ``SETS``."""
+    check_object(spec, path)
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in SETS:
+        raise SchemaError(path, f"unknown feasible set kind: {kind!r}")
+    make, kinds = next((form for form in SETS[kind] if next(iter(form[1])) in spec),
+                       SETS[kind][-1])
+    args = read({"kind": Kind("enum", choices=(kind,)), **kinds}, spec, path)
+    del args["kind"]
+    return _made(path, make, **args)
 
-    A set spec under the ``K`` parameter of the catalog constructor ``make``
-    is built.  A parameter annotated as an int or a number is checked as that
-    kind, null only where null is its default, and passed on as given.
-    """
-    params = spec.get("params", {})
-    check_object(params, path + ".params")
-    _finite(params, path + ".params")
-    params = dict(params)
-    for key, prm in inspect.signature(make, eval_str=True).parameters.items():
-        if key == "K" and key in params:
-            params[key] = _build_set(params[key], f"{path}.params.K")
-        elif key in params and prm.annotation in (int, float, float | None):
-            convert(Kind("int" if prm.annotation is int else "number", prm.default), params[key],
-                    f"{path}.params.{key}")
-    return params
+
+# the kind of a catalog constructor parameter by its annotation
+_SET = Kind("set", of=_build_set)
+_ANNOTATED = {int: Kind("int"), float: Kind("number"), float | None: Kind("number"),
+              np.ndarray: _ARRAY, FeasibleSet: _SET, FeasibleSet | None: _SET}
+
+
+def param_kinds(make) -> dict:
+    """The kind of each parameter of the catalog constructor ``make``, with its default."""
+    return {key: replace(_ANNOTATED[prm.annotation],
+                         default=MISSING if prm.default is prm.empty else prm.default)
+            for key, prm in inspect.signature(make, eval_str=True).parameters.items()}
 
 
 # the bifunction constructors; value_gap's one parameter is an objective spec
@@ -114,17 +109,17 @@ def _build(spec: dict, path: str, makers: dict, build):
     check_keys(spec, {"catalog", "params"}, path)
     name = convert(Kind("enum", choices=tuple(makers)), require(spec, "catalog", path),
                    path + ".catalog")
+    params = spec.get("params", {})
     if name == "value_gap":
-        params = spec.get("params", {})
         check_keys(params, {"objective"}, path + ".params")
         params = {"h": _build(require(params, "objective", path + ".params"),
                               path + ".params.objective", _BUILDERS, catalog)}
     else:
-        params = _catalog_params(spec, path, makers[name])
-    try:
-        return build(name, **params)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(path, str(e)) from e
+        kinds = param_kinds(makers[name])
+        args = read(kinds, params, path + ".params")
+        # passed as given, for objective names embed them; a set spec passed built
+        params = {key: args[key] if kinds[key].name == "set" else params[key] for key in params}
+    return _made(path, build, name, **params)
 
 
 _PROBLEM_KIND = Kind("enum", "minimize", choices=("minimize", "ep"))
@@ -371,6 +366,8 @@ def _checked(kind: str, problem, K: FeasibleSet, spec: dict, path: str) -> tuple
     _radius_rule(K, entry.keys, "search_radius", params.search_radius, path)
     args = read(_RUN_KINDS, {key: v for key, v in spec.items() if key in _RUN_KINDS}, path,
                 problem.dim)
+    if args["bregman"]["name"] != "neg_entropy" and "shift" in spec.get("bregman", {}):
+        raise SchemaError(path + ".bregman", "only neg_entropy reads a shift")
     try:
         getattr(back, entry.validate)(problem, K, params)
     except ValueError as e:
@@ -603,6 +600,8 @@ def run_verify(cfg: dict, out_dir) -> list[dict]:
 _DYNAMICS_KINDS = {"system": Kind("enum", choices=("ds1", "ds2", "ds2_undamped")), "x0": POINT,
                    "v0": POINT, "T": Kind("number"), "dt": Kind("number", lo=0.0, strict=True),
                    "damping": Kind("number", 0.0, lo=0.0)}
+# the keys each system reads beyond system, x0, T and dt
+_SYSTEM_KEYS = {"ds1": set(), "ds2": {"v0", "damping"}, "ds2_undamped": {"v0"}}
 
 
 def run_dynamics(cfg: dict, out_dir) -> dict:
@@ -615,7 +614,9 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
     if K is not h.domain:
         raise SchemaError("config.problem.set",
                           "dynamics is unconstrained: it takes no problem.set")
-    d = read(_DYNAMICS_KINDS, require(cfg, "dynamics", "config"), "config.dynamics", h.dim)
+    spec = require(cfg, "dynamics", "config")
+    d = read(_DYNAMICS_KINDS, spec, "config.dynamics", h.dim)
+    check_keys(spec, {"system", "x0", "T", "dt"} | _SYSTEM_KEYS[d["system"]], "config.dynamics")
     T, dt = d["T"], d["dt"]
     if not T >= dt:
         raise SchemaError("config.dynamics.T", f"must be at least dt = {dt}, got {T}")

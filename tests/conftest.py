@@ -7,11 +7,26 @@ solver results are checked against an independent route.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from sqopt.fields import config_keys
 from sqopt.functions import Objective
 from sqopt.geometry import Box, FullSpace, box1d
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """A file left open, or any other unraisable exception, fails a test under ``tests/``."""
+    for item in items:
+        if TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))
 
 
 def half_quad() -> Objective:

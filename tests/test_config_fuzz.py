@@ -3,7 +3,9 @@
 The seed configs are the README config block and every benchmark job config
 (``perfbench/jobs.py``, loaded read-only).  Each round clips a seed's costly
 knobs, applies one mutation chosen from the declared kind of a field, and
-runs the CLI in-process.  The draws come from a Philox stream, as
+runs the CLI in-process.  The sites are the keys of every section, of every
+set spec (by ``harness.SETS``) and of every catalog entry's parameters (by
+``harness.param_kinds``).  The draws come from a Philox stream, as
 ``geometry.rng_for`` gives them, so a failing round reproduces from its number.
 """
 
@@ -19,7 +21,9 @@ from sqopt.cli import main as cli_main
 from sqopt.equilibrium import EpParams
 from sqopt.fields import Kind
 from sqopt.geometry import rng_for
-from sqopt.harness import _CHECK_KINDS, _DYNAMICS_KINDS, _RUN_KINDS, _SEED, _SWEEP_KINDS, VARIANTS
+from sqopt.functions import _BUILDERS
+from sqopt.harness import (_BIFUNCTIONS, _CHECK_KINDS, _DYNAMICS_KINDS, _RUN_KINDS, _SEED,
+                           _SWEEP_KINDS, SETS, VARIANTS, param_kinds)
 from sqopt.minimize import MinParams
 from sqopt.prox import GlobalSolveConfig
 
@@ -39,6 +43,7 @@ def _seed_configs() -> list:
         for job in jobs.make_jobs(workload, 31)]
 
 
+MAKERS = {**_BUILDERS, **_BIFUNCTIONS}
 ALGORITHM_KINDS = {"minimize": {**declared_kinds(MinParams), **_RUN_KINDS},
                    "ep": {**declared_kinds(EpParams), **_RUN_KINDS}}
 ALGORITHM_KINDS["minimize"]["variant"] = ALGORITHM_KINDS["ep"]["variant"] = Kind(
@@ -80,7 +85,27 @@ def _sites(cfg: dict) -> list:
         sites += [(check, key, k) for key, k in _CHECK_KINDS.items()]
     problem = cfg["problem"]
     sites += [(problem, key, None) for key in ("objective", "bifunction", "set") if key in problem]
-    return sites
+    for key in ("objective", "bifunction"):
+        sites += _catalog_sites(problem.get(key))
+    return sites + _set_sites(problem.get("set"))
+
+
+def _set_sites(spec) -> list:
+    """Every key of every form of the set spec's kind, by ``harness.SETS``."""
+    if not isinstance(spec, dict) or spec.get("kind") not in SETS:
+        return []
+    return [(spec, key, kind) for _, kinds in SETS[spec["kind"]] for key, kind in kinds.items()]
+
+
+def _catalog_sites(entry) -> list:
+    """Every parameter of a catalog entry, of its set and of a value gap's objective."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("params"), dict):
+        return []
+    params = entry["params"]
+    if entry.get("catalog") == "value_gap":
+        return [(params, "objective", None)] + _catalog_sites(params.get("objective"))
+    sites = [(params, key, kind) for key, kind in param_kinds(MAKERS[entry["catalog"]]).items()]
+    return sites + _set_sites(params.get("K"))
 
 
 def _mutate(rng, obj: dict, key: str, kind, how: str):

@@ -1,5 +1,6 @@
 """Every config key is read: exact key sets per variant, per check and per set kind."""
 
+import copy
 import json
 import os
 import re
@@ -15,9 +16,10 @@ from conftest import declared_kinds
 from sqopt.cli import main as cli_main
 from sqopt.equilibrium import EpParams
 from sqopt.fields import config_keys
-from sqopt.harness import (_CHECK_KINDS, _COMMON_KEYS, _DYNAMICS_KINDS, _RUN_KINDS, _SEED,
-                           _SWEEP_KINDS, CHECKS, EXIT_MAX_ITERS, EXIT_OK, EXIT_SCHEMA, VARIANTS,
-                           keys_read)
+from sqopt.functions import _BUILDERS
+from sqopt.harness import (_BIFUNCTIONS, _CHECK_KINDS, _COMMON_KEYS, _DYNAMICS_KINDS, _RUN_KINDS,
+                           _SEED, _SWEEP_KINDS, CHECKS, EXIT_MAX_ITERS, EXIT_OK, EXIT_SCHEMA,
+                           SETS, VARIANTS, _build_set, _SET, keys_read, param_kinds)
 from sqopt.minimize import MinParams
 from sqopt.prox import GlobalSolveConfig
 
@@ -210,6 +212,13 @@ PROBLEM_DEFECTS = {
     "ball_radius_inf": (_minimize_cfg(GAUSS_WELL, {"kind": "ball", "center": [0],
                                                    "radius": INF}),
                         "problem.set.radius", "expected a finite number, got inf"),
+    # halfwidth 0 ran with an infinite modulus and a NumPy RuntimeWarning
+    "power_norm_halfwidth_0": (_minimize_cfg({"catalog": "power_norm",
+                                              "params": {"halfwidth": 0}}),
+                               "problem.objective", "power_norm requires halfwidth > 0"),
+    "power_norm_halfwidth_negative": (_minimize_cfg({"catalog": "power_norm",
+                                                     "params": {"halfwidth": -1}}),
+                                      "problem.objective", "power_norm requires halfwidth > 0"),
     "glt_p_inf": (_ep_cfg({"catalog": "glt_example", "params": {"p": INF}}),
                   "problem.bifunction.params.p", "expected a finite number, got inf"),
     "value_gap_objective_nan": (
@@ -228,6 +237,159 @@ def test_problem_defect_is_one_schema_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith(f"schema error: {field_path}: ") and message in err, err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# a valid spec of each set form and quad_fractional's parameters, all two-dimensional
+SET_FORMS = {
+    "box": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    "ball": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    "affine": {"kind": "affine", "normal": [1.0, 2.0], "value": 1.0},
+    "affine_basis": {"kind": "affine", "basis": [[0.6], [0.8]], "offset": [0.0, 0.0]},
+    "halfspaces": {"kind": "halfspaces", "normals": [[1.0, 0.0], [0.0, 1.0]],
+                   "bounds": [1.0, 1.0]},
+}
+QUAD_FRACTIONAL_NUMBERS = {"A": [[2.0, 0.0], [0.0, 2.0]], "a": [0.0, 0.0], "alpha": 1.0,
+                           "B": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0], "beta": 1.0}
+
+
+def _number_site_cfg(where, key):
+    """A 2-D PPA config with the set form or quad_fractional's parameter ``where``, and the
+    path of the first number under ``key`` with the list holding it."""
+    objective = {"catalog": "euclid_norm", "params": {"n": 2, "gamma": 0.2}}
+    problem = {"kind": "minimize", "objective": objective}
+    if where == "quad_fractional":
+        params = {**copy.deepcopy(QUAD_FRACTIONAL_NUMBERS), "K": SET_FORMS["box"], "m": 0.5,
+                  "M": 2.0}
+        problem["objective"], holder, path = ({"catalog": "quad_fractional", "params": params},
+                                              params, "problem.objective.params")
+    else:
+        holder = problem["set"] = copy.deepcopy(SET_FORMS[where])
+        path = "problem.set"
+    path += "." + key
+    while isinstance(holder[key], list):
+        holder, key, path = holder[key], 0, path + "[0]"
+    cfg = {"schema_version": 1, "problem": problem,
+           "algorithm": {"variant": "PPA", "x0": [0.1, 0.1], "max_iters": 0,
+                         "search_radius": 2.0}}
+    return cfg, holder, key, path
+
+
+NUMBER_SITES = [(where, key) for where, spec in SET_FORMS.items() for key in spec if key != "kind"]
+NUMBER_SITES += [("quad_fractional", key) for key in QUAD_FRACTIONAL_NUMBERS]
+
+
+def test_number_sites_are_every_number_key_of_the_set_table():
+    covered = {(SET_FORMS[where]["kind"], key) for where, key in NUMBER_SITES
+               if where in SET_FORMS}
+    assert covered == {(kind, key) for kind, forms in SETS.items() for _, kinds in forms
+                       for key, k in kinds.items() if k.name in ("number", "array")}
+
+
+@pytest.mark.parametrize("where, key", NUMBER_SITES)
+def test_a_boolean_or_a_numeric_string_at_a_number_site_is_one_schema_error_line(
+        tmp_path, capsys, where, key):
+    # each was read as the number it stands for (true as 1): most ran, and the others were
+    # refused for what that number made of the set or the objective
+    cfg, _, _, _ = _number_site_cfg(where, key)
+    assert _cli(tmp_path, "minimize", cfg) == EXIT_MAX_ITERS
+    capsys.readouterr()
+    for bad in (True, "1.0"):
+        cfg, holder, leaf, path = _number_site_cfg(where, key)
+        holder[leaf] = bad
+        assert _cli(tmp_path, "minimize", cfg) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"schema error: {path}: expected a finite number, got {bad!r}\n")
+
+
+# every parameter a config sets on each catalog and bifunction constructor, by its kind;
+# value_gap's one parameter is an objective spec
+CATALOG_PARAMETERS = {
+    "abs_shift": {"a": "number", "gamma": "number"},
+    "euclid_norm": {"n": "int", "gamma": "number", "halfwidth": "number"},
+    "neg_quad": {}, "gauss_well": {"c": "number", "d": "number", "delta": "number"},
+    "sin_quad": {}, "inv_gap": {}, "root_quartic": {"k": "number", "c": "number"},
+    "power_norm": {"n": "int", "halfwidth": "number", "alpha": "number"},
+    "quad_fractional": {"A": "array", "a": "array", "alpha": "number", "B": "array",
+                        "b": "array", "beta": "number", "K": "set", "m": "number",
+                        "M": "number", "n_check": "int"},
+    "glt_example": {"p": "number", "q": "number", "n": "int", "K": "set"},
+}
+
+
+def test_every_catalog_parameter_maps_to_a_kind():
+    makers = {**_BUILDERS, **_BIFUNCTIONS}
+    assert set(makers) == set(CATALOG_PARAMETERS) | {"value_gap"}
+    assert {name: {key: kind.name for key, kind in param_kinds(make).items()}
+            for name, make in makers.items() if name != "value_gap"} == CATALOG_PARAMETERS
+
+
+# each ran with exit 0, the key unread
+@pytest.mark.parametrize("system, keys, unread", [
+    ("ds1", {"v0": [3.0], "damping": 7.0}, "['damping', 'v0']"),
+    ("ds2_undamped", {"damping": 7.0}, "['damping']"),
+])
+def test_a_dynamics_system_refuses_the_keys_it_does_not_read(tmp_path, capsys, system, keys,
+                                                              unread):
+    cfg = {"schema_version": 1, "problem": PROBLEMS["minimize"],
+           "dynamics": {"system": system, "x0": [0.5], "T": 0.02, "dt": 0.01, **keys}}
+    assert _cli(tmp_path, "dynamics", cfg) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: config.dynamics: unknown keys {unread}; allowed: ")
+    assert err.count("\n") == 1
+
+
+def test_ds2_reads_v0_and_damping(tmp_path, capsys):
+    cfg = {"schema_version": 1, "problem": PROBLEMS["minimize"],
+           "dynamics": {"system": "ds2", "x0": [0.5], "v0": [0.1], "T": 0.02, "dt": 0.01,
+                        "damping": 1.0}}
+    assert _cli(tmp_path, "dynamics", cfg) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_only_neg_entropy_reads_a_bregman_shift(tmp_path, capsys):
+    # half_sq_norm with a shift ran with exit 0, its trace the one without the shift
+    for name, code in (("half_sq_norm", EXIT_SCHEMA), ("neg_entropy", EXIT_MAX_ITERS)):
+        command, cfg = _algorithm_cfg("BPPA", bregman={"name": name, "shift": 5.0})
+        assert _cli(tmp_path, command, cfg) == code
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: algorithm.bregman: ") == (code == EXIT_SCHEMA)
+        assert err.count("\n") == 1
+    command, cfg = _algorithm_cfg("BPPA", bregman={"shift": 5.0})  # half_sq_norm by default
+    assert _cli(tmp_path, command, cfg) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("schema error: algorithm.bregman: ")
+
+
+def test_an_affine_set_gives_the_same_trace_in_either_form(tmp_path, capsys):
+    normal_form = {"kind": "affine", "normal": [1.0, 2.0], "value": 1.0}
+    K = _build_set(normal_form, "set")
+    traces = []
+    for i, spec in enumerate([normal_form, {"kind": "affine", "basis": K.basis.tolist(),
+                                            "offset": K.offset.tolist()}]):
+        cfg = {"schema_version": 1,
+               "problem": {"kind": "minimize", "set": spec,
+                           "objective": {"catalog": "euclid_norm",
+                                         "params": {"n": 2, "gamma": 0.2}}},
+               "algorithm": {"variant": "PPA", "x0": [0.2, 0.4], "max_iters": 5,
+                             "search_radius": 2.0}}
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["minimize", "--config", str(path), "--out", str(tmp_path / f"o{i}")]) in (
+            EXIT_OK, EXIT_MAX_ITERS)
+        traces.append((tmp_path / f"o{i}" / "trace.csv").read_bytes())
+    capsys.readouterr()
+    assert traces[0] == traces[1] and traces[0].count(b"\n") > 2
+
+
+def test_a_ball_needs_no_search_radius_and_halfspaces_do(tmp_path, capsys):
+    command, cfg = _algorithm_cfg("PPA", max_iters=3)
+    cfg["problem"] = {**cfg["problem"], "set": {"kind": "ball", "center": [0.2], "radius": 0.5}}
+    assert _cli(tmp_path, command, cfg) in (EXIT_OK, EXIT_MAX_ITERS)
+    assert not capsys.readouterr().err.startswith("schema error")
+    cfg["problem"]["set"] = {"kind": "halfspaces", "normals": [[1.0], [-1.0]],
+                             "bounds": [0.7, 0.3]}
+    assert _cli(tmp_path, command, cfg) == EXIT_SCHEMA
+    assert capsys.readouterr().err == ("schema error: algorithm: missing required key "
+                                       "'search_radius' (halfspaces has no bounding box)\n")
 
 
 def test_verify_checks_must_be_a_list(tmp_path, capsys):
@@ -280,6 +442,7 @@ def _describe(kind) -> str:
     bound += "" if kind.hi is None else f" and <= {kind.hi}"
     return {"int": f"integer{bound}", "number": f"finite number{bound}",
             "numbers": f"list of at least {kind.at_least} finite numbers{bound}",
+            "array": "finite number or nested lists of finite numbers", "set": "set spec",
             "enum": "one of " + ", ".join(kind.choices)}.get(kind.name, kind.name)
 
 
@@ -297,7 +460,13 @@ def test_readme_field_kind_table_equals_the_declarations():
                            ("algorithm.prox", declared_kinds(GlobalSolveConfig)),
                            ("algorithm.bregman", _RUN_KINDS["bregman"].of),
                            ("verify.checks[]", _CHECK_KINDS), ("dynamics", _DYNAMICS_KINDS),
-                           ("sweep", _SWEEP_KINDS), ("", {"seed": _SEED})]:
+                           ("sweep", _SWEEP_KINDS), ("", {"seed": _SEED}),
+                           ("set", {key: kind for forms in SETS.values() for _, kinds in forms
+                                    for key, kind in kinds.items()}),
+                           ("problem", {"set": _SET}),
+                           *((name, param_kinds(make))
+                             for name, make in {**_BUILDERS, **_BIFUNCTIONS}.items()
+                             if name != "value_gap")]:
         for key, kind in kinds.items():
             declared[_describe(kind)].add(f"{section}.{key}".lstrip("."))
     assert table == declared

@@ -15,6 +15,10 @@ from sqopt.equilibrium import (
     run_ppa_ep,
     run_reg_ep,
     run_rippa_ep,
+    validate_eg,
+    validate_ieppa,
+    validate_peg,
+    validate_rippa_ep,
 )
 from sqopt.functions import Bifunction, catalog, glt_example, value_gap
 from sqopt.geometry import box1d
@@ -212,6 +216,39 @@ def test_eg_ep_stops_at_solution_immediately():
     tr = run_eg_ep(*prob, p, np.zeros(2), oracle=lambda z, x: np.zeros(2))
     assert tr.iterations <= 1
     assert tr.terminated_by in ("residual", "exact_fixed_point")
+
+
+def test_eg_ep_ends_at_a_zero_oracle_output():
+    # the proximal step moves, the line search holds at z, and the oracle there is 0
+    prob = vg_problem()
+    p = EpParams(beta=Schedule.constant(6.0), steps=Schedule.inv_k(0.5), stop_tol=1e-6)
+    tr = run_eg_ep(*prob, p, np.array([0.9, -0.7]), oracle=lambda z, x: np.zeros(2))
+    assert tr.terminated_by == "exact_fixed_point" and tr.iterations == 1
+    assert tr.final_residual > p.stop_tol
+
+
+def test_eg_ep_ends_where_the_projected_step_stands_still():
+    # from the corner of the box, a step against (-1, -1) is projected back onto the corner
+    prob = vg_problem()
+    p = EpParams(beta=Schedule.constant(6.0), steps=Schedule.inv_k(0.5), stop_tol=1e-6)
+    tr = run_eg_ep(*prob, p, np.array([1.0, 1.0]), oracle=lambda z, x: -np.ones(2))
+    assert tr.terminated_by == "exact_fixed_point" and tr.iterations == 1
+    assert tr.final_residual > p.stop_tol
+
+
+def test_validator_notes_of_the_relaxation_the_negative_inertia_and_the_extragradient_steps():
+    glt = glt_example(2, 2)  # eta = 1/2: rho may deviate from 1 by at most 1 - 4 eta beta = 0.2
+    notes = validate_rippa_ep(glt, glt.domain, EpParams(beta=Schedule.constant(0.4), rho_lo=0.5))
+    assert "relaxation deviation exceeds 1 - 4 eta beta" in notes
+    f, K = vg_problem()  # eta = 0, so the window of a negative alpha is (1/gamma, inf)
+    notes = validate_ieppa(f, K, EpParams(beta=Schedule.constant(0.01), alpha=-0.1))
+    assert notes == [f"beta=0.01 leaves ({1.0 / f.gamma:.4g}, inf)"]
+    smooth = value_gap(catalog("gauss_well"))
+    notes = validate_eg(smooth, smooth.domain, EpParams(beta=Schedule.explicit([1.0, 2.0])))
+    assert "beta schedule is not nonincreasing" in notes
+    notes = validate_peg(smooth, smooth.domain,
+                         EpParams(beta=Schedule.constant(1.0), steps=Schedule.inv_k(5.0)))
+    assert "projection steps must stay below inf beta" in notes
 
 
 def sqrt_norm_grad(z, x):

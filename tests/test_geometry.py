@@ -11,10 +11,10 @@ from sqopt.geometry import (
     FullSpace,
     HalfspaceIntersection,
     box1d,
-    feasible_set_from_spec,
     hyperplane,
     rng_for,
 )
+from sqopt.harness import _build_set
 
 ALL_SETS = [
     Box(np.array([0.0, 0.0]), np.array([1.0, 1.0])),
@@ -25,15 +25,19 @@ ALL_SETS = [
                           np.array([1.0, 1.0, 0.5])),
 ]
 
-# the config spec of each set of ALL_SETS, written out
-SPECS = {
-    "box": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
-    "ball": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-    "affine": {"kind": "affine", "normal": [1.0, 1.0], "value": 1.0},
-    "full_space": {"kind": "full_space", "dim": 2},
-    "halfspaces": {"kind": "halfspaces", "normals": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
-                   "bounds": [1.0, 1.0, 0.5]},
-}
+# the config specs of the sets of ALL_SETS, written out; the affine set in both forms, and a
+# 1-D box whose ends are numbers
+SPECS = [
+    (ALL_SETS[0], {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}),
+    (box1d(-1.0, 1.0), {"kind": "box", "lo": -1.0, "hi": 1.0}),
+    (ALL_SETS[1], {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}),
+    (ALL_SETS[2], {"kind": "affine", "normal": [1.0, 1.0], "value": 1.0}),
+    (ALL_SETS[2], {"kind": "affine", "basis": [[0.5**0.5], [-(0.5**0.5)]],
+                   "offset": [0.5, 0.5]}),
+    (ALL_SETS[3], {"kind": "full_space", "dim": 2}),
+    (ALL_SETS[4], {"kind": "halfspaces", "normals": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                   "bounds": [1.0, 1.0, 0.5]}),
+]
 
 
 def test_box_projection_clamps():
@@ -157,9 +161,10 @@ def test_dimension_and_finiteness_errors():
         Ball(np.zeros(2), 0.0)
 
 
-@pytest.mark.parametrize("K", ALL_SETS, ids=lambda K: K.kind)
-def test_spec_round_trip(K):
-    K2 = feasible_set_from_spec(SPECS[K.kind])
+@pytest.mark.parametrize("K, spec", SPECS, ids=["box", "box_1d_numbers", "ball", "affine",
+                                                "affine_basis", "full_space", "halfspaces"])
+def test_spec_round_trip(K, spec):
+    K2 = _build_set(spec, "set")
     X = 2.0 * (2.0 * np.random.Generator(np.random.Philox(key=9)).random((50, K.dim)) - 1.0)
     assert np.allclose(K.project_many(X), K2.project_many(X), atol=1e-12)
 

@@ -207,6 +207,15 @@ def test_subgradient_zero_start_immediate():
     assert tr.iterations == 0
 
 
+def test_subgradient_ends_where_the_projected_step_stands_still():
+    # neg_quad's minimizer 1 is the end of its domain, where the gradient -3 points out
+    h = catalog("neg_quad")
+    p = MinParams(variant="SUBGRAD", steps=Schedule.inv_k(0.25))
+    tr = run_subgradient(h, None, p, np.ones(1))
+    assert tr.terminated_by == "exact_fixed_point" and tr.iterations == 0
+    assert tr.final_point.tolist() == [1.0] and tr.final_residual == 3.0
+
+
 def test_subgradient_gauss_well():
     h = catalog("gauss_well", c=1.0, d=1.0, delta=1.0)
     p = MinParams(variant="SUBGRAD", steps=Schedule.inv_k(2.0), stop_tol=1e-8,
