@@ -32,11 +32,11 @@ import numpy as np
 
 from .fields import Kind, Schedule, declared
 from .functions import Bifunction
-from .geometry import FeasibleSet, as_point
+from .geometry import FeasibleSet, as_point, unit_blocks
 from .minimize import (IterationTrace, Run, _drive, _drive_one, _Recorder,
                        _relaxed_inertial_notes, _run_proximal, _RunParams)
 from .prox import GlobalSolveConfig, ProxResult, _global_min_impl, prox_point
-from .verify import CheckReport, _fold_blocks, _unit_blocks
+from .verify import CheckReport, _fold_blocks
 
 LINE_SEARCH_CAP = 60  # 2^-60 underflow guard
 ORACLE_CHECK_SAMPLES = 32  # EG/PEG level-set spot check of each oracle output
@@ -327,7 +327,7 @@ def run_2ppa_ep(f: Bifunction, K: FeasibleSet, p: EpParams, x0) -> IterationTrac
 def _star_subgrad_check(f: Bifunction, K, z, x, w, n_samples, seed, radius) -> bool:
     """Strict-level-set condition: f(z, y) < f(z, x) implies w.(y - x) < 0."""
     fz_x = f.value(z, x)
-    for _, U in _unit_blocks(seed, n_samples, K.dim):
+    for _, U in unit_blocks(seed, n_samples, K.dim):
         Y = K.from_unit(U, radius)
         lower = Y[f.fn(np.broadcast_to(z, Y.shape), Y) < fz_x - 1e-12]
         if not np.all(np.einsum("ij,j->i", lower - x, w) < 1e-10):

@@ -336,8 +336,9 @@ def _quad_fractional(A: np.ndarray, a: np.ndarray, alpha: float, B: np.ndarray, 
     """Quadratic-over-quadratic fractional objective with modulus lambda_min(A)/M.
 
     K is user-supplied; the constructor verifies m <= denominator <= M on
-    sampled points and that one of the sign conditions for the numerator and
-    the curvature of B holds.
+    the points of ``K.sample(2024, n_check)``, drawn a block at a time, and
+    that one of the sign conditions for the numerator and the curvature of B
+    holds on them.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -363,18 +364,19 @@ def _quad_fractional(A: np.ndarray, a: np.ndarray, alpha: float, B: np.ndarray, 
     def den(X):
         return 0.5 * np.einsum("...i,ij,...j->...", X, B, X) + np.einsum("...i,i->...", X, b) + beta
 
-    S = K.sample(seed=2024, m=n_check)
-    dv = den(S)
-    if np.any(dv < m - 1e-9) or np.any(dv > M + 1e-9):
+    def blocks():
+        return K.sample_blocks(seed=2024, m=n_check)
+
+    if any(np.any(dv < m - 1e-9) or np.any(dv > M + 1e-9) for dv in map(den, blocks())):
         raise ValueError("denominator leaves [m, M] on sampled points of K")
     eigB = np.linalg.eigvalsh(B) if np.any(B) else np.zeros(n)
     if np.max(np.abs(B)) == 0.0:
         pass  # affine denominator with B = 0
     elif eigB[-1] <= 1e-12:
-        if np.any(num(S) < -1e-9):
+        if any(np.any(nv < -1e-9) for nv in map(num, blocks())):
             raise ValueError("concave denominator requires a nonnegative numerator on K")
     elif eigB[0] >= -1e-12:
-        if np.any(num(S) > 1e-9):
+        if any(np.any(nv > 1e-9) for nv in map(num, blocks())):
             raise ValueError("convex denominator requires a nonpositive numerator on K")
     else:
         raise ValueError("B must be zero, positive or negative semidefinite")
@@ -457,11 +459,11 @@ def combine_linear(h: Objective, A, domain: FeasibleSet, n_check: int = 1000) ->
     smin = float(np.linalg.svd(A, compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("A must be injective (sigma_min > 0)")
-    S = domain.sample(seed=2024, m=n_check) if domain.is_bounded else None
-    if S is not None and not np.all(h.domain.contains_many(S @ A.T, tol=1e-8)):
-        raise ValueError("A does not map the new domain into the domain of h")
     # einsum keeps each row's bits independent of the batch (see quad_fractional)
     AX = lambda X: np.einsum("...j,ij->...i", X, A)
+    if domain.is_bounded and not all(np.all(h.domain.contains_many(AX(S), tol=1e-8))
+                                     for S in domain.sample_blocks(seed=2024, m=n_check)):
+        raise ValueError("A does not map the new domain into the domain of h")
     grad = None if h.grad is None else (lambda X, g=h.grad: np.einsum("...i,ij->...j", g(AX(X)), A))
     known = None
     if h.known_min is not None and A.shape[0] == A.shape[1]:

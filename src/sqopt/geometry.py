@@ -19,7 +19,8 @@ FEAS_TOL = 1e-14
 ACTIVE_SET_MAX_STEPS = 10_000  # the solve is finite; this turns a cycling one into an error
 ORTHONORMAL_TOL = 1e-12
 # rows per block when many sampled rows are reduced to one number (the
-# sampled checks of ``verify``, glt_example's constants); no result depends on it
+# sampled checks of ``verify``, the constructors' sampled checks,
+# glt_example's constants); no result depends on it
 BLOCK_ROWS = 1 << 14
 # the state norm past which an explicit method or a gradient flow diverges
 DIVERGENCE_GUARD = 1e6
@@ -42,6 +43,17 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 def rng_for(seed: int) -> np.random.Generator:
     """Counter-based Philox generator; the documented source of all sampling."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def unit_blocks(seed: int, n: int, width: int):
+    """The (n, width) uniform stream of ``seed`` as ``(start, rows)`` blocks.
+
+    The blocks hold the bits of one (n, width) draw, in order, so the rows
+    of any n are a prefix of those of a larger n.
+    """
+    rng = rng_for(seed)
+    for start in range(0, n, BLOCK_ROWS):
+        yield start, rng.random((min(BLOCK_ROWS, n - start), width))
 
 
 class FeasibleSet:
@@ -96,6 +108,13 @@ class FeasibleSet:
         if m < 1:
             raise ValueError("m must be positive")
         return self.from_unit(rng_for(seed).random((m, self.dim)), radius)
+
+    def sample_blocks(self, seed: int, m: int, radius: float | None = None):
+        """The rows of ``sample(seed, m, radius)``, in blocks of at most ``BLOCK_ROWS``."""
+        if m < 1:
+            raise ValueError("m must be positive")
+        for _, U in unit_blocks(seed, m, self.dim):
+            yield self.from_unit(U, radius)
 
 
 @dataclass(frozen=True)

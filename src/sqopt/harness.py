@@ -621,7 +621,8 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
     if not T >= dt:
         raise SchemaError("config.dynamics.T", f"must be at least dt = {dt}, got {T}")
     x0, v0 = (np.zeros(h.dim) if d[key] is None else d[key] for key in ("x0", "v0"))
-    from .dynamics import integrate_ds1, integrate_ds2  # not at module top: only dynamics
+    # not at module top: only dynamics
+    from .dynamics import fit_exponential_rate, integrate_ds1, integrate_ds2
     if d["system"] == "ds1":
         traj = integrate_ds1(h, None, x0, T, dt)
         speed = np.linalg.norm(h.grad_many(traj.states), axis=-1)
@@ -636,5 +637,16 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
         # row at a time, so no list of the whole table is held
         table = np.column_stack([traj.times, traj.states, traj.values, speed])
         w.writerows(map(repr, row.tolist()) for row in table)
-    return {"trajectory": str(path), "final_state": traj.final_state.tolist(),
-            "final_value": float(traj.values[-1])}
+    steps = traj.times.shape[0] - 1
+    drift = None
+    if d["system"] == "ds2_undamped":  # the flow conserves 1/2 ||v||^2 + h(u)
+        energy = 0.5 * np.sum(traj.velocities**2, axis=-1) + traj.values
+        drift = float(np.max(np.abs(energy - energy[0])))
+    summary = {"system": d["system"], "steps": steps, "dt": dt, "grad_evals": 4 * steps,
+               "final_state": traj.final_state.tolist(), "final_value": float(traj.values[-1]),
+               "final_speed": float(speed[-1]), "energy_drift": drift,
+               "rate_fit": None if h.known_min is None
+               else asdict(fit_exponential_rate(traj, h.known_min[0]))}
+    (out / "summary.json").write_text(strict_json(summary) + "\n")
+    return {"trajectory": str(path), "final_state": summary["final_state"],
+            "final_value": summary["final_value"]}

@@ -7,15 +7,15 @@ the slack; a check passes iff the worst normalized margin stays above minus
 its tolerance.
 
 A check reads its samples as one row-major uniform stream per call, in
-consecutive blocks of ``BLOCK_ROWS`` rows, and folds each block into its
-report (worst margin, witnesses, sample count, estimate) before it reads the
-next; ``FeasibleSet.from_unit`` maps the rows into the set, as ``sample`` does.
-Its memory therefore does not grow with ``n``.  Every row is computed as it
-would be alone (the batch contract), and grids that run over the
-samples (the t strata, the diagonal pairs) use global row indices, so the
-report does not depend on the block size, and the samples of a smaller ``n``
-are a prefix of those of any larger ``n`` (estimates are monotone under
-sample growth).
+consecutive blocks of ``BLOCK_ROWS`` rows (``geometry.unit_blocks``), and
+folds each block into its report (worst margin, witnesses, sample count,
+estimate) before it reads the next; ``FeasibleSet.from_unit`` maps the rows
+into the set, as ``sample`` does.  Its memory therefore does not grow with
+``n``.  Every row is computed as it would be alone (the batch contract), and
+grids that run over the samples (the t strata, the diagonal pairs) use
+global row indices, so the report does not depend on the block size, and
+the samples of a smaller ``n`` are a prefix of those of any larger ``n``
+(estimates are monotone under sample growth).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functions import Bifunction, Objective
-from .geometry import BLOCK_ROWS, FeasibleSet, rng_for
+from .geometry import FeasibleSet, rng_for, unit_blocks
 
 SQC_TOL = 1e-8
 GROWTH_TOL = 1e-9
@@ -83,21 +83,10 @@ class _Fold:
                            [w for _, _, w in self.bad], estimate)
 
 
-def _unit_blocks(seed: int, n: int, width: int):
-    """The (n, width) uniform stream of ``seed`` as ``(start, rows)`` blocks.
-
-    The blocks hold the bits of one (n, width) draw, in order, so the rows
-    of any n are a prefix of those of a larger n.
-    """
-    rng = rng_for(seed)
-    for start in range(0, n, BLOCK_ROWS):
-        yield start, rng.random((min(BLOCK_ROWS, n - start), width))
-
-
 def _fold_blocks(prop, tol, seed, n, width, block) -> CheckReport:
     """Fold ``block(start, U) -> (margins, witness_of, samples)`` over the stream."""
     fold = _Fold(prop, tol)
-    for start, U in _unit_blocks(seed, n, width):
+    for start, U in unit_blocks(seed, n, width):
         fold.add(*block(start, U))
     return fold.report()
 
@@ -160,7 +149,7 @@ def estimate_modulus(
     K = h.domain if K is None else K
     d = K.dim
     worst, valid_rows = np.inf, 0
-    for start, U in _unit_blocks(seed, n_triples, 2 * d + 1):
+    for start, U in unit_blocks(seed, n_triples, 2 * d + 1):
         X = K.from_unit(U[:, :d], radius)
         Y = K.from_unit(U[:, d : 2 * d], radius)
         t = (np.arange(start, start + len(U)) % 64 + np.clip(U[:, 2 * d], 1e-9, 1 - 1e-9)) / 64.0
@@ -451,7 +440,7 @@ def estimate_eta(
     K = f.domain if K is None else K
     d = K.dim
     est = None
-    for start, U in _unit_blocks(seed, n_triples, 3 * d):
+    for start, U in unit_blocks(seed, n_triples, 3 * d):
         X = K.from_unit(U[:, :d], radius)
         Y = K.from_unit(U[:, d : 2 * d], radius)
         Z = K.from_unit(U[:, 2 * d :], radius)
@@ -540,7 +529,7 @@ def check_a4_sampled(
     for j, x in enumerate(Xs):
         fy, _ = f.y_objective(x)
         block = _sqc_block(lambda Y: np.asarray(fy(Y), dtype=float), K, f.gamma, radius)
-        for start, U in _unit_blocks(seed + j, n_triples, 2 * K.dim + 1):
+        for start, U in unit_blocks(seed + j, n_triples, 2 * K.dim + 1):
             margins, witness_of, samples = block(start, U)
             fold.add(margins, lambda i: {"x_slice": x.tolist(), **witness_of(i)}, samples)
     return fold.report()

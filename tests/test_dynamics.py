@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from sqopt.dynamics import (
     loglinear_rate,
 )
 from sqopt.functions import Objective, catalog
-from sqopt.geometry import Box, FullSpace, as_point
-from sqopt.minimize import DIVERGENCE_GUARD, MinParams, Schedule, run_inertial_gm
+from sqopt.geometry import DIVERGENCE_GUARD, Box, FullSpace, as_point
+from sqopt.minimize import MinParams, Schedule, run_inertial_gm
 
 
 def test_ds1_linear_flow_matches_exponential():
@@ -229,7 +230,15 @@ FLOW_CASES = [
     (catalog("quad_fractional", A=[[2.0, 0.5], [0.5, 1.0]], a=[0.1, -0.2], alpha=0.0,
              B=np.zeros((2, 2)), b=[0.1, 0.05], beta=1.0,
              K=Box(-np.ones(2), np.ones(2)), m=0.8, M=1.2), [0.7, -0.4]),
+    # above 2-D the state is a longer list: its per-coordinate arithmetic must
+    # still round as the row arithmetic does
+    (replace(catalog("quad_fractional", A=np.diag(np.linspace(0.5, 4.0, 8)),
+                     a=np.linspace(-0.2, 0.2, 8), alpha=0.0, B=np.zeros((8, 8)),
+                     b=np.linspace(0.01, 0.08, 8), beta=1.0,
+                     K=Box(-np.ones(8), np.ones(8)), m=0.5, M=1.5), name="quad_fractional_8d"),
+     np.linspace(0.7, -0.6, 8)),
 ]
+FLOW_IDS = [h.name.split("(")[0] for h, _ in FLOW_CASES]
 
 
 @pytest.mark.parametrize("h, x0", FLOW_CASES, ids=[h.name.split("(")[0] for h, _ in FLOW_CASES])
@@ -251,3 +260,31 @@ def test_ds2_bits_match_the_checked_loop(h, x0, damping):
     assert _same_bits(traj.times, times)
     assert _same_bits(traj.states, Z[:, :h.dim])
     assert _same_bits(traj.velocities, Z[:, h.dim:])
+
+
+@pytest.mark.parametrize("h, x0", FLOW_CASES, ids=FLOW_IDS)
+@pytest.mark.parametrize("shape", ["scalar", "vector"])
+def test_ds1_psi_is_broadcast_against_the_state(h, x0, shape):
+    # a scalar perturbation moves every coordinate alike, a vector one each its own way
+    if shape == "scalar":
+        psi = lambda t: 0.3 * np.cos(t)
+    else:
+        psi = lambda t: 0.3 * np.cos(t + np.arange(h.dim))
+    traj = integrate_ds1(h, psi, x0, T=2.0, dt=0.01)
+    times, states = _reference_ds1(h, psi, x0, T=2.0, dt=0.01)
+    assert _same_bits(traj.states, states)
+
+
+@pytest.mark.parametrize("h, x0", FLOW_CASES, ids=FLOW_IDS)
+def test_each_step_calls_grad_four_times_on_one_row(h, x0):
+    seen = []
+
+    def grad(X):
+        seen.append((X.shape, X.dtype))
+        return h.grad(X)
+
+    counted = replace(h, grad=grad)
+    steps = 50
+    integrate_ds1(counted, None, x0, T=steps * 0.01, dt=0.01)
+    integrate_ds2(counted, 1.0, x0, np.zeros(h.dim), T=steps * 0.01, dt=0.01)
+    assert seen == [((1, h.dim), np.float64)] * (2 * 4 * steps)

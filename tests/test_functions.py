@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from sqopt.functions import (
     value_gap,
 )
 from sqopt.geometry import Box, box1d
-from sqopt import verify
+from sqopt import geometry, verify
 
 QUAD_FRACTIONAL_KW = dict(
     A=np.eye(2), a=np.zeros(2), alpha=0.0,
@@ -114,6 +115,53 @@ def test_quad_fractional_constructor_checks():
     bad = dict(QUAD_FRACTIONAL_KW, m=2.0, M=3.0)
     with pytest.raises(ValueError):
         catalog("quad_fractional", **bad)
+
+
+def _peaked_denominator(c, M, n_check):
+    """quad_fractional on [-1, 1]^2 with the concave denominator 10 - ||x - c||^2."""
+    return dict(A=np.eye(2), a=np.zeros(2), alpha=1.0, B=-2.0 * np.eye(2), b=2.0 * c,
+                beta=10.0 - c @ c, K=Box(-np.ones(2), np.ones(2)), m=1.0, M=M, n_check=n_check)
+
+
+def _verdict(**kw):
+    try:
+        catalog("quad_fractional", **kw)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("n_check", [1, 16_384, 16_385, 100_000])
+def test_quad_fractional_blocked_check_gives_the_one_shot_verdict(monkeypatch, n_check):
+    # the denominator passes M = 11 everywhere; M = peak fails only at c, the
+    # first point of the second block, so only n_check > 16,384 sees it
+    block = geometry.BLOCK_ROWS
+    S = Box(-np.ones(2), np.ones(2)).sample(seed=2024, m=100_000)
+    c = S[block]
+    peak = 10.0 - 0.5 * np.min(np.sum((np.delete(S, block, axis=0) - c) ** 2, axis=-1))
+    blocked = [_verdict(**_peaked_denominator(c, M, n_check)) for M in (11.0, peak)]
+    fails = n_check > block
+    assert blocked == [None, "denominator leaves [m, M] on sampled points of K" if fails else None]
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", n_check)
+    assert [_verdict(**_peaked_denominator(c, M, n_check)) for M in (11.0, peak)] == blocked
+
+
+def _traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_constructor_checks_hold_one_block_at_a_time():
+    # a one-shot draw of 10^6 points takes 48 MB in quad_fractional
+    n = 1_000_000
+    assert _traced_peak(lambda: catalog(
+        "quad_fractional", **_peaked_denominator(np.zeros(2), 11.0, n))) < 4e6
+    h = catalog("euclid_norm", n=2, gamma=1.0)
+    assert _traced_peak(lambda: combine_linear(h, np.eye(2), h.domain, n_check=n)) < 4e6
 
 
 @pytest.mark.parametrize("h", all_catalog_entries(), ids=lambda h: h.name.split("(")[0])

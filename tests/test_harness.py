@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 import sqopt
 from sqopt.cli import main as cli_main
+from sqopt.dynamics import fit_exponential_rate, integrate_ds1, integrate_ds2
 from sqopt import minimize as mz
 from sqopt.harness import (
     EXIT_GUARD,
@@ -359,6 +360,55 @@ def test_cli_dynamics(tmp_path, capsys):
     assert len(lines) == 5002
 
 
+_QUAD_FRACTIONAL = {"catalog": "quad_fractional",
+                    "params": {"A": [[2.0, 0.5], [0.5, 1.0]], "a": [0.1, -0.2], "alpha": 0.0,
+                               "B": [[0.0, 0.0], [0.0, 0.0]], "b": [0.1, 0.05], "beta": 1.0,
+                               "K": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                               "m": 0.8, "M": 1.2}}
+
+
+@pytest.mark.parametrize("objective, dyn", [
+    # the benchmark's dynamics job, and an undamped run, whose energy is conserved
+    ({"catalog": "gauss_well"},
+     {"system": "ds2", "x0": [0.7], "v0": [0.0], "T": 40.0, "dt": 0.005, "damping": 1.0}),
+    ({"catalog": "gauss_well"},
+     {"system": "ds2_undamped", "x0": [0.7], "v0": [0.1], "T": 10.0, "dt": 0.01}),
+    # no known minimizer, so no rate
+    (_QUAD_FRACTIONAL, {"system": "ds1", "x0": [0.7, -0.4], "T": 2.0, "dt": 0.01}),
+], ids=["ds2", "ds2_undamped", "ds1_no_minimizer"])
+def test_cli_dynamics_summary_explains_the_run(tmp_path, capsys, objective, dyn):
+    cfg = {"schema_version": 1, "problem": {"kind": "minimize", "objective": objective},
+           "dynamics": dyn}
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["dynamics", "--config", path, "--out", str(tmp_path / "d")]) == EXIT_OK
+    stdout = json.loads(capsys.readouterr().out)
+    assert set(stdout) == {"trajectory", "final_state", "final_value"}
+    text = (tmp_path / "d" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    _, h, _ = build_problem(cfg["problem"])
+    if dyn["system"] == "ds1":
+        traj = integrate_ds1(h, None, dyn["x0"], dyn["T"], dyn["dt"])
+        speed = np.linalg.norm(h.grad_many(traj.states), axis=-1)
+    else:
+        traj = integrate_ds2(h, dyn.get("damping", 0.0), dyn["x0"], dyn["v0"], dyn["T"], dyn["dt"])
+        speed = np.linalg.norm(traj.velocities, axis=-1)
+    steps = traj.times.shape[0] - 1
+    drift = None
+    if dyn["system"] == "ds2_undamped":
+        energy = 0.5 * np.sum(traj.velocities**2, axis=-1) + traj.values
+        drift = float(np.max(np.abs(energy - energy[0])))
+        assert 0.0 < drift <= 1e-6
+    rate = None if h.known_min is None else asdict(fit_exponential_rate(traj, h.known_min[0]))
+    assert summary == {"system": dyn["system"], "steps": steps, "dt": dyn["dt"],
+                       "grad_evals": 4 * steps, "final_state": traj.final_state.tolist(),
+                       "final_value": float(traj.values[-1]), "final_speed": float(speed[-1]),
+                       "energy_drift": drift, "rate_fit": rate}
+    assert stdout["final_state"] == summary["final_state"]
+    assert stdout["final_value"] == summary["final_value"]
+    if dyn["system"] == "ds2":
+        assert summary["rate_fit"]["rate"] < 0.0  # the damped flow converges exponentially
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = sweep_config([0.0, 0.1], [1.0])
     path = write_cfg(tmp_path, cfg)
@@ -418,7 +468,7 @@ def test_cli_emitted_json_is_strict(tmp_path, capsys):
     }
     for command, cfg, emitted in (("sweep", sweep, "sweep.json"),
                                   ("verify", checks, "checks.json"),
-                                  ("dynamics", dyn, None)):
+                                  ("dynamics", dyn, "summary.json")):
         out = tmp_path / command
         path = write_cfg(tmp_path, cfg, f"{command}.json")
         assert cli_main([command, "--config", path, "--out", str(out)]) == EXIT_OK

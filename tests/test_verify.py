@@ -6,7 +6,7 @@ import pytest
 from conftest import abs_on_box, cubic_mix, half_quad, indefinite_quad, linear_on
 from sqopt.functions import Bifunction, Objective, catalog, value_gap
 from sqopt.geometry import Ball, Box, FullSpace, HalfspaceIntersection, box1d, rng_for
-from sqopt import verify
+from sqopt import geometry, verify
 from sqopt.verify import CheckReport
 
 
@@ -450,13 +450,13 @@ def _sampled_checks():
     ]
 
 
-@pytest.mark.parametrize("block", [verify.BLOCK_ROWS, 100])
+@pytest.mark.parametrize("block", [geometry.BLOCK_ROWS, 100])
 @pytest.mark.parametrize("name, call", _sampled_checks(), ids=lambda v: v if isinstance(v, str) else "")
 def test_blocked_check_equals_one_block(monkeypatch, block, name, call):
     n = 2 * block + 37
-    monkeypatch.setattr(verify, "BLOCK_ROWS", block)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", block)
     blocked = call(n)
-    monkeypatch.setattr(verify, "BLOCK_ROWS", n)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", n)
     whole = call(n)
     if isinstance(whole, verify.CfzCertificate):
         assert np.array_equal(blocked.e, whole.e) and blocked.alpha == whole.alpha
@@ -471,7 +471,7 @@ def test_blocked_check_equals_one_block(monkeypatch, block, name, call):
 def test_overstated_sqc_witnesses_come_from_several_blocks(monkeypatch):
     block = 100
     n = 2 * block + 37
-    monkeypatch.setattr(verify, "BLOCK_ROWS", block)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", block)
     h = linear_on(0.0, 10.0, 0.5)
     rep = verify.check_sqc_sampled(h, gamma=0.5, n_triples=n, seed=2)
     assert not rep.passed and len(rep.witnesses) == verify.WITNESS_CAP
@@ -516,7 +516,7 @@ def test_cfz_and_subdiff_margins_are_a_prefix(monkeypatch, d):
     # matrix-vector product (``@``) may round a row by where its array sits in
     # memory; small k put the rows at other alignments than the n-row call
     n = 20_000
-    monkeypatch.setattr(verify, "BLOCK_ROWS", n)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", n)
     h = _sq_norm(d)
     xbar = np.linspace(0.5, 0.1, d)
     z = np.linspace(1.0, 0.3, d)
