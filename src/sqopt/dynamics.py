@@ -52,8 +52,6 @@ import numpy as np
 from .functions import Objective
 from .geometry import DIVERGENCE_GUARD, as_point
 
-DISTANCE_FLOOR = 1e-14
-
 
 @dataclass
 class Trajectory:
@@ -153,39 +151,3 @@ def integrate_ds2_undamped_descent(h: Objective, x0, v0, T: float, dt: float) ->
     """Undamped second-order descent flow ``u'' = -grad h(u)``."""
     return integrate_ds2(h, 0.0, x0, v0, T, dt)
 
-
-@dataclass
-class RateFit:
-    rate: float | None
-    r_squared: float | None
-    n_points: int
-    below_floor: bool
-
-
-def loglinear_rate(xs: np.ndarray, distances: np.ndarray, window: float = 0.5, min_points: int = 10) -> RateFit:
-    """Least-squares slope of log(distance) over the tail window of the series."""
-    if not 0.0 < window <= 1.0:
-        raise ValueError("window must lie in (0, 1]")
-    xs = np.asarray(xs, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    pos = d > DISTANCE_FLOOR
-    xs, d = xs[pos], d[pos]
-    n_tail = max(min_points, int(np.ceil(window * xs.shape[0])))
-    xs, d = xs[-n_tail:], d[-n_tail:]
-    if xs.shape[0] < min_points:
-        return RateFit(None, None, int(xs.shape[0]), True)
-    y = np.log(d)
-    A = np.stack([xs, np.ones_like(xs)], axis=-1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(float(coef[0]), r2, int(xs.shape[0]), False)
-
-
-def fit_exponential_rate(traj: Trajectory, target, window: float = 0.5) -> RateFit:
-    """Exponential rate of ||u(t) - target|| via log-linear least squares."""
-    target = np.asarray(target, dtype=float)
-    d = np.linalg.norm(traj.states - target, axis=-1)
-    return loglinear_rate(traj.times, d, window=window)

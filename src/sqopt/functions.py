@@ -345,9 +345,16 @@ def _quad_fractional(A: np.ndarray, a: np.ndarray, alpha: float, B: np.ndarray, 
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     alpha, beta, m, M = float(alpha), float(beta), float(m), float(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if K.dim != n:
         raise ValueError(f"K has dimension {K.dim}, not {n} as A")
+    for name, v, shape in (("a", a, (n,)), ("B", B, (n, n)), ("b", b, (n,))):
+        if v.shape != shape:
+            raise ValueError(f"{name} must have shape {shape} to match A, got {v.shape}")
+    if n_check < 1:
+        raise ValueError(f"n_check must be at least 1, got {n_check}")
     if not (0 < m < M):
         raise ValueError("quad_fractional requires 0 < m < M")
     if np.max(np.abs(A - A.T)) > 1e-12:
@@ -456,6 +463,8 @@ def combine_linear(h: Objective, A, domain: FeasibleSet, n_check: int = 1000) ->
     A = np.asarray(A, dtype=float)
     if A.shape != (h.dim, domain.dim):
         raise ValueError(f"A must map R^{domain.dim} into R^{h.dim}")
+    if n_check < 1:
+        raise ValueError(f"n_check must be at least 1, got {n_check}")
     smin = float(np.linalg.svd(A, compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("A must be injective (sigma_min > 0)")

@@ -309,22 +309,49 @@ class RunSummary:
 
 
 @dataclass
-class LinearRateFit:
-    q: float | None
+class RateFit:
+    """The least-squares line through ``(x, log distance)`` over a series' tail: its slope
+    ``rate``, its ``r_squared`` and ``n_points``; no line (``below_floor``) when fewer than
+    ``_MIN_POINTS`` distances lie above ``_DISTANCE_FLOOR``."""
+
+    rate: float | None
     r_squared: float | None
     n_points: int
     below_floor: bool
 
+    @property
+    def q(self) -> float | None:
+        """The factor per unit of x, ``exp(rate)``: a run's linear rate per iteration."""
+        return None if self.rate is None else float(np.exp(self.rate))
 
-def fit_linear_rate(trace: IterationTrace, target, window: float = 0.5) -> LinearRateFit:
-    """Per-iteration linear rate ``q = exp(slope of log distance)``."""
-    from .dynamics import loglinear_rate  # here, not at module top: only a run fits a rate
-    target = np.asarray(target, dtype=float)
-    d = np.linalg.norm(trace.iterates - target, axis=-1)
-    fit = loglinear_rate(np.arange(d.shape[0], dtype=float), d, window=window)
-    if fit.below_floor:
-        return LinearRateFit(None, None, fit.n_points, True)
-    return LinearRateFit(float(np.exp(fit.rate)), fit.r_squared, fit.n_points, False)
+
+_DISTANCE_FLOOR = 1e-14
+_MIN_POINTS = 10
+
+
+def fit_rate(xs, distances, window: float = 0.5) -> RateFit:
+    """``RateFit`` of ``log(distances)`` against ``xs`` over the last ``window`` share of the
+    distances above the floor, at least ``_MIN_POINTS`` of them.
+
+    A two-column least-squares problem, solved in closed form on the centred series.
+    """
+    if not 0.0 < window <= 1.0:
+        raise ValueError("window must lie in (0, 1]")
+    xs = np.asarray(xs, dtype=float)
+    d = np.asarray(distances, dtype=float)
+    pos = d > _DISTANCE_FLOOR
+    xs, d = xs[pos], d[pos]
+    n = max(_MIN_POINTS, int(np.ceil(window * xs.shape[0])))
+    xs, d = xs[-n:], d[-n:]
+    if xs.shape[0] < _MIN_POINTS:
+        return RateFit(None, None, int(xs.shape[0]), True)
+    y = np.log(d)
+    xc, yc = xs - np.mean(xs), y - np.mean(y)
+    slope = float(xc @ yc / (xc @ xc))
+    ss_res = float(np.sum((yc - slope * xc) ** 2))
+    ss_tot = float(yc @ yc)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return RateFit(slope, r2, int(xs.shape[0]), False)
 
 
 def _exit_code_for(trace: IterationTrace) -> int:
@@ -410,7 +437,8 @@ def run_from_config(cfg: dict, out_dir) -> tuple[RunSummary, int, dict]:
     rate = dist = None
     if known is not None and K.contains(known):
         dist = float(np.linalg.norm(trace.final_point - np.asarray(known, dtype=float)))
-        fit = fit_linear_rate(trace, known)
+        steps = np.arange(trace.iterates.shape[0], dtype=float)
+        fit = fit_rate(steps, np.linalg.norm(trace.iterates - known, axis=-1))
         if not fit.below_floor:
             rate = {"q": fit.q, "r_squared": fit.r_squared}
     summary = RunSummary(
@@ -621,8 +649,7 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
     if not T >= dt:
         raise SchemaError("config.dynamics.T", f"must be at least dt = {dt}, got {T}")
     x0, v0 = (np.zeros(h.dim) if d[key] is None else d[key] for key in ("x0", "v0"))
-    # not at module top: only dynamics
-    from .dynamics import fit_exponential_rate, integrate_ds1, integrate_ds2
+    from .dynamics import integrate_ds1, integrate_ds2  # not at module top: only dynamics
     if d["system"] == "ds1":
         traj = integrate_ds1(h, None, x0, T, dt)
         speed = np.linalg.norm(h.grad_many(traj.states), axis=-1)
@@ -645,8 +672,8 @@ def run_dynamics(cfg: dict, out_dir) -> dict:
     summary = {"system": d["system"], "steps": steps, "dt": dt, "grad_evals": 4 * steps,
                "final_state": traj.final_state.tolist(), "final_value": float(traj.values[-1]),
                "final_speed": float(speed[-1]), "energy_drift": drift,
-               "rate_fit": None if h.known_min is None
-               else asdict(fit_exponential_rate(traj, h.known_min[0]))}
+               "rate_fit": None if h.known_min is None else asdict(
+                   fit_rate(traj.times, np.linalg.norm(traj.states - h.known_min[0], axis=-1)))}
     (out / "summary.json").write_text(strict_json(summary) + "\n")
     return {"trajectory": str(path), "final_state": summary["final_state"],
             "final_value": summary["final_value"]}

@@ -360,32 +360,6 @@ def rippa_rho_upper(beta_hat: float, rho_lo: float) -> float:
     return num / den
 
 
-def default_rippa_params(gamma: float, alpha_target: float, rho_lo: float, **kw) -> MinParams:
-    """Guarded relaxed-inertial parameters for a given inertial target.
-
-    Uses ``beta_hat = (1 + alpha_target)/2`` and the summability relaxation
-    ceiling; the relaxation is the midpoint of its admissible range.
-    Raises when the ceiling does not exceed ``rho_lo`` (lower the target).
-    """
-    if not 0.0 <= alpha_target < 1.0:
-        raise ValueError("alpha_target must lie in [0, 1)")
-    if not 0.0 < rho_lo < 2.0:
-        raise ValueError("rho_lo must lie in (0, 2)")
-    beta_hat = 0.5 * (1.0 + alpha_target)
-    rho_hi = rippa_rho_upper(beta_hat, rho_lo)
-    if rho_hi <= rho_lo:
-        raise ValueError(
-            f"relaxation ceiling {rho_hi:.6g} <= rho_lo {rho_lo:.6g}; lower alpha_target"
-        )
-    return MinParams(
-        variant="RIPPA",
-        alpha=alpha_target,
-        rho_lo=rho_lo,
-        rho_hi=rho_hi,
-        **kw,
-    )
-
-
 def _relaxed_inertial_notes(name: str, p, K: FeasibleSet) -> list[str]:
     """Hard alpha/rho ranges of RIPPA and RIPPA_EP; notes for a non-affine set."""
     if not 0.0 <= p.alpha < 1.0:

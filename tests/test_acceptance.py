@@ -9,17 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cubic_mix, indefinite_quad, linear_on
+from conftest import cubic_mix, default_rippa_params, indefinite_quad, linear_on
 from sqopt import equilibrium as ep
 from sqopt import verify
 from sqopt.dynamics import integrate_ds1, integrate_ds2
 from sqopt.functions import catalog, glt_example, value_gap
 from sqopt.geometry import Box
-from sqopt.harness import fit_linear_rate, run_from_config, sweep_compare
+from sqopt.harness import fit_rate, run_from_config, sweep_compare
 from sqopt.minimize import (
     MinParams,
     Schedule,
-    default_rippa_params,
     run_bppa,
     run_gradient,
     run_heavy_ball,
@@ -101,7 +100,7 @@ def _runs_for(problem_name):
     if problem_name == "power_norm":
         h = catalog("power_norm", n=2, halfwidth=1.0)
         c = Schedule.constant(0.5)
-        rippa = default_rippa_params(h.modulus, alpha_target=0.0, rho_lo=0.3, c=c)
+        rippa = default_rippa_params(alpha_target=0.0, rho_lo=0.3, c=c)
         return h, None, {
             "PPA": lambda x0: run_ppa(h, None, MinParams(c=c), x0),
             "RIPPA": lambda x0: run_rippa(h, None, rippa, x0),
@@ -110,7 +109,7 @@ def _runs_for(problem_name):
     if problem_name == "gauss_well":
         h = catalog("gauss_well", c=1.0, d=1.0, delta=1.0)
         c = Schedule.constant(0.5)
-        rippa = default_rippa_params(h.modulus, alpha_target=0.0, rho_lo=0.3, c=c)
+        rippa = default_rippa_params(alpha_target=0.0, rho_lo=0.3, c=c)
         return h, None, {
             "PPA": lambda x0: run_ppa(h, None, MinParams(c=c), x0),
             "RIPPA": lambda x0: run_rippa(h, None, rippa, x0),
@@ -127,8 +126,7 @@ def _runs_for(problem_name):
         }
     h = catalog("sin_quad")
     c = Schedule.constant(0.8)
-    rippa = default_rippa_params(h.modulus, alpha_target=0.15, rho_lo=0.2, c=c,
-                                 search_radius=6.0)
+    rippa = default_rippa_params(alpha_target=0.15, rho_lo=0.2, c=c, search_radius=6.0)
     return h, 3.0, {
         "PPA": lambda x0: run_ppa(h, None, MinParams(c=c, search_radius=6.0), x0),
         "RIPPA": lambda x0: run_rippa(h, None, rippa, x0),
@@ -172,7 +170,8 @@ def test_criterion_04_linear_rate_evidence():
     p = MinParams(c=Schedule.constant(0.5), stop_tol=1e-8, max_iters=200)
     tr = run_ppa(h, None, p, np.array([7.0, -6.0]))
     reached = np.linalg.norm(tr.final_point) <= 1e-6 and tr.iterations <= 200
-    fit = fit_linear_rate(tr, np.zeros(2), window=0.1)
+    fit = fit_rate(np.arange(tr.iterates.shape[0]), np.linalg.norm(tr.iterates, axis=-1),
+                   window=0.1)
     ok = reached and fit.q is not None and fit.q < 1.0 and fit.r_squared >= 0.9
     report(4, ok,
            f"PPA c=0.5 reached ||x||<=1e-6 in {tr.iterations} iters; "

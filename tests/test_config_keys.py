@@ -171,6 +171,15 @@ GLT = {"catalog": "glt_example", "params": {"p": 2, "q": 2}}
 BOX_2D = {"kind": "box", "lo": [0.0, 0.0], "hi": [4.0, 4.0]}
 INF, NAN = float("inf"), float("nan")
 
+
+def _quad_fractional_cfg(**bad):
+    """A valid 2-D quad_fractional problem with the parameters ``bad`` put in."""
+    params = {"A": [[2.0, 0.0], [0.0, 2.0]], "a": [0.0, 0.0], "alpha": 1.0,
+              "B": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0], "beta": 1.0, "K": BOX_2D,
+              "m": 0.5, "M": 2.0}
+    return _minimize_cfg({"catalog": "quad_fractional", "params": {**params, **bad}})
+
+
 # each exited 3 (with a NumPy message or several stderr lines), ran with a key
 # or a non-finite value unread (some printing NumPy RuntimeWarnings), or exited
 # 1 with a NumPy message
@@ -225,6 +234,21 @@ PROBLEM_DEFECTS = {
         _ep_cfg({**VALUE_GAP, "params": {"objective": {"catalog": "gauss_well",
                                                        "params": {"c": NAN}}}}),
         "problem.bifunction.params.objective.params.c", "expected a finite number"),
+    # a of length 3 exited 3 on NumPy's broadcast text, and a 2x3 A exited 1 on it
+    "quad_fractional_A_not_square": (_quad_fractional_cfg(A=[[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+                                     "problem.objective",
+                                     "A must be a square matrix, got shape (2, 3)"),
+    "quad_fractional_a_length": (_quad_fractional_cfg(a=[0.0, 0.0, 0.0]), "problem.objective",
+                                 "a must have shape (2,) to match A, got (3,)"),
+    "quad_fractional_B_shape": (_quad_fractional_cfg(B=[[0.0]]), "problem.objective",
+                                "B must have shape (2, 2) to match A, got (1, 1)"),
+    "quad_fractional_b_length": (_quad_fractional_cfg(b=[0.0]), "problem.objective",
+                                 "b must have shape (2,) to match A, got (1,)"),
+    # both named m, the lower denominator bound
+    "quad_fractional_n_check_0": (_quad_fractional_cfg(n_check=0), "problem.objective",
+                                  "n_check must be at least 1, got 0"),
+    "quad_fractional_n_check_negative": (_quad_fractional_cfg(n_check=-3), "problem.objective",
+                                         "n_check must be at least 1, got -3"),
 }
 
 
@@ -586,6 +610,21 @@ def test_verify_command_loads_no_solver(tmp_path, kind):
            "verify": {"checks": [{"check": check, "n": 50}]}}
     loaded = _cli_loads(tmp_path, "verify", cfg)
     assert "sqopt.verify" in loaded and not loaded & (BACK_ENDS - {"sqopt.verify"})
+
+
+@pytest.mark.parametrize("command", ["minimize", "solve-ep", "sweep"])
+def test_run_commands_do_not_load_dynamics(tmp_path, command):
+    # a minimize run fits its rate against gauss_well's known minimizer
+    kind = "ep" if command == "solve-ep" else "minimize"
+    algo = {"variant": "PPA_EP", "beta": 1.0} if kind == "ep" else {"variant": "PPA", "c": 0.5}
+    cfg = {"schema_version": 1, "problem": PROBLEMS[kind], "algorithm": {**algo, "x0": [0.7]}}
+    if command == "sweep":
+        cfg["sweep"] = {"alphas": [0.0, 0.1], "rhos": [1.0]}
+    loaded = _cli_loads(tmp_path, command, cfg)
+    assert "sqopt.minimize" in loaded and "sqopt.dynamics" not in loaded
+    if command == "minimize":
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["rate_estimate"]["q"] < 1.0
 
 
 def test_dynamics_command_loads_no_solver_and_no_verify(tmp_path):

@@ -5,16 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import half_quad
-from sqopt.dynamics import (
-    RateFit,
-    fit_exponential_rate,
-    integrate_ds1,
-    integrate_ds2,
-    integrate_ds2_undamped_descent,
-    loglinear_rate,
-)
+from sqopt.dynamics import integrate_ds1, integrate_ds2, integrate_ds2_undamped_descent
 from sqopt.functions import Objective, catalog
 from sqopt.geometry import DIVERGENCE_GUARD, Box, FullSpace, as_point
+from sqopt.harness import fit_rate
 from sqopt.minimize import MinParams, Schedule, run_inertial_gm
 
 
@@ -108,30 +102,25 @@ def test_step_halving_fourth_order():
 
 def test_rate_fit_exact_exponential():
     times = np.linspace(0.0, 10.0, 200)
-    states = np.exp(-times)[:, None]
-    traj_like = type("T", (), {"times": times, "states": states})()
-    fit = fit_exponential_rate(traj_like, np.zeros(1), window=0.5)
+    fit = fit_rate(times, np.exp(-times), window=0.5)
     assert fit.rate == pytest.approx(-1.0, abs=1e-3)
     assert fit.r_squared >= 1.0 - 1e-9
 
 
 def test_rate_fit_ds1_half_quad():
     traj = integrate_ds1(half_quad(), None, np.array([1.0]), T=8.0, dt=1e-2)
-    fit = fit_exponential_rate(traj, np.zeros(1), window=0.5)
+    fit = fit_rate(traj.times, np.abs(traj.states[:, 0]), window=0.5)
     assert fit.rate == pytest.approx(-1.0, rel=0.05)
 
 
 def test_rate_fit_below_floor_for_constant_target():
-    times = np.linspace(0.0, 1.0, 50)
-    states = np.zeros((50, 1))
-    traj_like = type("T", (), {"times": times, "states": states})()
-    fit = fit_exponential_rate(traj_like, np.zeros(1))
+    fit = fit_rate(np.linspace(0.0, 1.0, 50), np.zeros(50))
     assert fit.below_floor and fit.rate is None
 
 
 def test_rate_fit_window_validation():
     with pytest.raises(ValueError):
-        loglinear_rate(np.arange(20.0), np.ones(20), window=0.0)
+        fit_rate(np.arange(20.0), np.ones(20), window=0.0)
 
 
 def test_integrator_argument_validation():

@@ -12,7 +12,7 @@ import pytest
 
 import sqopt
 from sqopt.cli import main as cli_main
-from sqopt.dynamics import fit_exponential_rate, integrate_ds1, integrate_ds2
+from sqopt.dynamics import integrate_ds1, integrate_ds2
 from sqopt import minimize as mz
 from sqopt.harness import (
     EXIT_GUARD,
@@ -20,10 +20,9 @@ from sqopt.harness import (
     EXIT_OK,
     EXIT_SCHEMA,
     VARIANTS,
-    LinearRateFit,
     SchemaError,
     build_problem,
-    fit_linear_rate,
+    fit_rate,
     run_algorithm,
     run_from_config,
     sweep_compare,
@@ -33,7 +32,7 @@ from sqopt.harness import (
 from sqopt.equilibrium import EpParams
 from sqopt.fields import config_keys
 from sqopt.harness import _COMMON_KEYS, _RUN_KINDS
-from sqopt.minimize import IterationTrace, MinParams
+from sqopt.minimize import MinParams
 from sqopt.prox import GlobalSolveConfig
 
 
@@ -171,41 +170,86 @@ def test_trace_csv_header_and_wall_column(tmp_path):
 # --- rate fitting -----------------------------------------------------------------
 
 
-def synthetic_trace(distances):
-    d = np.asarray(distances, dtype=float)
-    n = d.shape[0]
-    return IterationTrace(
-        iterates=d[:, None],  # distance to 0 equals |d|
-        values=np.zeros(n),
-        residuals=np.zeros(n),
-        step_norms=np.zeros(n),
-        cum_evals=np.zeros(n, dtype=int),
-        prox_evals=0,
-        fn_evals=0,
-        wall_ms=0.0,
-        terminated_by="residual",
-        guarded=True,
-    )
-
-
 def test_fit_linear_rate_geometric():
-    tr = synthetic_trace(2.0 ** -np.arange(30))
-    fit = fit_linear_rate(tr, np.zeros(1), window=0.5)
+    fit = fit_rate(np.arange(30.0), 2.0 ** -np.arange(30), window=0.5)
     assert fit.q == pytest.approx(0.5, abs=1e-6)
     assert fit.r_squared >= 1.0 - 1e-12
 
 
 def test_fit_linear_rate_stalled_low_r2():
     rng = np.random.Generator(np.random.Philox(key=3))
-    tr = synthetic_trace(1.0 + 0.01 * rng.random(40))
-    fit = fit_linear_rate(tr, np.zeros(1), window=1.0)
+    fit = fit_rate(np.arange(40.0), 1.0 + 0.01 * rng.random(40), window=1.0)
     assert fit.r_squared < 0.5  # stalled: no linear trend to speak of
 
 
 def test_fit_linear_rate_below_floor():
-    tr = synthetic_trace(np.zeros(20))
-    fit = fit_linear_rate(tr, np.zeros(1))
+    fit = fit_rate(np.arange(20.0), np.zeros(20))
     assert fit.below_floor and fit.q is None
+
+
+def _rate_series(name):
+    """``(xs, distances)``: exact geometric, noisy, stalled, and some points at or under the
+    1e-14 floor (a zero, one at the floor and the tail past k = 26)."""
+    rng = np.random.Generator(np.random.Philox(key=29))
+    if name == "geometric":
+        return np.arange(40.0), 0.7 ** np.arange(40)
+    if name == "noisy":
+        t = np.linspace(0.0, 10.0, 200)
+        return t, np.exp(-1.3 * t + 0.2 * rng.standard_normal(200))
+    if name == "stalled":
+        return np.arange(40.0), 1.0 + 0.01 * rng.random(40)
+    d = 0.3 ** np.arange(45)
+    d[5], d[12] = 0.0, 1e-14
+    return np.arange(45.0), d
+
+
+def _polyfit_rate(xs, d, window):
+    """``(slope, r_squared, n)`` of np.polyfit's line through the same tail."""
+    keep = d > 1e-14
+    xs, y = xs[keep], np.log(d[keep])
+    n = max(10, int(np.ceil(window * xs.shape[0])))
+    xs, y = xs[-n:], y[-n:]
+    slope, intercept = np.polyfit(xs, y, 1)
+    resid = y - (slope * xs + intercept)
+    return slope, 1.0 - np.sum(resid**2) / np.sum((y - np.mean(y)) ** 2), n
+
+
+@pytest.mark.parametrize("window", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("series", ["geometric", "noisy", "stalled", "under_floor"])
+def test_fit_rate_matches_a_polyfit_reference(series, window):
+    xs, d = _rate_series(series)
+    slope, r2, n = _polyfit_rate(xs, d, window)
+    fit = fit_rate(xs, d, window)
+    assert not fit.below_floor and fit.n_points == n
+    assert fit.rate == pytest.approx(slope, rel=1e-12, abs=0.0)
+    assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=0.0)
+    assert fit.q == np.exp(fit.rate)
+
+
+def test_rates_are_fitted_without_lstsq(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    cfg = minimal_ppa_config(x0=[4.0, -4.5])  # 39 iterations: enough points for a fit
+    cfg["problem"]["objective"]["params"]["halfwidth"] = 10.0
+    path = write_cfg(tmp_path, cfg)
+    assert cli_main(["minimize", "--config", path, "--out", str(tmp_path / "m")]) == EXIT_OK
+    summary = json.loads((tmp_path / "m" / "summary.json").read_text())
+    kind, h, K = build_problem(cfg["problem"])
+    trace, _ = run_algorithm(kind, h, K, cfg["algorithm"])
+    fit = fit_rate(np.arange(trace.iterates.shape[0]),
+                   np.linalg.norm(trace.iterates - h.known_min[0], axis=-1))
+    assert summary["rate_estimate"] == {"q": fit.q, "r_squared": fit.r_squared}
+    # the benchmark's dynamics job
+    cfg = {"schema_version": 1,
+           "problem": {"kind": "minimize", "objective": {"catalog": "gauss_well"}},
+           "dynamics": {"system": "ds2", "x0": [0.7], "v0": [0.0], "T": 40.0, "dt": 0.005,
+                        "damping": 1.0}}
+    path = write_cfg(tmp_path, cfg, "dynamics.json")
+    assert cli_main(["dynamics", "--config", path, "--out", str(tmp_path / "d")]) == EXIT_OK
+    rate = json.loads((tmp_path / "d" / "summary.json").read_text())["rate_fit"]
+    assert not rate["below_floor"] and rate["rate"] < 0.0
 
 
 # --- sweep -------------------------------------------------------------------------
@@ -398,7 +442,8 @@ def test_cli_dynamics_summary_explains_the_run(tmp_path, capsys, objective, dyn)
         energy = 0.5 * np.sum(traj.velocities**2, axis=-1) + traj.values
         drift = float(np.max(np.abs(energy - energy[0])))
         assert 0.0 < drift <= 1e-6
-    rate = None if h.known_min is None else asdict(fit_exponential_rate(traj, h.known_min[0]))
+    rate = None if h.known_min is None else asdict(
+        fit_rate(traj.times, np.linalg.norm(traj.states - h.known_min[0], axis=-1)))
     assert summary == {"system": dyn["system"], "steps": steps, "dt": dyn["dt"],
                        "grad_evals": 4 * steps, "final_state": traj.final_state.tolist(),
                        "final_value": float(traj.values[-1]), "final_speed": float(speed[-1]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import half_quad
+from conftest import default_rippa_params, half_quad
 from sqopt.functions import bregman_catalog, catalog
 from sqopt.geometry import box1d, hyperplane
 from sqopt.minimize import (
@@ -10,7 +10,6 @@ from sqopt.minimize import (
     Schedule,
     StackKey,
     _drive_many,
-    default_rippa_params,
     rippa_rho_upper,
     run_bppa,
     run_gradient,
@@ -44,7 +43,7 @@ def test_rippa_rho_upper_direct_formula():
 
 
 def test_default_rippa_params():
-    p = default_rippa_params(gamma=1.0, alpha_target=0.1, rho_lo=0.2)
+    p = default_rippa_params(alpha_target=0.1, rho_lo=0.2)
     assert p.alpha == 0.1
     beta_hat = 0.55
     expected_hi = rippa_rho_upper(beta_hat, 0.2)
@@ -56,9 +55,9 @@ def test_default_rippa_params():
 def test_default_rippa_params_rejects_tight_ceiling():
     # at alpha_target = 0 the ceiling is 1.5 r / (1 + r) <= rho_lo for rho_lo >= 0.5
     with pytest.raises(ValueError, match="ceiling"):
-        default_rippa_params(gamma=1.0, alpha_target=0.0, rho_lo=1.0)
+        default_rippa_params(alpha_target=0.0, rho_lo=1.0)
     with pytest.raises(ValueError):
-        default_rippa_params(gamma=1.0, alpha_target=1.0, rho_lo=0.2)
+        default_rippa_params(alpha_target=1.0, rho_lo=0.2)
 
 
 def test_rippa_invariant_violations_raise():
@@ -126,7 +125,7 @@ def test_rippa_unguarded_flag_on_box_with_inertia():
 
 def test_rippa_summability_along_trace():
     h = catalog("sin_quad")
-    p = default_rippa_params(h.modulus, alpha_target=0.15, rho_lo=0.2,
+    p = default_rippa_params(alpha_target=0.15, rho_lo=0.2,
                              c=Schedule.constant(0.8))
     p = MinParams(**{**p.__dict__, "search_radius": 6.0, "stop_tol": 1e-9})
     tr = run_rippa(h, None, p, np.array([3.0]))
@@ -390,24 +389,26 @@ def test_inertial_gm_requires_positive_floor():
 
 
 def test_linear_rate_power_norm_tail():
-    from sqopt.harness import fit_linear_rate
+    from sqopt.harness import fit_rate
 
     h = catalog("power_norm", n=2, halfwidth=10.0)
     p = MinParams(c=Schedule.constant(0.5), stop_tol=1e-8, max_iters=300)
     tr = run_ppa(h, None, p, np.array([7.0, -6.0]))
-    fit = fit_linear_rate(tr, np.zeros(2), window=0.1)
+    fit = fit_rate(np.arange(tr.iterates.shape[0]), np.linalg.norm(tr.iterates, axis=-1),
+                   window=0.1)
     assert fit.q is not None and fit.q < 1.0
     assert fit.r_squared >= 0.9
 
 
 def test_linear_rate_euclid_norm_tail():
-    from sqopt.harness import fit_linear_rate
+    from sqopt.harness import fit_rate
 
     h = catalog("euclid_norm", n=2, gamma=0.1, halfwidth=5.0)
     p = MinParams(c=Schedule.constant(0.1), stop_tol=1e-10, max_iters=40)
     tr = run_ppa(h, None, p, np.array([5.0, 5.0]))  # truncated before absorption
     assert tr.terminated_by == "max_iters"
-    fit = fit_linear_rate(tr, np.zeros(2), window=1.0)
+    fit = fit_rate(np.arange(tr.iterates.shape[0]), np.linalg.norm(tr.iterates, axis=-1),
+                   window=1.0)
     assert fit.q is not None and fit.q < 1.0
     assert fit.r_squared >= 0.9
 
